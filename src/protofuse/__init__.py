@@ -8,9 +8,9 @@ from .knowledge import (AttributeStats, ClassPrototypeTable, PrimitiveKnowledge,
 from .fusion import (DiagonalGaussian, SoftAssignment, fuse_prototypes,
                      gaussian_product, mean_fuse, soft_assign,
                      weighted_gaussian_estimate, EPSILON_VARIANCE, DEFAULT_LAMBDA)
-from .completion import (CompletionNetParams, CompletionTask, complete_prototype,
-                         sample_completion_tasks, train_completion,
-                         save_model, load_model)
+from .completion import (CompletionNetParams, CompletionPlan, CompletionTask,
+                         complete_prototype, sample_completion_tasks,
+                         train_completion, save_model, load_model)
 from .datagen import FewShotDataset, World, WorldSpec, generate_world, \
     load_embeddings, load_world, save_world
 from .episodes import (Episode, EvalReport, MetaTrainConfig, MODES, classify,

@@ -140,7 +140,8 @@ def _cmd_eval(args) -> int:
     if args.dump_fusion:
         import json
         atomic_write_text(args.dump_fusion,
-                          "\n".join(json.dumps(e, sort_keys=True) for e in dump) + "\n")
+                          "\n".join(json.dumps(e, sort_keys=True, allow_nan=False)
+                                    for e in dump) + "\n")
     _print_report(report)
     return 0
 

@@ -11,6 +11,11 @@ The attention score is a raw scalar (identity output activation) with no
 normalization across attributes. The classifier scale used downstream is
 kept here as ``log_scale`` so one checkpoint carries the whole trainable
 state; optimizing the log keeps the scale positive.
+
+Two routines run the network. ``_complete`` completes one class and is
+generic over plain arrays and traced Nodes; the training losses use it.
+``CompletionPlan`` completes a block of prototypes at once in test mode,
+untraced; inference uses it, and ``_complete`` is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -89,19 +94,23 @@ class CompletionNetParams:
     def scale_gamma(self) -> float:
         return float(np.exp(self.store.value("log_scale")))
 
+    def tensor_shapes(self) -> dict:
+        """The shape every tensor must have for these dimensions, by name."""
+        d, e = self.input_dim, self.encoder_dim
+        h, k = self.aggregator_hidden, self.decoder_hidden
+        return {
+            "encoder.weight": (e, d), "encoder.bias": (e,),
+            "aggregator.hidden.weight": (h, d + 2 * self.semantic_dim),
+            "aggregator.hidden.bias": (h,),
+            "aggregator.output.weight": (1, h), "aggregator.output.bias": (1,),
+            "decoder.hidden.weight": (k, e), "decoder.hidden.bias": (k,),
+            "decoder.output.weight": (d, k), "decoder.output.bias": (d,),
+            "log_scale": (),
+        }
+
 
 def _tensor_dict(params) -> dict:
     return params.tensors() if isinstance(params, CompletionNetParams) else params
-
-
-def encode(params, x):
-    """Shared encoder: relu(W x + b)."""
-    t = _tensor_dict(params)
-    w = ad.value_of(t["encoder.weight"])
-    xv = ad.value_of(x)
-    if xv.shape != (w.shape[1],):
-        raise ValueError(f"encoder expects a {w.shape[1]}-vector, got shape {xv.shape}")
-    return ad.relu(ad.add(ad.matmul(t["encoder.weight"], x), t["encoder.bias"]))
 
 
 def sample_attribute_feature(stats: AttributeStats, attribute: int, mode: str,
@@ -139,28 +148,6 @@ def _attention_scores(tensors, knowledge: PrimitiveKnowledge, class_id: int,
     return ad.reshape(scores, (len(attrs),))
 
 
-def aggregate(params, knowledge: PrimitiveKnowledge, class_id: int, incomplete,
-              attribute_latents: dict, prototype_latent):
-    """Attention-gated combination of attribute latents with the prototype latent.
-
-    Returns (combined latent, weights) where ``weights`` maps every supplied
-    attribute index to its attention scalar; attributes the class is not
-    associated with get exactly 0 and their score MLP is never evaluated.
-    """
-    t = _tensor_dict(params)
-    incomplete = np.asarray(ad.value_of(incomplete), dtype=np.float64)
-    gated = [a for a in sorted(attribute_latents) if knowledge.association[class_id, a]]
-    weights = {a: 0.0 for a in attribute_latents}
-    if not gated:
-        return prototype_latent, weights
-    alphas = _attention_scores(t, knowledge, class_id, incomplete, np.asarray(gated))
-    latents = ad.stack([attribute_latents[a] for a in gated])
-    combined = ad.add(ad.matmul(ad.transpose(latents), alphas), prototype_latent)
-    for a, alpha in zip(gated, np.asarray(ad.value_of(alphas))):
-        weights[a] = float(alpha)
-    return combined, weights
-
-
 def _decode(tensors, combined):
     hidden = ad.relu(ad.add(ad.matmul(tensors["decoder.hidden.weight"], combined),
                             tensors["decoder.hidden.bias"]))
@@ -192,19 +179,83 @@ def _complete(tensors, knowledge: PrimitiveKnowledge, class_id: int,
     return _decode(tensors, combined)
 
 
+@dataclass(frozen=True)
+class CompletionPlan:
+    """Test-mode completion constants of one (params, knowledge, stats) triple.
+
+    The aggregator's first layer acts on (prototype, class semantic,
+    attribute semantic), so its pre-activation splits into one term per
+    column block. The class and attribute terms and the attribute latents
+    of the test-mode (mean) features depend only on the triple; they are
+    computed once here, and completing B prototypes then costs a few
+    (B, ...) matmuls. SGD updates the parameters in place and a noisy
+    knowledge copy changes the associations, so a plan is built for one
+    call and never kept past it.
+    """
+
+    tensors: dict                 # parameter arrays by name
+    association: np.ndarray       # (C, A) bool
+    prototype_weight: np.ndarray  # (H, d) prototype block of aggregator.hidden.weight
+    class_terms: np.ndarray       # (C, H) class_semantics @ W_class.T
+    attribute_terms: np.ndarray   # (A, H) attribute_semantics @ W_attribute.T + hidden bias
+    attribute_latents: np.ndarray  # (A, E) relu(W_enc mean_a + b_enc)
+
+    @classmethod
+    def build(cls, params, knowledge: PrimitiveKnowledge,
+              stats: AttributeStats) -> "CompletionPlan":
+        t = _tensor_dict(params)
+        w_enc, w_hidden = t["encoder.weight"], t["aggregator.hidden.weight"]
+        d, s = w_enc.shape[1], knowledge.semantic_dim
+        if w_hidden.shape[1] != d + 2 * s:
+            raise ValueError(
+                f"aggregator takes {w_hidden.shape[1]} inputs, but {d}-d prototypes and "
+                f"{s}-d knowledge semantics make {d + 2 * s}")
+        if stats.mean.shape != (knowledge.num_attributes, d):
+            raise ValueError(f"attribute stats of shape {stats.mean.shape} do not match "
+                             f"{knowledge.num_attributes} attributes of dimension {d}")
+        return cls(
+            tensors=t,
+            association=knowledge.association.astype(bool),
+            prototype_weight=w_hidden[:, :d],
+            class_terms=knowledge.class_semantics @ w_hidden[:, d:d + s].T,
+            attribute_terms=(knowledge.attribute_semantics @ w_hidden[:, d + s:].T
+                             + t["aggregator.hidden.bias"]),
+            attribute_latents=ad.relu(stats.mean @ w_enc.T + t["encoder.bias"]),
+        )
+
+    def complete(self, class_ids, incomplete) -> np.ndarray:
+        """Complete row i of the (B, d) ``incomplete`` as class ``class_ids[i]``.
+
+        Every attribute is scored in one (B, A, H) hidden tensor; the
+        association rows then zero the scores of attributes a class is not
+        associated with, so they contribute exactly nothing.
+        """
+        t = self.tensors
+        x = np.asarray(incomplete, dtype=np.float64)
+        ids = np.asarray(class_ids, dtype=np.int64)
+        d = self.prototype_weight.shape[1]
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ValueError(f"prototypes must be {d}-vectors, got a block of shape {x.shape}")
+        if ids.shape != (x.shape[0],):
+            raise ValueError(f"{ids.size} class ids for {x.shape[0]} prototypes")
+        unknown = ids[(ids < 0) | (ids >= self.association.shape[0])]
+        if unknown.size:
+            raise ValueError(f"unknown class id {unknown[0]}")
+        z_proto = ad.relu(x @ t["encoder.weight"].T + t["encoder.bias"])
+        pre = (x @ self.prototype_weight.T + self.class_terms[ids])[:, None, :] \
+            + self.attribute_terms
+        scores = ad.relu(pre) @ t["aggregator.output.weight"][0] + t["aggregator.output.bias"]
+        alphas = np.where(self.association[ids], scores, 0.0)
+        combined = alphas @ self.attribute_latents + z_proto
+        hidden = ad.relu(combined @ t["decoder.hidden.weight"].T + t["decoder.hidden.bias"])
+        return hidden @ t["decoder.output.weight"].T + t["decoder.output.bias"]
+
+
 def complete_prototype(params, knowledge: PrimitiveKnowledge, stats: AttributeStats,
-                       class_id: int, incomplete, mode: str = MODE_TEST,
-                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Complete one prototype. Test mode is a pure function of its inputs."""
-    t = _tensor_dict(params)
-    incomplete = np.asarray(ad.value_of(incomplete), dtype=np.float64)
-    d = ad.value_of(t["encoder.weight"]).shape[1]
-    if incomplete.shape != (d,):
-        raise ValueError(f"prototype must be a {d}-vector, got shape {incomplete.shape}")
-    if not 0 <= class_id < knowledge.num_classes:
-        raise ValueError(f"unknown class id {class_id}")
-    draws = draw_attribute_features(stats, knowledge.attributes_of(class_id), mode, rng)
-    return _complete(t, knowledge, class_id, incomplete, draws)
+                       class_id: int, incomplete) -> np.ndarray:
+    """Complete one prototype in test mode (the one-row case of ``CompletionPlan``)."""
+    plan = CompletionPlan.build(params, knowledge, stats)
+    return plan.complete([class_id], np.asarray(incomplete, dtype=np.float64)[None])[0]
 
 
 @dataclass
@@ -334,13 +385,9 @@ def load_model(path) -> tuple:
         aggregator_hidden=int(sidecar["aggregator_hidden"]),
         decoder_hidden=int(sidecar["decoder_hidden"]),
     )
-    expected = {
-        "encoder.weight": (params.encoder_dim, params.input_dim),
-        "decoder.output.weight": (params.input_dim, params.decoder_hidden),
-        "log_scale": (),
-    }
-    for name, shape in expected.items():
+    for name, shape in params.tensor_shapes().items():
         if store.value(name).shape != shape:
             raise nn.CheckpointError(
-                f"tensor '{name}' has shape {store.value(name).shape}, expected {shape}")
+                f"{path}: tensor '{name}' has shape {store.value(name).shape}, "
+                f"expected {shape} from the sidecar dimensions")
     return params, sidecar.get("metadata", {})

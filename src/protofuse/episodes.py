@@ -2,9 +2,12 @@
 fine-tuning of the completion network, and the evaluation/diagnostic harness.
 
 Evaluation draws one RNG stream per episode (stream id = episode index), so
-results are reproducible bit-for-bit regardless of how many worker threads
-run the episodes. ``PROTOFUSE_THREADS`` caps the pool; aggregation happens in
-fixed index order.
+an episode's result depends on its seed and index only, not on how many
+episodes one call evaluates. Episodes run one after another in the calling
+thread: the per-episode work is small-array numpy that holds the
+interpreter lock, and a thread pool made it slower. Each call that completes
+prototypes builds one ``completion.CompletionPlan`` for its parameters,
+knowledge and stats and completes each episode's classes in one batch.
 
 Embeddings are treated as a fixed feature space throughout: episodic
 fine-tuning updates only the completion network and the classifier scale.
@@ -14,8 +17,6 @@ and its soft assignments.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +106,14 @@ def mean_prototype(episode: Episode, class_id) -> np.ndarray:
 
 
 def mean_prototypes(episode: Episode) -> np.ndarray:
-    return np.stack([mean_prototype(episode, cid) for cid in episode.roster])
+    """Support means of every roster class, (n_way, d), rows in roster order.
+
+    Rows are summed in support order, as ``mean_prototype`` sums them.
+    """
+    positions = np.searchsorted(episode.roster, episode.support_y)
+    sums = np.zeros((episode.n_way, episode.support_x.shape[1]))
+    np.add.at(sums, positions, episode.support_x)
+    return sums / np.bincount(positions, minlength=episode.n_way)[:, None]
 
 
 def classify(query, prototypes, scale_gamma: float) -> np.ndarray:
@@ -134,14 +142,10 @@ def _transductive_pool(episode: Episode):
     return x, labels
 
 
-def completed_prototypes(params, knowledge, stats, episode: Episode,
-                         mode: str = cp.MODE_TEST,
-                         rng: np.random.Generator | None = None) -> np.ndarray:
-    means = mean_prototypes(episode)
-    return np.stack([
-        cp.complete_prototype(params, knowledge, stats, int(cid), means[i], mode, rng)
-        for i, cid in enumerate(episode.roster)
-    ])
+def completed_prototypes(params, knowledge, stats, episode: Episode) -> np.ndarray:
+    """Test-mode completed prototypes of every roster class, (n_way, d)."""
+    plan = cp.CompletionPlan.build(params, knowledge, stats)
+    return plan.complete(episode.roster, mean_prototypes(episode))
 
 
 def episode_prototypes(params, knowledge, stats, episode: Episode, mode: str,
@@ -149,15 +153,26 @@ def episode_prototypes(params, knowledge, stats, episode: Episode, mode: str,
                        floor: float = fusion.EPSILON_VARIANCE):
     """Prototype matrix for the requested ablation mode (plus fusion details
     when the mode runs the full fusion)."""
+    return _planned_prototypes(_plan_for(mode, params, knowledge, stats), episode, mode,
+                               lam, floor)
+
+
+def _plan_for(mode: str, params, knowledge, stats):
+    """The completion plan a mode needs: none for mean-only."""
+    if mode == MODE_MEAN_ONLY:
+        return None
+    return cp.CompletionPlan.build(params, knowledge, stats)
+
+
+def _planned_prototypes(plan, episode: Episode, mode: str, lam: float, floor: float):
     means = mean_prototypes(episode)
     if mode == MODE_MEAN_ONLY:
         return means, None
-    completed = completed_prototypes(params, knowledge, stats, episode)
+    completed = plan.complete(episode.roster, means)
     if mode == MODE_COMPLETED_ONLY:
         return completed, None
     if mode == MODE_MEAN_FUSION:
-        return np.stack([fusion.mean_fuse(means[i], completed[i])
-                         for i in range(means.shape[0])]), None
+        return fusion.mean_fuse(means, completed), None
     if mode == MODE_GAUSS_FUSION:
         x, labels = _transductive_pool(episode)
         result = fusion.fuse_prototypes(x, labels, means, completed, lam, floor)
@@ -198,19 +213,11 @@ class EvalReport:
         }
 
 
-def _episode_accuracy(params, knowledge, stats, episode: Episode, mode: str,
-                      lam: float, floor: float):
-    prototypes, detail = episode_prototypes(params, knowledge, stats, episode, mode, lam, floor)
+def _episode_accuracy(plan, episode: Episode, mode: str, lam: float, floor: float):
+    prototypes, detail = _planned_prototypes(plan, episode, mode, lam, floor)
     sims = fusion.cosine_matrix(episode.query_x, prototypes)
     predicted = episode.roster[np.argmax(sims, axis=1)]
     return float(np.mean(predicted == episode.query_y)), detail
-
-
-def _worker_count() -> int:
-    env = os.environ.get("PROTOFUSE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
@@ -226,34 +233,31 @@ def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-    def run(index: int):
+    if num_episodes < 1:
+        raise ValueError(f"num_episodes must be at least 1, got {num_episodes}")
+    plan = _plan_for(mode, params, knowledge, stats)
+    accuracies = []
+    for index in range(num_episodes):
         episode = sample_episode(dataset, n_way, k_shot, m_query, episode_rng(seed, index))
-        return _episode_accuracy(params, knowledge, stats, episode, mode, lam, floor)
-
-    workers = _worker_count()
-    if workers > 1 and num_episodes >= 2 * workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(num_episodes)))
-    else:
-        outcomes = [run(i) for i in range(num_episodes)]
-    accuracies = [acc for acc, _ in outcomes]
-    if fusion_dump is not None and mode == MODE_GAUSS_FUSION:
-        for i, (_, detail) in enumerate(outcomes):
-            fusion_dump.append(_fusion_dump_entry(i, detail))
+        accuracy, detail = _episode_accuracy(plan, episode, mode, lam, floor)
+        accuracies.append(accuracy)
+        if fusion_dump is not None and detail is not None:
+            fusion_dump.append(_fusion_dump_entry(index, detail))
     return EvalReport(mode=mode, n_way=n_way, k_shot=k_shot, episodes=num_episodes,
                       seed=seed, per_episode=accuracies)
+
+
+def _gaussian_rows(stack: fusion.DiagonalGaussian) -> list:
+    return [{"mean": mean, "variance": variance}
+            for mean, variance in zip(stack.mean.tolist(), stack.variance.tolist())]
 
 
 def _fusion_dump_entry(index: int, result: fusion.FusionResult) -> dict:
     return {
         "episode": index,
-        "mean_based": [{"mean": g.mean.tolist(), "variance": g.variance.tolist()}
-                       for g in result.mean_based],
-        "completed": [{"mean": g.mean.tolist(), "variance": g.variance.tolist()}
-                      for g in result.completed],
-        "posterior": [{"mean": g.mean.tolist(), "variance": g.variance.tolist()}
-                      for g in result.posterior],
+        "mean_based": _gaussian_rows(result.mean_based),
+        "completed": _gaussian_rows(result.completed),
+        "posterior": _gaussian_rows(result.posterior),
         "responsibilities_mean": result.assignment_mean.matrix.tolist(),
         "responsibilities_completed": result.assignment_completed.matrix.tolist(),
     }
@@ -352,8 +356,10 @@ class SimilarityReport:
         }
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+def _row_cosines(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """cos(rows[i], targets[i]) for every row i."""
+    return (np.einsum("ij,ij->i", rows, targets)
+            / (np.linalg.norm(rows, axis=1) * np.linalg.norm(targets, axis=1)))
 
 
 def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.ndarray,
@@ -364,20 +370,19 @@ def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.nda
                                 floor: float = fusion.EPSILON_VARIANCE) -> SimilarityReport:
     """Average cos(prototype, center) for mean-based, completed, and fused
     prototypes over sampled episodes."""
+    if num_episodes < 1:
+        raise ValueError(f"num_episodes must be at least 1, got {num_episodes}")
+    plan = cp.CompletionPlan.build(params, knowledge, stats)
     sums = np.zeros(3)
-    count = 0
     for index in range(num_episodes):
         episode = sample_episode(dataset, n_way, k_shot, m_query, episode_rng(seed, index))
         means = mean_prototypes(episode)
-        completed = completed_prototypes(params, knowledge, stats, episode)
+        completed = plan.complete(episode.roster, means)
         x, labels = _transductive_pool(episode)
         fused = fusion.fuse_prototypes(x, labels, means, completed, lam, floor).fused
-        for i, cid in enumerate(episode.roster):
-            center = centers[int(cid)]
-            sums += (_cosine(means[i], center), _cosine(completed[i], center),
-                     _cosine(fused[i], center))
-            count += 1
-    sums /= count
+        truth = centers[episode.roster]
+        sums += [_row_cosines(p, truth).sum() for p in (means, completed, fused)]
+    sums /= num_episodes * n_way
     return SimilarityReport(float(sums[0]), float(sums[1]), float(sums[2]), num_episodes)
 
 
@@ -418,19 +423,18 @@ def rank_curve_report(params, dataset: FewShotDataset, centers: np.ndarray,
     r-th closest sample to its center. Classes shorter than the window shrink
     it (with a count reported).
     """
+    plan = cp.CompletionPlan.build(params, knowledge, stats)
     raw_rows, completed_rows = [], []
     shortest = None
     below = 0
     for cid in dataset.class_ids():
         rows = dataset.embeddings[dataset.indices_of(cid)]
-        center = centers[int(cid)]
-        sims = np.array([_cosine(row, center) for row in rows])
+        center = np.broadcast_to(centers[int(cid)], rows.shape)
+        sims = _row_cosines(rows, center)
         order = np.argsort(-sims)
         raw_rows.append(sims[order])
-        completed_rows.append(np.array([
-            _cosine(cp.complete_prototype(params, knowledge, stats, int(cid), rows[i]), center)
-            for i in order
-        ]))
+        completed = plan.complete(np.full(rows.shape[0], cid), rows[order])
+        completed_rows.append(_row_cosines(completed, center))
         shortest = rows.shape[0] if shortest is None else min(shortest, rows.shape[0])
         if rows.shape[0] < window:
             below += 1

@@ -26,7 +26,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as JSON; NaN and infinities raise ValueError (they are not JSON)."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def sha256_file(path) -> str:

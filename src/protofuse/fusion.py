@@ -28,7 +28,8 @@ DEFAULT_LAMBDA = 10.0  # fixed softmax sharpness for soft assignment
 
 @dataclass
 class DiagonalGaussian:
-    """Mean vector plus per-dimension variance vector."""
+    """Mean plus per-dimension variance: vectors for one Gaussian, or
+    (n, d) matrices for n Gaussians, one per row."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -36,8 +37,8 @@ class DiagonalGaussian:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.variance = np.asarray(self.variance, dtype=np.float64)
-        if self.mean.ndim != 1 or self.mean.shape != self.variance.shape:
-            raise ValueError("mean and variance must be matching vectors")
+        if self.mean.ndim not in (1, 2) or self.mean.shape != self.variance.shape:
+            raise ValueError("mean and variance must be matching vectors or matrices")
         if not (np.isfinite(self.mean).all() and np.isfinite(self.variance).all()):
             raise ValueError("mean and variance must be finite")
         if (self.variance <= 0).any():
@@ -51,7 +52,13 @@ class DiagonalGaussian:
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
+
+    def __getitem__(self, row: int) -> "DiagonalGaussian":
+        """Row ``row`` of a stack of Gaussians."""
+        if self.mean.ndim != 2:
+            raise TypeError("only a stack of Gaussians can be indexed")
+        return DiagonalGaussian(self.mean[row], self.variance[row])
 
 
 @dataclass
@@ -78,10 +85,6 @@ class SoftAssignment:
         lab = self.matrix[self.labeled]
         if lab.size and not np.isin(lab, (0.0, 1.0)).all():
             raise ValueError("labeled rows must be exact one-hot vectors")
-
-    @property
-    def num_classes(self) -> int:
-        return self.matrix.shape[1]
 
 
 def cosine_matrix(embeddings, prototypes):
@@ -165,15 +168,30 @@ def _weighted_moments(embeddings: np.ndarray, weights):
     return mean, var
 
 
+def _class_moments(embeddings: np.ndarray, responsibilities: np.ndarray):
+    """Responsibility-weighted means and population variances of every class.
+
+    ``responsibilities`` is (samples, classes); returns two (classes, d)
+    matrices. Two passes: the variance is taken around the finished mean.
+    """
+    totals = responsibilities.sum(axis=0)
+    empty = np.flatnonzero(totals <= 0.0)
+    if empty.size:
+        raise ValueError(f"zero total responsibility for class position {empty[0]}")
+    mean = (responsibilities.T @ embeddings) / totals[:, None]
+    diffs = embeddings[None, :, :] - mean[:, None, :]
+    var = np.matmul(responsibilities.T[:, None, :], diffs * diffs)[:, 0, :]
+    return mean, var / totals[:, None]
+
+
 def weighted_gaussian_estimate(embeddings, assignment: SoftAssignment, class_index: int,
                                floor: float = EPSILON_VARIANCE) -> DiagonalGaussian:
     """Responsibility-weighted mean and population variance for one class."""
-    w = assignment.matrix[:, class_index]
-    total = float(w.sum())
-    if total <= 0.0:
+    w = assignment.matrix[:, [class_index]]
+    if not w.sum() > 0.0:
         raise ValueError(f"zero total responsibility for class position {class_index}")
-    mean, var = _weighted_moments(embeddings, w)
-    return DiagonalGaussian.from_moments(mean, var, floor)
+    mean, var = _class_moments(np.asarray(embeddings, dtype=np.float64), w)
+    return DiagonalGaussian.from_moments(mean[0], var[0], floor)
 
 
 def _product_moments(prior_mean, prior_var, lik_mean, lik_var):
@@ -190,8 +208,8 @@ def gaussian_product(prior: DiagonalGaussian, likelihood: DiagonalGaussian) -> D
     Only the posterior mean/variance are returned; the scalar normalizer is
     irrelevant downstream and intentionally skipped.
     """
-    if prior.dim != likelihood.dim:
-        raise ValueError(f"dimension mismatch: {prior.dim} vs {likelihood.dim}")
+    if prior.mean.shape != likelihood.mean.shape:
+        raise ValueError(f"shape mismatch: {prior.mean.shape} vs {likelihood.mean.shape}")
     mean, var = _product_moments(prior.mean, prior.variance,
                                  likelihood.mean, likelihood.variance)
     return DiagonalGaussian(mean, var)
@@ -208,18 +226,24 @@ def mean_fuse(prototype, completed):
 
 @dataclass
 class FusionResult:
-    fused: np.ndarray                 # (num_classes, d), the posterior means
-    mean_based: list                  # DiagonalGaussian per class (likelihood side)
-    completed: list                   # DiagonalGaussian per class (prior side)
-    posterior: list                   # DiagonalGaussian per class
+    """One episode's fusion; row k of every Gaussian stack is class position k."""
+
+    mean_based: DiagonalGaussian   # (num_classes, d), the likelihood side
+    completed: DiagonalGaussian    # (num_classes, d), the prior side
+    posterior: DiagonalGaussian    # (num_classes, d)
     assignment_mean: SoftAssignment
     assignment_completed: SoftAssignment
+
+    @property
+    def fused(self) -> np.ndarray:
+        """The fused prototypes: the posterior means, (num_classes, d)."""
+        return self.posterior.mean
 
 
 def fuse_prototypes(embeddings, labels, mean_prototypes, completed_prototypes,
                     lam: float = DEFAULT_LAMBDA,
                     floor: float = EPSILON_VARIANCE) -> FusionResult:
-    """Full fusion pass over one episode's supports and queries.
+    """Full fusion pass over one episode's supports and queries, all classes at once.
 
     Soft-assigns all samples twice (once per prototype family), estimates a
     diagonal Gaussian per class from each assignment, and multiplies them
@@ -229,18 +253,10 @@ def fuse_prototypes(embeddings, labels, mean_prototypes, completed_prototypes,
     x = np.asarray(embeddings, dtype=np.float64)
     assign_mean = soft_assign(x, labels, mean_prototypes, lam)
     assign_comp = soft_assign(x, labels, completed_prototypes, lam)
-    n_classes = assign_mean.num_classes
-    mean_side, comp_side, posterior = [], [], []
-    fused = np.empty((n_classes, x.shape[1]))
-    for k in range(n_classes):
-        g_mean = weighted_gaussian_estimate(x, assign_mean, k, floor)
-        g_comp = weighted_gaussian_estimate(x, assign_comp, k, floor)
-        post = gaussian_product(g_comp, g_mean)
-        mean_side.append(g_mean)
-        comp_side.append(g_comp)
-        posterior.append(post)
-        fused[k] = post.mean
-    return FusionResult(fused, mean_side, comp_side, posterior, assign_mean, assign_comp)
+    mean_side = DiagonalGaussian.from_moments(*_class_moments(x, assign_mean.matrix), floor)
+    comp_side = DiagonalGaussian.from_moments(*_class_moments(x, assign_comp.matrix), floor)
+    posterior = gaussian_product(comp_side, mean_side)
+    return FusionResult(mean_side, comp_side, posterior, assign_mean, assign_comp)
 
 
 def fused_means(embeddings, labels, mean_prototypes, completed_rows,

@@ -177,3 +177,14 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "w" / "base.manifest.json").exists()
+
+
+def test_eval_zero_episodes_is_an_error_and_writes_nothing(tmp_path, workspace, capsys):
+    _, world, model = workspace
+    out = tmp_path / "r.json"
+    code = main(["eval", "--world", str(world), "--checkpoint", str(model),
+                 "--mode", "gauss-fusion", "--episodes", "0", "--seed", "1",
+                 "--out", str(out)])
+    assert code == 1
+    assert "num_episodes must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,5 @@
-"""Completion network: encoder, attention aggregation, end-to-end completion,
-task sampling, and the two training-facing loss paths."""
+"""Completion network: batched test-mode completion against scalar and
+traced oracles, task sampling, training, and checkpoints."""
 
 import numpy as np
 import pytest
@@ -33,41 +33,6 @@ def constant_stats(values, std=None):
     return kn.AttributeStats(values, std, np.ones(values.shape[0], dtype=int))
 
 
-# --- encoder ---------------------------------------------------------------
-
-def test_encode_zero_weights_zero_latent():
-    params = small_params()
-    params.store.value("encoder.weight")[...] = 0.0
-    np.testing.assert_array_equal(cp.encode(params, np.ones(4)), np.zeros(6))
-
-
-def test_encode_identity_configuration():
-    params = cp.CompletionNetParams.initialize(3, 2, seed=0, encoder_dim=3,
-                                               aggregator_hidden=4, decoder_hidden=4)
-    params.store.value("encoder.weight")[...] = np.eye(3)
-    params.store.value("encoder.bias")[...] = 0.0
-    x = np.array([0.2, 1.5, 0.0])  # nonnegative input passes relu unchanged
-    np.testing.assert_allclose(cp.encode(params, x), x)
-
-
-def test_encode_matches_scalar_reference():
-    params = small_params(seed=3)
-    x = np.random.default_rng(5).standard_normal(4)
-    w, b = params.store.value("encoder.weight"), params.store.value("encoder.bias")
-    expected = []
-    for i in range(6):
-        z = b[i]
-        for j in range(4):
-            z += w[i][j] * x[j]
-        expected.append(z if z > 0 else 0.0)
-    np.testing.assert_allclose(cp.encode(params, x), expected, rtol=1e-12)
-
-
-def test_encode_dimension_check():
-    with pytest.raises(ValueError, match="4-vector"):
-        cp.encode(small_params(), np.ones(5))
-
-
 # --- attribute feature sampling ---------------------------------------------
 
 def test_sample_test_mode_returns_mean_exactly():
@@ -98,75 +63,6 @@ def test_sample_unknown_attribute():
         cp.sample_attribute_feature(constant_stats([[0.0]]), 3, "test")
     with pytest.raises(ValueError, match="mode"):
         cp.sample_attribute_feature(constant_stats([[0.0]]), 0, "maybe")
-
-
-# --- aggregation -----------------------------------------------------------
-
-def test_aggregate_all_zero_row_passes_prototype_latent():
-    know = small_knowledge([[0, 0], [1, 1]], num_base=2)
-    params = small_params()
-    proto_latent = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    latents = {0: np.ones(6), 1: np.ones(6)}
-    combined, weights = cp.aggregate(params, know, 0, np.zeros(4), latents, proto_latent)
-    np.testing.assert_array_equal(ad.value_of(combined), proto_latent)
-    assert weights == {0: 0.0, 1: 0.0}
-
-
-def test_aggregate_forced_unit_weight():
-    # zero the score MLP except an output bias of 1: combined = latent + proto
-    know = small_knowledge([[1, 0]], num_base=1)
-    params = small_params()
-    params.store.value("aggregator.hidden.weight")[...] = 0.0
-    params.store.value("aggregator.output.weight")[...] = 0.0
-    params.store.value("aggregator.output.bias")[...] = 1.0
-    latents = {0: np.arange(6.0)}
-    proto_latent = np.full(6, 0.5)
-    combined, weights = cp.aggregate(params, know, 0, np.zeros(4), latents, proto_latent)
-    np.testing.assert_allclose(ad.value_of(combined), np.arange(6.0) + 0.5)
-    assert weights[0] == pytest.approx(1.0)
-
-
-def test_aggregate_matches_scalar_reference():
-    know = small_knowledge([[1, 1, 1]], num_base=1, seed=4)
-    params = small_params(seed=9)
-    rng = np.random.default_rng(11)
-    incomplete = rng.standard_normal(4)
-    latents = {a: rng.standard_normal(6) for a in range(3)}
-    proto_latent = rng.standard_normal(6)
-    combined, weights = cp.aggregate(params, know, 0, incomplete, latents, proto_latent)
-
-    w1 = params.store.value("aggregator.hidden.weight")
-    b1 = params.store.value("aggregator.hidden.bias")
-    w2 = params.store.value("aggregator.output.weight")
-    b2 = params.store.value("aggregator.output.bias")
-    expected = proto_latent.copy()
-    for a in range(3):
-        u = np.concatenate([incomplete, know.class_semantics[0], know.attribute_semantics[a]])
-        hidden = [max(0.0, b1[i] + sum(w1[i][j] * u[j] for j in range(u.size)))
-                  for i in range(5)]
-        alpha = b2[0] + sum(w2[0][i] * hidden[i] for i in range(5))
-        assert weights[a] == pytest.approx(alpha, rel=1e-12)
-        expected = expected + alpha * latents[a]
-    np.testing.assert_allclose(ad.value_of(combined), expected, rtol=1e-10)
-
-
-def test_aggregate_permutation_invariant_and_gating_exact():
-    know = small_knowledge([[1, 1, 1, 0]], num_base=1, seed=2)
-    params = small_params(seed=5)
-    rng = np.random.default_rng(3)
-    incomplete = rng.standard_normal(4)
-    latents = {a: rng.standard_normal(6) for a in range(4)}
-    proto_latent = rng.standard_normal(6)
-    combined, weights = cp.aggregate(params, know, 0, incomplete, latents, proto_latent)
-    shuffled = {a: latents[a] for a in (2, 0, 3, 1)}
-    combined2, _ = cp.aggregate(params, know, 0, incomplete, shuffled, proto_latent)
-    np.testing.assert_allclose(ad.value_of(combined), ad.value_of(combined2), atol=1e-9)
-
-    # zeroing one association entry removes exactly its alpha * latent term
-    know_cut = small_knowledge([[1, 0, 1, 0]], num_base=1, seed=2)
-    combined_cut, _ = cp.aggregate(params, know_cut, 0, incomplete, latents, proto_latent)
-    removal = ad.value_of(combined) - ad.value_of(combined_cut)
-    np.testing.assert_allclose(removal, weights[1] * latents[1], atol=1e-12)
 
 
 # --- completion ------------------------------------------------------------
@@ -214,6 +110,127 @@ def test_complete_validates_inputs():
         cp.complete_prototype(params, know, stats, 0, np.ones(3))
     with pytest.raises(ValueError, match="unknown class"):
         cp.complete_prototype(params, know, stats, 9, np.ones(4))
+    plan = cp.CompletionPlan.build(params, know, stats)
+    with pytest.raises(ValueError, match="4-vector"):
+        plan.complete([0, 1], np.ones((2, 5)))
+    with pytest.raises(ValueError, match="3 class ids for 2 prototypes"):
+        plan.complete([0, 1, 2], np.ones((2, 4)))
+    with pytest.raises(ValueError, match="unknown class id -1"):
+        plan.complete([0, -1], np.ones((2, 4)))
+
+
+def test_plan_rejects_knowledge_of_another_semantic_dim():
+    know, stats = small_world()
+    params = small_params(s=2)
+    with pytest.raises(ValueError, match="aggregator takes 8 inputs"):
+        cp.CompletionPlan.build(params, know, stats)
+    with pytest.raises(ValueError, match="attribute stats"):
+        cp.CompletionPlan.build(small_params(), know, constant_stats(np.ones((3, 5))))
+
+
+# --- batched completion ------------------------------------------------------
+
+def naive_completion(params, know, stats, class_id, incomplete):
+    """Scalar-loop completion in test mode: one attribute at a time."""
+    t = params.tensors()
+
+    def dense(weight, bias, vector, relu):
+        out = []
+        for i in range(len(bias)):
+            z = bias[i] + sum(weight[i][j] * vector[j] for j in range(len(vector)))
+            out.append(max(z, 0.0) if relu else z)
+        return out
+
+    encode = lambda v: dense(t["encoder.weight"], t["encoder.bias"], v, True)
+    combined = encode(incomplete)
+    for a in range(know.num_attributes):
+        if not know.association[class_id, a]:
+            continue
+        u = list(incomplete) + list(know.class_semantics[class_id]) \
+            + list(know.attribute_semantics[a])
+        hidden = dense(t["aggregator.hidden.weight"], t["aggregator.hidden.bias"], u, True)
+        (alpha,) = dense(t["aggregator.output.weight"], t["aggregator.output.bias"],
+                         hidden, False)
+        latent = encode(stats.mean[a])
+        combined = [c + alpha * z for c, z in zip(combined, latent)]
+    hidden = dense(t["decoder.hidden.weight"], t["decoder.hidden.bias"], combined, True)
+    return dense(t["decoder.output.weight"], t["decoder.output.bias"], hidden, False)
+
+
+def test_plan_matches_scalar_reference():
+    know = small_knowledge([[1, 1, 0, 1], [0, 0, 0, 0], [1, 0, 1, 0]], num_base=3, seed=4)
+    stats = constant_stats(np.random.default_rng(1).standard_normal((4, 4)))
+    params = small_params(seed=9)
+    x = np.random.default_rng(11).standard_normal((5, 4))
+    ids = [0, 1, 2, 0, 2]
+    out = cp.CompletionPlan.build(params, know, stats).complete(ids, x)
+    for row, cid in enumerate(ids):
+        expected = naive_completion(params, know, stats, cid, x[row])
+        np.testing.assert_allclose(out[row], expected, rtol=1e-12, atol=1e-12)
+
+
+def test_plan_unassociated_attributes_contribute_exactly_zero():
+    know = small_knowledge([[1, 1, 0, 0], [0, 0, 0, 0]], num_base=2, seed=2)
+    stats = constant_stats(np.random.default_rng(3).standard_normal((4, 4)))
+    params = small_params(seed=5)
+    x = np.random.default_rng(4).standard_normal((2, 4))
+    out = cp.CompletionPlan.build(params, know, stats).complete([0, 1], x)
+
+    # attributes 2 and 3 belong to neither class: changing them changes nothing
+    know.attribute_semantics[2:] = 1e3
+    stats.mean[2:] = -1e3
+    again = cp.CompletionPlan.build(params, know, stats).complete([0, 1], x)
+    np.testing.assert_array_equal(again, out)
+
+    # a class with no attributes decodes its own encoded prototype
+    t = params.tensors()
+    z = np.maximum(t["encoder.weight"] @ x[1] + t["encoder.bias"], 0.0)
+    hidden = np.maximum(t["decoder.hidden.weight"] @ z + t["decoder.hidden.bias"], 0.0)
+    np.testing.assert_allclose(out[1], t["decoder.output.weight"] @ hidden
+                               + t["decoder.output.bias"], rtol=1e-12)
+
+
+def test_plan_attribute_order_invariant_and_cut_association_matters():
+    association = np.array([[1, 1, 1, 0], [0, 1, 1, 1]])
+    know = small_knowledge(association, num_base=2, seed=2)
+    stats = constant_stats(np.random.default_rng(3).standard_normal((4, 4)))
+    params = small_params(seed=5)
+    x = np.random.default_rng(6).standard_normal((2, 4))
+    out = cp.CompletionPlan.build(params, know, stats).complete([0, 1], x)
+
+    order = [2, 0, 3, 1]
+    shuffled = kn.PrimitiveKnowledge(association[:, order], know.class_semantics,
+                                     know.attribute_semantics[order], (0, 1), ())
+    stats_shuffled = constant_stats(stats.mean[order])
+    again = cp.CompletionPlan.build(params, shuffled, stats_shuffled).complete([0, 1], x)
+    np.testing.assert_allclose(again, out, rtol=1e-12, atol=1e-12)
+
+    cut = association.copy()
+    cut[0, 1] = 0
+    know_cut = kn.PrimitiveKnowledge(cut, know.class_semantics, know.attribute_semantics,
+                                     (0, 1), ())
+    out_cut = cp.CompletionPlan.build(params, know_cut, stats).complete([0, 1], x)
+    assert np.abs(out_cut[0] - out[0]).max() > 1e-6
+    np.testing.assert_array_equal(out_cut[1], out[1])
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_plan_matches_traced_completion_on_acceptance_world(noise):
+    world = datagen.generate_world(datagen.WorldSpec(seed=0))
+    stats = kn.compute_attribute_stats(world.base.embeddings, world.base.labels,
+                                       world.knowledge)
+    know = world.knowledge
+    if noise:
+        know = kn.inject_knowledge_noise(know, noise, seed=(0, 5))
+        assert (know.association != world.knowledge.association).any()
+    params = cp.CompletionNetParams.initialize(world.base.dim, know.semantic_dim, seed=100)
+    ids = np.arange(know.num_classes)
+    x = np.random.default_rng(1).standard_normal((ids.size, world.base.dim))
+    out = cp.CompletionPlan.build(params, know, stats).complete(ids, x)
+    for cid in ids:
+        draws = {int(a): stats.mean[a] for a in know.attributes_of(cid)}
+        expected = cp._complete(params.tensors(), know, int(cid), x[cid], draws)
+        np.testing.assert_allclose(out[cid], expected, rtol=0, atol=1e-12)
 
 
 def test_completion_gradient_check_full_pipeline():
@@ -358,6 +375,22 @@ def test_trained_completion_beats_incomplete_prototype():
         raw_err += float(np.linalg.norm(task.incomplete - task.target))
         completed_err += float(np.linalg.norm(predicted - task.target))
     assert completed_err < raw_err
+
+
+def test_load_model_rejects_any_tensor_off_the_sidecar_dims(tmp_path):
+    params = small_params(seed=13)
+    path = tmp_path / "model.pcn"
+    cp.save_model(params, path)
+    tensors = nn.load_checkpoint(path)
+    expected = params.tensor_shapes()
+    assert set(expected) == set(cp.TENSOR_NAMES)
+    for name in cp.TENSOR_NAMES:
+        bad = dict(tensors)
+        bad[name] = np.zeros(expected[name] + (1,) if name == "log_scale"
+                             else expected[name][:-1] + (expected[name][-1] - 1,))
+        nn.save_checkpoint(bad, path)
+        with pytest.raises(nn.CheckpointError, match=f"tensor '{name}' has shape"):
+            cp.load_model(path)
 
 
 def test_checkpoint_roundtrip_with_sidecar(tmp_path):

@@ -170,17 +170,31 @@ def test_evaluate_mean_only_matches_nearest_centroid_oracle():
         assert report.per_episode[index] == pytest.approx(correct / 24)
 
 
-def test_evaluate_deterministic_and_thread_invariant(monkeypatch):
+def test_evaluate_per_episode_results_independent_of_episode_count():
     world, stats, params = make_fixture(seed=4)
-    kwargs = dict(n_way=3, k_shot=1, m_query=4, num_episodes=16, seed=9)
-    monkeypatch.setenv("PROTOFUSE_THREADS", "1")
-    serial = ep.evaluate(params, world.novel, world.knowledge, stats,
-                         ep.MODE_GAUSS_FUSION, **kwargs)
-    monkeypatch.setenv("PROTOFUSE_THREADS", "4")
-    threaded = ep.evaluate(params, world.novel, world.knowledge, stats,
-                           ep.MODE_GAUSS_FUSION, **kwargs)
-    assert serial.per_episode == threaded.per_episode
-    assert serial.mean_acc == threaded.mean_acc
+    for mode in ep.MODES:
+        kwargs = dict(n_way=3, k_shot=1, m_query=4, seed=9)
+        long = ep.evaluate(params, world.novel, world.knowledge, stats, mode,
+                           num_episodes=16, **kwargs)
+        short = ep.evaluate(params, world.novel, world.knowledge, stats, mode,
+                            num_episodes=5, **kwargs)
+        assert long.per_episode[:5] == short.per_episode
+
+
+def test_evaluate_rejects_fewer_than_one_episode():
+    world, stats, params = make_fixture()
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="num_episodes must be at least 1"):
+            ep.evaluate(params, world.novel, world.knowledge, stats, ep.MODE_MEAN_ONLY,
+                        num_episodes=count)
+
+
+def test_mean_prototypes_equal_per_class_support_means_bitwise():
+    world = make_world()
+    for k_shot in (1, 3, 7):
+        episode = ep.sample_episode(world.novel, 4, k_shot, 2, np.random.default_rng(k_shot))
+        expected = np.stack([episode.support_of(c).mean(axis=0) for c in episode.roster])
+        assert ep.mean_prototypes(episode).tobytes() == expected.tobytes()
 
 
 def test_evaluate_rejects_unknown_mode():

@@ -277,3 +277,74 @@ def test_fused_means_gradient_flows_through_responsibilities():
         down[j] -= h
         fd = (float(ad.value_of(loss_at(up))) - float(ad.value_of(loss_at(down)))) / (2 * h)
         assert node.grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+# --- batched fusion properties ---------------------------------------------
+
+def random_episode(seed, n_way, k_shot, m_query, d):
+    """Supports grouped by class, then unlabeled queries, plus two prototype
+    families (support means and a perturbed copy)."""
+    rng = np.random.default_rng(seed)
+    centers = 2.0 * rng.standard_normal((n_way, d))
+    support = np.repeat(centers, k_shot, axis=0) + 0.5 * rng.standard_normal((n_way * k_shot, d))
+    queries = centers[rng.integers(n_way, size=m_query)] + 0.5 * rng.standard_normal((m_query, d))
+    labels = np.concatenate([np.repeat(np.arange(n_way), k_shot), np.full(m_query, -1)])
+    means = support.reshape(n_way, k_shot, d).mean(axis=1)
+    completed = means + rng.standard_normal((n_way, d))
+    return np.vstack([support, queries]), labels, means, completed
+
+
+episode_shapes = dict(seed=st.integers(0, 2**32 - 1), n_way=st.integers(1, 6),
+                      k_shot=st.integers(1, 3), m_query=st.integers(0, 12),
+                      d=st.integers(1, 8))
+
+
+@settings(deadline=None, max_examples=100)
+@given(**episode_shapes)
+def test_fusion_posterior_is_tighter_and_between_per_dimension(seed, n_way, k_shot,
+                                                               m_query, d):
+    x, labels, means, completed = random_episode(seed, n_way, k_shot, m_query, d)
+    result = fusion.fuse_prototypes(x, labels, means, completed)
+    prior, likelihood, post = result.completed, result.mean_based, result.posterior
+    assert post.mean.shape == post.variance.shape == (n_way, d)
+    tightest = np.minimum(prior.variance, likelihood.variance)
+    assert (post.variance <= tightest * (1 + 1e-12)).all()
+    lo = np.minimum(prior.mean, likelihood.mean)
+    hi = np.maximum(prior.mean, likelihood.mean)
+    slack = 1e-12 * (1.0 + np.abs(post.mean))
+    assert ((lo - slack <= post.mean) & (post.mean <= hi + slack)).all()
+    # row k is the per-class estimate and product of class position k
+    for k in range(n_way):
+        g_mean = fusion.weighted_gaussian_estimate(x, result.assignment_mean, k)
+        g_comp = fusion.weighted_gaussian_estimate(x, result.assignment_completed, k)
+        single = fusion.gaussian_product(g_comp, g_mean)
+        np.testing.assert_allclose(post[k].mean, single.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(post[k].variance, single.variance, rtol=1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(**episode_shapes)
+def test_fusing_a_gaussian_with_itself_halves_its_variance(seed, n_way, k_shot, m_query, d):
+    x, labels, means, _ = random_episode(seed, n_way, k_shot, m_query, d)
+    result = fusion.fuse_prototypes(x, labels, means, means.copy())
+    np.testing.assert_array_equal(result.completed.variance, result.mean_based.variance)
+    np.testing.assert_allclose(result.posterior.variance, result.mean_based.variance / 2,
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(result.fused, result.mean_based.mean, rtol=1e-15, atol=0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(scale=st.floats(min_value=1e-3, max_value=1e3), which=st.integers(0, 5),
+       **episode_shapes)
+def test_soft_assignment_rows_sum_to_one_and_ignore_prototype_scale(scale, which, seed,
+                                                                    n_way, k_shot,
+                                                                    m_query, d):
+    x, labels, means, completed = random_episode(seed, n_way, k_shot, m_query, d)
+    result = fusion.fuse_prototypes(x, labels, means, completed)
+    for assignment in (result.assignment_mean, result.assignment_completed):
+        np.testing.assert_allclose(assignment.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    scaled = completed.copy()
+    scaled[which % n_way] *= scale
+    rescaled = fusion.fuse_prototypes(x, labels, means, scaled)
+    np.testing.assert_allclose(rescaled.assignment_completed.matrix,
+                               result.assignment_completed.matrix, rtol=0, atol=1e-12)
