@@ -4,8 +4,7 @@ A shared encoder embeds both the incomplete prototype and the attribute
 features; an attention MLP scores each associated attribute from the
 concatenation (prototype, class semantic, attribute semantic); the gated,
 weighted latents plus the prototype latent are decoded back to embedding
-space. Attributes the class is not associated with contribute exactly zero
-and are skipped.
+space. Attributes the class is not associated with contribute exactly zero.
 
 The attention score is a raw scalar (identity output activation) with no
 normalization across attributes. The classifier scale used downstream is

@@ -179,8 +179,9 @@ def _class_moments(embeddings: np.ndarray, responsibilities: np.ndarray):
     if empty.size:
         raise ValueError(f"zero total responsibility for class position {empty[0]}")
     mean = (responsibilities.T @ embeddings) / totals[:, None]
-    diffs = embeddings[None, :, :] - mean[:, None, :]
-    var = np.matmul(responsibilities.T[:, None, :], diffs * diffs)[:, 0, :]
+    squares = embeddings[None, :, :] - mean[:, None, :]
+    np.square(squares, out=squares)
+    var = np.matmul(responsibilities.T[:, None, :], squares)[:, 0, :]
     return mean, var / totals[:, None]
 
 
