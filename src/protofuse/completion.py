@@ -230,8 +230,8 @@ class CompletionPlan:
         weight matrix whose other entries are exactly zero. Against scoring
         every pair in a (B, A, H) tensor this halves the scoring work and
         keeps a 5-way episode's temporaries under 128 KB; with 240 KB ones,
-        meta-training episodes run between evaluations were seen to
-        page-fault about 50 times as often.
+        meta-training episodes run between evaluations sometimes
+        page-faulted about 50 times as often.
         """
         t = self.tensors
         x = np.asarray(incomplete, dtype=np.float64)
