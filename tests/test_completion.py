@@ -130,17 +130,18 @@ def test_plan_rejects_knowledge_of_another_semantic_dim():
 
 # --- batched completion ------------------------------------------------------
 
+def dense(weight, bias, vector, relu):
+    """Scalar-loop dense layer."""
+    out = []
+    for i in range(len(bias)):
+        z = bias[i] + sum(weight[i][j] * vector[j] for j in range(len(vector)))
+        out.append(max(z, 0.0) if relu else z)
+    return out
+
+
 def naive_completion(params, know, stats, class_id, incomplete):
     """Scalar-loop completion in test mode: one attribute at a time."""
     t = params.tensors()
-
-    def dense(weight, bias, vector, relu):
-        out = []
-        for i in range(len(bias)):
-            z = bias[i] + sum(weight[i][j] * vector[j] for j in range(len(vector)))
-            out.append(max(z, 0.0) if relu else z)
-        return out
-
     encode = lambda v: dense(t["encoder.weight"], t["encoder.bias"], v, True)
     combined = encode(incomplete)
     for a in range(know.num_attributes):
@@ -167,6 +168,40 @@ def test_plan_matches_scalar_reference():
     for row, cid in enumerate(ids):
         expected = naive_completion(params, know, stats, cid, x[row])
         np.testing.assert_allclose(out[row], expected, rtol=1e-12, atol=1e-12)
+
+
+def test_encode_matches_scalar_reference():
+    know = small_knowledge([[1, 1, 0, 1]], num_base=1, seed=4)
+    stats = constant_stats(np.random.default_rng(5).standard_normal((4, 4)))
+    params = small_params(seed=3)
+    t = params.tensors()
+    plan = cp.CompletionPlan.build(params, know, stats)
+    for a in range(4):
+        expected = dense(t["encoder.weight"], t["encoder.bias"], stats.mean[a], True)
+        np.testing.assert_allclose(plan.attribute_latents[a], expected, rtol=1e-12)
+
+
+def test_aggregate_matches_scalar_reference():
+    know = small_knowledge([[1, 1, 1], [1, 0, 1]], num_base=2, seed=4)
+    stats = constant_stats(np.zeros((3, 4)))
+    params = small_params(seed=9)
+    t = params.tensors()
+    plan = cp.CompletionPlan.build(params, know, stats)
+    x = np.random.default_rng(11).standard_normal(4)
+    for cid in range(2):
+        attrs = know.attributes_of(cid)
+        traced = cp._attention_scores(t, know, cid, x, np.asarray(attrs))
+        for k, a in enumerate(attrs):
+            u = list(x) + list(know.class_semantics[cid]) + list(know.attribute_semantics[a])
+            hidden = dense(t["aggregator.hidden.weight"], t["aggregator.hidden.bias"], u, True)
+            (alpha,) = dense(t["aggregator.output.weight"], t["aggregator.output.bias"],
+                             hidden, False)
+            assert ad.value_of(traced)[k] == pytest.approx(alpha, rel=1e-12)
+            # the plan's per-block split of the first layer gives the same score
+            pre = plan.prototype_weight @ x + plan.class_terms[cid] + plan.attribute_terms[a]
+            split = np.maximum(pre, 0.0) @ t["aggregator.output.weight"][0] \
+                + t["aggregator.output.bias"][0]
+            assert split == pytest.approx(alpha, rel=1e-12)
 
 
 def test_plan_unassociated_attributes_contribute_exactly_zero():
