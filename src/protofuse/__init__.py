@@ -17,6 +17,6 @@ from .episodes import (Episode, EvalReport, MetaTrainConfig, MODES, classify,
                        evaluate, mean_prototype, meta_train,
                        prototype_similarity_report, rank_curve_report,
                        sample_episode)
-from .nn import DenseLayer, ParamStore, SgdConfig, gradient_check, sgd_step
+from .nn import ParamStore, SgdConfig, gradient_check, sgd_step
 
 __version__ = "0.1.0"

@@ -11,10 +11,13 @@ normalization across attributes. The classifier scale used downstream is
 kept here as ``log_scale`` so one checkpoint carries the whole trainable
 state; optimizing the log keeps the scale positive.
 
-Two routines run the network. ``_complete`` completes one class and is
-generic over plain arrays and traced Nodes; the training losses use it.
-``CompletionPlan`` completes a block of prototypes at once in test mode,
-untraced; inference uses it, and ``_complete`` is its oracle in the tests.
+Both routines that run the network complete a (B, d) block of prototypes
+in one pass and share the encoder and decoder. ``_complete`` is generic over
+plain arrays and traced Nodes and takes each class's attribute feature
+draws: ``completion_loss`` calls it with one row, the episodic loss with an
+episode's classes. ``CompletionPlan`` is the untraced test-mode path that
+inference uses; it precomputes the terms that depend only on the
+parameters and the knowledge, and ``_complete`` is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -132,49 +135,60 @@ def draw_attribute_features(stats: AttributeStats, attributes, mode: str,
     return {int(a): sample_attribute_feature(stats, int(a), mode, rng) for a in attributes}
 
 
-def _attention_scores(tensors, knowledge: PrimitiveKnowledge, class_id: int,
-                      incomplete: np.ndarray, attrs: np.ndarray):
-    """Raw attention scalars for the given attribute indices, shape (len(attrs),)."""
-    h_class = knowledge.class_semantics[class_id]
-    inputs = np.stack([
-        np.concatenate([incomplete, h_class, knowledge.attribute_semantics[a]])
-        for a in attrs
-    ])
-    hidden = ad.relu(ad.add(ad.matmul(inputs, ad.transpose(tensors["aggregator.hidden.weight"])),
-                            tensors["aggregator.hidden.bias"]))
-    scores = ad.add(ad.matmul(hidden, ad.transpose(tensors["aggregator.output.weight"])),
-                    tensors["aggregator.output.bias"])
-    return ad.reshape(scores, (len(attrs),))
+def _encode(tensors, x):
+    """Shared encoder on the rows of ``x``."""
+    return ad.relu(ad.linear(x, tensors["encoder.weight"], tensors["encoder.bias"]))
+
+
+def _attention_scores(tensors, knowledge: PrimitiveKnowledge, class_ids, prototypes, attrs):
+    """Raw attention scalar of every (class, prototype, attribute) pair, shape (pairs, 1).
+
+    Pair p scores attribute ``attrs[p]`` for class ``class_ids[p]`` whose
+    incomplete prototype is row p of ``prototypes``.
+    """
+    inputs = np.concatenate([prototypes, knowledge.class_semantics[class_ids],
+                             knowledge.attribute_semantics[attrs]], axis=1)
+    hidden = ad.relu(ad.linear(inputs, tensors["aggregator.hidden.weight"],
+                               tensors["aggregator.hidden.bias"]))
+    return ad.linear(hidden, tensors["aggregator.output.weight"],
+                     tensors["aggregator.output.bias"])
 
 
 def _decode(tensors, combined):
-    hidden = ad.relu(ad.add(ad.matmul(tensors["decoder.hidden.weight"], combined),
-                            tensors["decoder.hidden.bias"]))
-    return ad.add(ad.matmul(tensors["decoder.output.weight"], hidden),
-                  tensors["decoder.output.bias"])
+    hidden = ad.relu(ad.linear(combined, tensors["decoder.hidden.weight"],
+                               tensors["decoder.hidden.bias"]))
+    return ad.linear(hidden, tensors["decoder.output.weight"], tensors["decoder.output.bias"])
 
 
-def _complete(tensors, knowledge: PrimitiveKnowledge, class_id: int,
-              incomplete: np.ndarray, attribute_values: dict):
-    """Full completion pass; generic over plain arrays and traced Nodes.
+def _complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete,
+              draws_by_class: dict):
+    """Complete row i of the (B, d) ``incomplete`` as class ``class_ids[i]``.
 
-    ``attribute_values`` maps associated attribute ids to their (constant)
-    feature draws. The aggregated latent feeds the decoder; a class with no
-    associated attributes decodes its own encoded prototype.
+    Generic over plain arrays and traced Nodes. ``draws_by_class`` maps each
+    class id to its attribute feature draws (constants, by attribute id);
+    draws of attributes the class is not associated with are ignored. Every
+    associated (row, attribute) pair goes through one encoder pass and one
+    aggregator pass; a constant (B, pairs) 0/1 matrix sums each row's
+    score-weighted latents, so a row with no associated attributes decodes
+    its own encoded prototype.
     """
-    incomplete = np.asarray(incomplete, dtype=np.float64)
-    z_proto = ad.relu(ad.add(ad.matmul(tensors["encoder.weight"], incomplete),
-                             tensors["encoder.bias"]))
-    attrs = [a for a in sorted(attribute_values) if knowledge.association[class_id, a]]
-    if attrs:
-        features = np.stack([attribute_values[a] for a in attrs])
-        latents = ad.relu(ad.add(ad.matmul(features, ad.transpose(tensors["encoder.weight"])),
-                                 tensors["encoder.bias"]))
-        alphas = _attention_scores(tensors, knowledge, class_id, incomplete,
-                                   np.asarray(attrs))
-        combined = ad.add(ad.matmul(ad.transpose(latents), alphas), z_proto)
-    else:
-        combined = z_proto
+    x = np.asarray(incomplete, dtype=np.float64)
+    ids = np.asarray(class_ids, dtype=np.int64)
+    combined = _encode(tensors, x)
+    rows, attrs, features = [], [], []
+    for row, cid in enumerate(ids):
+        draws = draws_by_class[int(cid)]
+        for a in sorted(draws):
+            if knowledge.association[cid, a]:
+                rows.append(row)
+                attrs.append(a)
+                features.append(draws[a])
+    if rows:
+        latents = _encode(tensors, np.stack(features))
+        scores = _attention_scores(tensors, knowledge, ids[rows], x[rows], attrs)
+        select = np.zeros((ids.size, len(rows)))
+        select[rows, np.arange(len(rows))] = 1.0
+        combined = ad.add(ad.matmul(select, ad.mul(latents, scores)), combined)
     return _decode(tensors, combined)
 
 
@@ -219,7 +233,7 @@ class CompletionPlan:
             class_terms=knowledge.class_semantics @ w_hidden[:, d:d + s].T,
             attribute_terms=(knowledge.attribute_semantics @ w_hidden[:, d + s:].T
                              + t["aggregator.hidden.bias"]),
-            attribute_latents=ad.relu(stats.mean @ w_enc.T + t["encoder.bias"]),
+            attribute_latents=_encode(t, stats.mean),
         )
 
     def complete(self, class_ids, incomplete) -> np.ndarray:
@@ -244,7 +258,7 @@ class CompletionPlan:
         unknown = ids[(ids < 0) | (ids >= self.association.shape[0])]
         if unknown.size:
             raise ValueError(f"unknown class id {unknown[0]}")
-        z_proto = ad.relu(x @ t["encoder.weight"].T + t["encoder.bias"])
+        z_proto = _encode(t, x)
         gates = self.association[ids]
         rows, attrs = np.nonzero(gates)
         pre = (x @ self.prototype_weight.T + self.class_terms[ids])[rows] \
@@ -252,9 +266,7 @@ class CompletionPlan:
         alphas = np.zeros(gates.shape)
         alphas[rows, attrs] = (ad.relu(pre) @ t["aggregator.output.weight"][0]
                                + t["aggregator.output.bias"])
-        combined = alphas @ self.attribute_latents + z_proto
-        hidden = ad.relu(combined @ t["decoder.hidden.weight"].T + t["decoder.hidden.bias"])
-        return hidden @ t["decoder.output.weight"].T + t["decoder.output.bias"]
+        return _decode(t, alphas @ self.attribute_latents + z_proto)
 
 
 def complete_prototype(params, knowledge: PrimitiveKnowledge, stats: AttributeStats,
@@ -315,8 +327,10 @@ def sample_completion_tasks(embeddings, labels, prototypes, k_shot: int, count: 
 
 def completion_loss(tensors, knowledge: PrimitiveKnowledge, task: CompletionTask,
                     attribute_values: dict):
-    """Mean-over-dimensions squared error of the completed prototype."""
-    predicted = _complete(tensors, knowledge, task.class_id, task.incomplete, attribute_values)
+    """Mean-over-dimensions squared error of the completed prototype (the
+    one-row case of ``_complete``)."""
+    predicted = _complete(tensors, knowledge, [task.class_id], task.incomplete[None],
+                          {task.class_id: attribute_values})
     diff = ad.sub(predicted, task.target)
     return ad.mean(ad.mul(diff, diff))
 

@@ -12,7 +12,9 @@ knowledge and stats and completes each episode's classes in one batch.
 Embeddings are treated as a fixed feature space throughout: episodic
 fine-tuning updates only the completion network and the classifier scale.
 Gradients flow through the whole episode loss, including the fusion stage
-and its soft assignments.
+and its soft assignments. The traced loss runs each stage once per
+episode on (n_way, .) blocks: one completion pass over the roster, one
+fusion pass and one cosine classifier.
 """
 
 from __future__ import annotations
@@ -220,6 +222,13 @@ def _episode_accuracy(plan, episode: Episode, mode: str, lam: float, floor: floa
     return float(np.mean(predicted == episode.query_y)), detail
 
 
+def _check_episode_shape(**counts) -> None:
+    """Reject an episode shape or count below 1 before any work starts."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
              stats: AttributeStats, mode: str, n_way: int = 5, k_shot: int = 1,
              m_query: int = 15, num_episodes: int = 600, seed: int = 0,
@@ -233,8 +242,8 @@ def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if num_episodes < 1:
-        raise ValueError(f"num_episodes must be at least 1, got {num_episodes}")
+    _check_episode_shape(n_way=n_way, k_shot=k_shot, m_query=m_query,
+                         num_episodes=num_episodes)
     plan = _plan_for(mode, params, knowledge, stats)
     accuracies = []
     for index in range(num_episodes):
@@ -273,13 +282,10 @@ def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode,
     traced and plain tensors.
     """
     means = mean_prototypes(episode)
-    completed_rows = [
-        cp._complete(tensors, knowledge, int(cid), means[i], draws_by_class[int(cid)])
-        for i, cid in enumerate(episode.roster)
-    ]
+    completed = cp._complete(tensors, knowledge, episode.roster, means, draws_by_class)
     x, labels = _transductive_pool(episode)
-    fused_rows = fusion.fused_means(x, labels, means, completed_rows, lam, floor)
-    sims = fusion.cosine_matrix(episode.query_x, ad.stack(fused_rows))
+    fused = fusion.fused_means(x, labels, means, completed, lam, floor)
+    sims = fusion.cosine_matrix(episode.query_x, fused)
     logits = ad.mul(sims, ad.exp(tensors["log_scale"]))
     positions = np.searchsorted(episode.roster, episode.query_y)
     mask = np.zeros((positions.size, episode.n_way))
@@ -370,8 +376,8 @@ def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.nda
                                 floor: float = fusion.EPSILON_VARIANCE) -> SimilarityReport:
     """Average cos(prototype, center) for mean-based, completed, and fused
     prototypes over sampled episodes."""
-    if num_episodes < 1:
-        raise ValueError(f"num_episodes must be at least 1, got {num_episodes}")
+    _check_episode_shape(n_way=n_way, k_shot=k_shot, m_query=m_query,
+                         num_episodes=num_episodes)
     plan = cp.CompletionPlan.build(params, knowledge, stats)
     sums = np.zeros(3)
     for index in range(num_episodes):

@@ -103,13 +103,12 @@ def cosine_matrix(embeddings, prototypes):
     zero = np.flatnonzero(x_norms == 0.0)
     if zero.size:
         raise ValueError(f"zero-norm embedding at row {zero[0]}")
-    p_norms_value = np.linalg.norm(pv, axis=1)
-    zero = np.flatnonzero(p_norms_value == 0.0)
+    p_norms = ad.sqrt(ad.sum(ad.mul(prototypes, prototypes), axis=1))
+    zero = np.flatnonzero(ad.value_of(p_norms) == 0.0)
     if zero.size:
         raise ValueError(f"zero-norm prototype at position {zero[0]}")
     x_unit = x / x_norms[:, None]
     raw = ad.matmul(x_unit, ad.transpose(prototypes))
-    p_norms = ad.sqrt(ad.sum(ad.mul(prototypes, prototypes), axis=1))
     return ad.div(raw, ad.reshape(p_norms, (1, pv.shape[0])))
 
 
@@ -158,31 +157,47 @@ def soft_assign(embeddings, labels, prototypes, lam: float = DEFAULT_LAMBDA) -> 
     return SoftAssignment(matrix, y >= 0)
 
 
-def _weighted_moments(embeddings: np.ndarray, weights):
-    """Weighted mean and population variance; ``weights`` may be a Node."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    total = ad.sum(weights)
-    mean = ad.div(ad.matmul(x.T, weights), total)
-    diffs = ad.sub(x, mean)
-    var = ad.div(ad.matmul(ad.transpose(ad.mul(diffs, diffs)), weights), total)
-    return mean, var
-
-
-def _class_moments(embeddings: np.ndarray, responsibilities: np.ndarray):
+def _class_moments(embeddings: np.ndarray, responsibilities):
     """Responsibility-weighted means and population variances of every class.
 
-    ``responsibilities`` is (samples, classes); returns two (classes, d)
-    matrices. Two passes: the variance is taken around the finished mean.
+    ``responsibilities`` is (samples, classes) and may be a traced Node;
+    returns two (classes, d) matrices. Two passes: the variance is taken
+    around the finished mean.
     """
-    totals = responsibilities.sum(axis=0)
-    empty = np.flatnonzero(totals <= 0.0)
+    x = np.asarray(embeddings, dtype=np.float64)
+    totals = ad.sum(responsibilities, axis=0)
+    empty = np.flatnonzero(ad.value_of(totals) <= 0.0)
     if empty.size:
         raise ValueError(f"zero total responsibility for class position {empty[0]}")
-    mean = (responsibilities.T @ embeddings) / totals[:, None]
-    squares = embeddings[None, :, :] - mean[:, None, :]
+    column = ad.reshape(totals, (ad.value_of(totals).shape[0], 1))
+    mean = ad.div(ad.matmul(ad.transpose(responsibilities), x), column)
+    return mean, ad.div(_weighted_square_deviations(x, responsibilities, mean), column)
+
+
+def _weighted_square_deviations(x: np.ndarray, responsibilities, mean):
+    """``sum_s r[s, k] * (x[s] - mean[k])**2`` for every class k, (classes, d).
+
+    One (classes, samples, d) block of squared deviations, squared in place:
+    it is the largest temporary of an episode. Traced, it is one node whose
+    backward pass reuses the block and allocates nothing of its size.
+    """
+    r, m = ad.value_of(responsibilities), ad.value_of(mean)
+    squares = x[None, :, :] - m[:, None, :]
     np.square(squares, out=squares)
-    var = np.matmul(responsibilities.T[:, None, :], squares)[:, 0, :]
-    return mean, var / totals[:, None]
+    out = np.matmul(r.T[:, None, :], squares)[:, 0, :]
+    parents = [p for p in (responsibilities, mean) if ad.is_node(p)]
+    if not parents:
+        return out
+
+    def vjp(g):
+        grads = []
+        if ad.is_node(responsibilities):
+            grads.append(np.matmul(squares, g[:, :, None])[:, :, 0].T)
+        if ad.is_node(mean):
+            grads.append(-2.0 * g * (r.T @ x - m * r.sum(axis=0)[:, None]))
+        return grads
+
+    return ad.Node(out, parents, vjp)
 
 
 def weighted_gaussian_estimate(embeddings, assignment: SoftAssignment, class_index: int,
@@ -260,26 +275,23 @@ def fuse_prototypes(embeddings, labels, mean_prototypes, completed_prototypes,
     return FusionResult(mean_side, comp_side, posterior, assign_mean, assign_comp)
 
 
-def fused_means(embeddings, labels, mean_prototypes, completed_rows,
+def fused_means(embeddings, labels, mean_prototypes, completed_prototypes,
                 lam: float = DEFAULT_LAMBDA, floor: float = EPSILON_VARIANCE):
-    """Traced fusion for the episodic training loss.
+    """Fused prototypes of every class, (num_classes, d), for the episodic
+    training loss.
 
-    ``completed_rows`` is a list of per-class vectors (Nodes during training).
-    The mean-prototype side involves no trainable quantity and is computed
-    untraced; the completed side is differentiated through the soft
-    assignment, the weighted moments, and the product formula. Returns one
-    fused mean per class.
+    ``completed_prototypes`` is a (num_classes, d) matrix, a traced Node
+    during training. The mean-prototype side involves no trainable quantity
+    and is computed untraced; the completed side is differentiated through
+    the soft assignment, the class moments and the product formula. The
+    arithmetic is ``fuse_prototypes``'s.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     assign_mean = _soft_assign_matrix(x, y, np.asarray(mean_prototypes, np.float64), lam)
-    assign_comp = _soft_assign_matrix(x, y, ad.stack(completed_rows), lam)
-    out = []
-    for k in range(len(completed_rows)):
-        mu_mean, var_mean = _weighted_moments(x, assign_mean[:, k])
-        var_mean = np.maximum(var_mean, floor)
-        mu_comp, var_comp = _weighted_moments(x, ad.col(assign_comp, k))
-        var_comp = ad.maximum(var_comp, floor)
-        mean, _ = _product_moments(mu_comp, var_comp, mu_mean, var_mean)
-        out.append(mean)
-    return out
+    assign_comp = _soft_assign_matrix(x, y, completed_prototypes, lam)
+    mu_mean, var_mean = _class_moments(x, assign_mean)
+    mu_comp, var_comp = _class_moments(x, assign_comp)
+    mean, _ = _product_moments(mu_comp, ad.maximum(var_comp, floor),
+                               mu_mean, np.maximum(var_mean, floor))
+    return mean

@@ -1,6 +1,7 @@
-"""Dense-network substrate: layers with exact reverse-mode gradients, SGD
-with momentum and weight decay, finite-difference gradient checking, and a
-versioned binary parameter checkpoint.
+"""Training substrate: a registry of named parameters, SGD with momentum and
+weight decay, finite-difference gradient checking, and a versioned binary
+parameter checkpoint. Layers are ``autodiff.linear`` nodes over the
+registry's leaves.
 
 Everything runs in double precision on purpose: the gradient-check contract
 (max relative error < 1e-4 against central differences) leaves no room for
@@ -17,8 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .fileio import atomic_write_bytes
 
-ACTIVATIONS = ("identity", "relu")
-
 CHECKPOINT_MAGIC = b"PCN1"
 
 
@@ -34,110 +33,16 @@ class CheckpointError(ValueError):
     pass
 
 
-@dataclass
-class DenseLayer:
-    """Affine map plus elementwise activation. Weight is (out x in)."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-    activation: str = "identity"
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ValueError("weight must be a (out x in) matrix")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise ValueError(
-                f"bias shape {self.bias.shape} does not match {self.weight.shape[0]} outputs"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation '{self.activation}'")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-
-def make_layer(rng: np.random.Generator, in_dim: int, out_dim: int,
-               activation: str = "identity") -> DenseLayer:
-    """Glorot-uniform weights, zero bias."""
-    return DenseLayer(glorot_uniform(rng, out_dim, in_dim), np.zeros(out_dim), activation)
-
-
-@dataclass
-class Tape:
-    """Recorded forward pass of a layer stack; consumable exactly once."""
-
-    input_node: ad.Node
-    output_node: ad.Node
-    layer_nodes: list
-    used: bool = False
-
-
-@dataclass
-class LayerGradients:
-    input: np.ndarray
-    layers: list  # one (d_weight, d_bias) pair per layer
-
-
-def forward(layers, x) -> tuple[np.ndarray, Tape]:
-    """Run a vector through a DenseLayer stack, recording a tape for backward."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("input must be a vector")
-    h = ad.Node(x)
-    input_node = h
-    pairs = []
-    for i, layer in enumerate(layers):
-        if ad.value_of(h).shape[0] != layer.in_dim:
-            raise ValueError(
-                f"layer {i} expects {layer.in_dim} inputs, got {ad.value_of(h).shape[0]}"
-            )
-        w, b = ad.Node(layer.weight), ad.Node(layer.bias)
-        pairs.append((w, b))
-        h = ad.add(ad.matmul(w, h), b)
-        if layer.activation == "relu":
-            h = ad.relu(h)
-    if not isinstance(h, ad.Node):  # empty stack
-        h = input_node
-    return ad.value_of(h).copy(), Tape(input_node, h, pairs)
-
-
-def backward(tape: Tape, output_gradient) -> LayerGradients:
-    """Exact gradients for every layer parameter and the input."""
-    if tape.used:
-        raise ValueError("stale tape: backward was already run for this forward pass")
-    g = np.asarray(output_gradient, dtype=np.float64)
-    if g.shape != tape.output_node.value.shape:
-        raise ValueError(
-            f"output gradient shape {g.shape} does not match tape output "
-            f"{tape.output_node.value.shape}"
-        )
-    tape.used = True
-    ad.backward(tape.output_node, g)
-
-    def grab(node):
-        return node.grad if node.grad is not None else np.zeros_like(node.value)
-
-    grads = [(grab(w), grab(b)) for w, b in tape.layer_nodes]
-    return LayerGradients(input=grab(tape.input_node), layers=grads)
 
 
 class ParamStore:
     """Flat registry of named float64 tensors with paired gradient buffers.
 
     Values are mutated in place by ``sgd_step`` so that any view handed out
-    (e.g. a DenseLayer built on a registered array) tracks training.
+    (e.g. the arrays a ``CompletionPlan`` holds) tracks training.
     """
 
     def __init__(self):

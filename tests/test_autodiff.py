@@ -63,6 +63,38 @@ def test_matmul_shape_mismatch():
         ad.matmul(np.ones((2, 3)), np.ones((4, 2)))
 
 
+def test_linear_gradients_match_finite_differences():
+    x = RNG.standard_normal((5, 4))
+    w = RNG.standard_normal((3, 4))
+    b = RNG.standard_normal(3)
+    probe = RNG.standard_normal((5, 3))
+    check_op(lambda t: ad.sum(ad.mul(ad.linear(t, w, b), probe)), x)
+    check_op(lambda t: ad.sum(ad.mul(ad.linear(x, t, b), probe)), w)
+    check_op(lambda t: ad.sum(ad.mul(ad.linear(x, w, t), probe)), b)
+    np.testing.assert_allclose(ad.linear(x, w, b), x @ w.T + b, rtol=1e-15)
+
+
+def test_linear_weight_gradient_is_contiguous_and_exact():
+    x, w, b = (ad.Node(RNG.standard_normal(shape)) for shape in ((6, 4), (3, 4), (3,)))
+    out = ad.linear(x, w, b)
+    g = RNG.standard_normal((6, 3))
+    ad.backward(out, g)
+    assert w.grad.flags.c_contiguous and w.grad.shape == (3, 4)
+    np.testing.assert_allclose(w.grad, g.T @ x.value, rtol=1e-15)
+    np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-15)
+    np.testing.assert_allclose(x.grad, g @ w.value, rtol=1e-15)
+    assert len(out._parents) == 3  # one node, no transpose node in between
+
+
+def test_linear_shape_mismatch():
+    with pytest.raises(ValueError, match="linear shape mismatch"):
+        ad.linear(np.ones((2, 3)), np.ones((4, 2)), np.ones(4))
+    with pytest.raises(ValueError, match="linear shape mismatch"):
+        ad.linear(np.ones((2, 3)), np.ones((4, 3)), np.ones(3))
+    with pytest.raises(ValueError, match="linear shape mismatch"):
+        ad.linear(np.ones(3), np.ones((4, 3)), np.ones(4))
+
+
 def test_transpose_reshape():
     m = RNG.standard_normal((2, 5))
     check_op(lambda x: ad.sum(ad.mul(ad.transpose(x), ad.transpose(x))), m)
@@ -103,15 +135,15 @@ def test_sum_mean_axes():
     assert ad.mean(m) == pytest.approx(np.mean(m))
 
 
-def test_stack_vstack_take_rows_col():
-    rows = [RNG.standard_normal(3) for _ in range(4)]
+def test_vstack_take_rows():
+    rows = RNG.standard_normal((2, 3))
     idx = np.array([2, 0, 1, 3, 1])
 
     def build(x):
-        m = ad.stack([rows[0], x, rows[2], ad.mul(x, 2.0)])
-        m = ad.vstack([m, np.ones((1, 3))])
+        m = ad.vstack([rows[:1], ad.reshape(x, (1, 3)), ad.mul(ad.reshape(x, (1, 3)), 2.0),
+                       np.ones((1, 3))])
         picked = ad.take_rows(m, idx)
-        return ad.sum(ad.mul(ad.col(picked, 1), np.arange(5.0)))
+        return ad.sum(ad.mul(picked, np.arange(15.0).reshape(5, 3)))
 
     check_op(build, rows[1])
 

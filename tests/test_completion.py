@@ -95,11 +95,12 @@ def test_complete_test_mode_deterministic():
 def test_complete_traced_equals_plain_given_same_draws():
     know, stats = small_world()
     params = small_params(seed=4)
-    p = np.random.default_rng(2).standard_normal(4)
-    draws = cp.draw_attribute_features(stats, know.attributes_of(2), "train",
-                                       np.random.default_rng(3))
-    plain = cp._complete(params.tensors(), know, 2, p, draws)
-    traced = cp._complete(params.leaves(), know, 2, p, draws)
+    p = np.random.default_rng(2).standard_normal((1, 4))
+    draws = {2: cp.draw_attribute_features(stats, know.attributes_of(2), "train",
+                                           np.random.default_rng(3))}
+    plain = cp._complete(params.tensors(), know, [2], p, draws)
+    traced = cp._complete(params.leaves(), know, [2], p, draws)
+    assert ad.is_node(traced) and not ad.is_node(plain)
     np.testing.assert_allclose(ad.value_of(traced), plain, atol=1e-12)
 
 
@@ -139,8 +140,9 @@ def dense(weight, bias, vector, relu):
     return out
 
 
-def naive_completion(params, know, stats, class_id, incomplete):
-    """Scalar-loop completion in test mode: one attribute at a time."""
+def naive_completion(params, know, stats, class_id, incomplete, features=None):
+    """Scalar-loop completion, one attribute at a time, from ``features``
+    (attribute id -> feature draw); test mode (the attribute means) when None."""
     t = params.tensors()
     encode = lambda v: dense(t["encoder.weight"], t["encoder.bias"], v, True)
     combined = encode(incomplete)
@@ -152,7 +154,7 @@ def naive_completion(params, know, stats, class_id, incomplete):
         hidden = dense(t["aggregator.hidden.weight"], t["aggregator.hidden.bias"], u, True)
         (alpha,) = dense(t["aggregator.output.weight"], t["aggregator.output.bias"],
                          hidden, False)
-        latent = encode(stats.mean[a])
+        latent = encode(stats.mean[a] if features is None else features[a])
         combined = [c + alpha * z for c, z in zip(combined, latent)]
     hidden = dense(t["decoder.hidden.weight"], t["decoder.hidden.bias"], combined, True)
     return dense(t["decoder.output.weight"], t["decoder.output.bias"], hidden, False)
@@ -168,6 +170,27 @@ def test_plan_matches_scalar_reference():
     for row, cid in enumerate(ids):
         expected = naive_completion(params, know, stats, cid, x[row])
         np.testing.assert_allclose(out[row], expected, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_complete_matches_scalar_loop_on_train_draws():
+    # class 1 has no associated attributes; class 0 appears twice in the block
+    know = small_knowledge([[1, 1, 0, 1], [0, 0, 0, 0], [1, 0, 1, 0]], num_base=3, seed=4)
+    stats = constant_stats(np.random.default_rng(1).standard_normal((4, 4)),
+                           np.abs(np.random.default_rng(2).standard_normal((4, 4))))
+    params = small_params(seed=9)
+    x = np.random.default_rng(11).standard_normal((4, 4))
+    ids = [2, 1, 0, 0]
+    rng = np.random.default_rng(12)
+    draws = {cid: cp.draw_attribute_features(stats, know.attributes_of(cid), "train", rng)
+             for cid in (0, 1, 2)}
+    draws[2][3] = rng.standard_normal(4)  # a draw of an unassociated attribute is ignored
+    assert draws[1] == {}
+    plain = cp._complete(params.tensors(), know, ids, x, draws)
+    traced = cp._complete(params.leaves(), know, ids, x, draws)
+    np.testing.assert_array_equal(ad.value_of(traced), plain)
+    for row, cid in enumerate(ids):
+        expected = naive_completion(params, know, stats, cid, x[row], draws[cid])
+        np.testing.assert_allclose(plain[row], expected, rtol=1e-12, atol=1e-12)
 
 
 def test_encode_matches_scalar_reference():
@@ -190,13 +213,14 @@ def test_aggregate_matches_scalar_reference():
     x = np.random.default_rng(11).standard_normal(4)
     for cid in range(2):
         attrs = know.attributes_of(cid)
-        traced = cp._attention_scores(t, know, cid, x, np.asarray(attrs))
+        traced = cp._attention_scores(t, know, np.full(len(attrs), cid),
+                                      np.tile(x, (len(attrs), 1)), attrs)
         for k, a in enumerate(attrs):
             u = list(x) + list(know.class_semantics[cid]) + list(know.attribute_semantics[a])
             hidden = dense(t["aggregator.hidden.weight"], t["aggregator.hidden.bias"], u, True)
             (alpha,) = dense(t["aggregator.output.weight"], t["aggregator.output.bias"],
                              hidden, False)
-            assert ad.value_of(traced)[k] == pytest.approx(alpha, rel=1e-12)
+            assert traced[k, 0] == pytest.approx(alpha, rel=1e-12)
             # the plan's per-block split of the first layer gives the same score
             pre = plan.prototype_weight @ x + plan.class_terms[cid] + plan.attribute_terms[a]
             split = np.maximum(pre, 0.0) @ t["aggregator.output.weight"][0] \
@@ -262,10 +286,10 @@ def test_plan_matches_traced_completion_on_acceptance_world(noise):
     ids = np.arange(know.num_classes)
     x = np.random.default_rng(1).standard_normal((ids.size, world.base.dim))
     out = cp.CompletionPlan.build(params, know, stats).complete(ids, x)
-    for cid in ids:
-        draws = {int(a): stats.mean[a] for a in know.attributes_of(cid)}
-        expected = cp._complete(params.tensors(), know, int(cid), x[cid], draws)
-        np.testing.assert_allclose(out[cid], expected, rtol=0, atol=1e-12)
+    draws = {int(cid): {int(a): stats.mean[a] for a in know.attributes_of(cid)}
+             for cid in ids}
+    expected = cp._complete(params.tensors(), know, ids, x, draws)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def test_completion_gradient_check_full_pipeline():

@@ -181,12 +181,22 @@ def test_evaluate_per_episode_results_independent_of_episode_count():
         assert long.per_episode[:5] == short.per_episode
 
 
-def test_evaluate_rejects_fewer_than_one_episode():
-    world, stats, params = make_fixture()
-    for count in (0, -3):
-        with pytest.raises(ValueError, match="num_episodes must be at least 1"):
-            ep.evaluate(params, world.novel, world.knowledge, stats, ep.MODE_MEAN_ONLY,
-                        num_episodes=count)
+@pytest.mark.parametrize("field,value", [
+    ("num_episodes", 0), ("num_episodes", -3), ("n_way", 0), ("k_shot", 0),
+    ("m_query", 0), ("k_shot", -1),
+])
+@pytest.mark.parametrize("call", ["evaluate", "similarity"])
+def test_degenerate_episode_shapes_are_rejected_before_any_work(call, field, value):
+    world = make_world()
+    shape = {"n_way": 5, "k_shot": 1, "m_query": 15, "num_episodes": 4, field: value}
+    # params=None: the check has to come before the completion plan is built
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
+        if call == "evaluate":
+            ep.evaluate(None, world.novel, world.knowledge, None, ep.MODE_GAUSS_FUSION,
+                        **shape)
+        else:
+            ep.prototype_similarity_report(None, world.novel, world.centers,
+                                           world.knowledge, None, **shape)
 
 
 def test_mean_prototypes_equal_per_class_support_means_bitwise():

@@ -249,9 +249,11 @@ def test_fused_means_traced_equals_plain():
     means = rng.standard_normal((3, 5))
     completed = rng.standard_normal((3, 5))
     plain = fusion.fuse_prototypes(x, labels, means, completed).fused
-    traced = fusion.fused_means(x, labels, means, [ad.Node(c) for c in completed])
-    for k in range(3):
-        np.testing.assert_allclose(ad.value_of(traced[k]), plain[k], atol=1e-12)
+    traced = fusion.fused_means(x, labels, means, ad.Node(completed))
+    assert ad.is_node(traced) and traced.shape == (3, 5)
+    np.testing.assert_allclose(traced.value, plain, rtol=0, atol=1e-12)
+    untraced = fusion.fused_means(x, labels, means, completed)
+    np.testing.assert_allclose(untraced, plain, rtol=0, atol=1e-12)
 
 
 def test_fused_means_gradient_flows_through_responsibilities():
@@ -263,8 +265,9 @@ def test_fused_means_gradient_flows_through_responsibilities():
     other = rng.standard_normal(3)
 
     def loss_at(vec):
-        rows = fusion.fused_means(x, labels, means, [vec, other])
-        return ad.sum(ad.mul(rows[0], np.arange(3.0))) + ad.sum(rows[1])
+        completed = ad.vstack([ad.reshape(vec, (1, 3)), other[None]])
+        fused = fusion.fused_means(x, labels, means, completed)
+        return ad.sum(ad.mul(fused, np.array([np.arange(3.0), np.ones(3)])))
 
     node = ad.Node(completed_value)
     out = loss_at(node)
@@ -277,6 +280,33 @@ def test_fused_means_gradient_flows_through_responsibilities():
         down[j] -= h
         fd = (float(ad.value_of(loss_at(up))) - float(ad.value_of(loss_at(down)))) / (2 * h)
         assert node.grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+def test_weighted_square_deviations_gradients_match_finite_differences():
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((7, 3))
+    r = rng.random((7, 2))
+    mean = rng.standard_normal((2, 3))
+    probe = rng.standard_normal((2, 3))
+
+    def loss(responsibilities, m):
+        return ad.sum(ad.mul(fusion._weighted_square_deviations(x, responsibilities, m), probe))
+
+    r_node, mean_node = ad.Node(r), ad.Node(mean)
+    ad.backward(loss(r_node, mean_node))
+    h = 1e-6
+    for node, value, at in ((r_node, r, lambda v: loss(v, mean)),
+                            (mean_node, mean, lambda v: loss(r, v))):
+        for j in range(value.size):
+            up, down = value.copy(), value.copy()
+            up.flat[j] += h
+            down.flat[j] -= h
+            fd = (float(at(up)) - float(at(down))) / (2 * h)
+            assert node.grad.flat[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    expected = [[np.sum(r[:, k] * (x[:, j] - mean[k, j]) ** 2) for j in range(3)]
+                for k in range(2)]
+    np.testing.assert_allclose(fusion._weighted_square_deviations(x, r, mean), expected,
+                               rtol=1e-12)
 
 
 # --- batched fusion properties ---------------------------------------------
@@ -320,6 +350,9 @@ def test_fusion_posterior_is_tighter_and_between_per_dimension(seed, n_way, k_sh
         single = fusion.gaussian_product(g_comp, g_mean)
         np.testing.assert_allclose(post[k].mean, single.mean, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(post[k].variance, single.variance, rtol=1e-12)
+    # the traced training-loss fusion computes the same posterior means
+    traced = fusion.fused_means(x, labels, means, ad.Node(completed))
+    np.testing.assert_allclose(ad.value_of(traced), post.mean, rtol=1e-12, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=100)

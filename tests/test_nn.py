@@ -1,80 +1,65 @@
-"""Layer stack forward/backward, the SGD update rule, gradient checking, and
-checkpoint round-trips."""
+"""Stacks of ``autodiff.linear`` layers against scalar and finite-difference
+references, the SGD update rule, gradient checking, and checkpoint
+round-trips."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from protofuse import autodiff as ad
 from protofuse import nn
 
 
-def test_forward_identity_passthrough():
-    layer = nn.DenseLayer(np.eye(3), np.zeros(3), "identity")
-    y, _ = nn.forward([layer], [1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(y, [1.0, -2.0, 0.5])
+def linear_stack(x, layers):
+    """Stack of ``ad.linear`` layers, traced when the weights are Nodes, each
+    followed by relu unless marked identity; ``layers`` holds (weight, bias,
+    activation)."""
+    h = x
+    for weight, bias, activation in layers:
+        h = ad.linear(h, weight, bias)
+        if activation == "relu":
+            h = ad.relu(h)
+    return h
 
 
-def test_forward_relu_clamps():
-    layer = nn.DenseLayer(np.eye(2), np.zeros(2), "relu")
-    y, _ = nn.forward([layer], [-1.0, 2.0])
-    np.testing.assert_array_equal(y, [0.0, 2.0])
+def make_layers(rng, shapes):
+    return [(nn.glorot_uniform(rng, o, i), np.zeros(o), act) for i, o, act in shapes]
 
 
-def test_forward_matches_scalar_reference():
+def test_linear_stack_matches_scalar_reference():
     # Independent scalar-loop forward pass for a fixed-seed 2-layer net.
     rng = np.random.default_rng(42)
-    l1 = nn.make_layer(rng, 4, 3, "relu")
-    l2 = nn.make_layer(rng, 3, 2, "identity")
+    (w1, b1, _), (w2, b2, _) = layers = make_layers(rng, [(4, 3, "relu"), (3, 2, "identity")])
+    b1[...] = rng.standard_normal(3)
     x = rng.standard_normal(4)
-    y, _ = nn.forward([l1, l2], x)
+    y = linear_stack(x[None], layers)[0]
 
     h = [0.0] * 3
     for i in range(3):
-        z = l1.bias[i]
+        z = b1[i]
         for j in range(4):
-            z += l1.weight[i][j] * x[j]
+            z += w1[i][j] * x[j]
         h[i] = z if z > 0 else 0.0
     expected = [0.0] * 2
     for i in range(2):
-        z = l2.bias[i]
+        z = b2[i]
         for j in range(3):
-            z += l2.weight[i][j] * h[j]
+            z += w2[i][j] * h[j]
         expected[i] = z
     np.testing.assert_allclose(y, expected, rtol=1e-12)
 
 
-def test_forward_dimension_mismatch():
-    layer = nn.DenseLayer(np.ones((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError, match="expects 3 inputs"):
-        nn.forward([layer], np.ones(4))
-
-
-def test_backward_linear_outer_product():
-    # Identity activation, loss = sum(outputs): dW = outer(ones, x), db = ones.
-    layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "identity")
-    x = np.array([2.0, -1.0])
-    _, tape = nn.forward([layer], x)
-    grads = nn.backward(tape, np.ones(3))
-    np.testing.assert_allclose(grads.layers[0][0], np.outer(np.ones(3), x))
-    np.testing.assert_allclose(grads.layers[0][1], np.ones(3))
-
-
-def test_backward_dead_relu_unit():
-    layer = nn.DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2), "relu")
-    _, tape = nn.forward([layer], np.array([3.0]))  # unit 1 is dead
-    grads = nn.backward(tape, np.ones(2))
-    np.testing.assert_array_equal(grads.layers[0][0], [[3.0], [0.0]])
-    np.testing.assert_array_equal(grads.layers[0][1], [1.0, 0.0])
-
-
-def test_backward_rejects_stale_tape_and_bad_shape():
-    layer = nn.DenseLayer(np.eye(2), np.zeros(2))
-    _, tape = nn.forward([layer], np.ones(2))
-    with pytest.raises(ValueError, match="does not match tape output"):
-        nn.backward(tape, np.ones(3))
-    nn.backward(tape, np.ones(2))
-    with pytest.raises(ValueError, match="stale tape"):
-        nn.backward(tape, np.ones(2))
+def test_linear_relu_dead_unit_passes_no_gradient():
+    weight, bias = ad.Node(np.array([[1.0], [-1.0]])), ad.Node(np.zeros(2))
+    out = ad.relu(ad.linear(np.array([[3.0]]), weight, bias))  # unit 1 is dead
+    ad.backward(out)
+    np.testing.assert_array_equal(weight.grad, [[3.0], [0.0]])
+    np.testing.assert_array_equal(bias.grad, [1.0, 0.0])
 
 
 @pytest.mark.parametrize("shapes", [
@@ -82,35 +67,30 @@ def test_backward_rejects_stale_tape_and_bad_shape():
     [(8, 256, "relu")],
     [(256, 512, "relu"), (512, 8, "identity")],
 ])
-def test_backward_against_finite_differences(shapes):
+def test_linear_stack_against_finite_differences(shapes):
     rng = np.random.default_rng(7)
-    layers = [nn.make_layer(rng, i, o, act) for i, o, act in shapes]
-    x = rng.standard_normal(shapes[0][0]) + 0.3
-    weights = rng.standard_normal(shapes[-1][1])
+    layers = make_layers(rng, shapes)
+    x = rng.standard_normal((2, shapes[0][0])) + 0.3
+    weights = rng.standard_normal((2, shapes[-1][1]))
 
     def loss_at(layers_):
-        h = x
-        for layer in layers_:
-            h = layer.weight @ h + layer.bias
-            if layer.activation == "relu":
-                h = np.maximum(h, 0.0)
-        return float(weights @ h)
+        return float(np.sum(weights * linear_stack(x, layers_)))
 
-    _, tape = nn.forward(layers, x)
-    grads = nn.backward(tape, weights)
+    leaves = [(ad.Node(w), ad.Node(b), act) for w, b, act in layers]
+    ad.backward(ad.sum(ad.mul(linear_stack(x, leaves), weights)))
 
     coord_rng = np.random.default_rng(3)
     h_step = 1e-6
-    for li, layer in enumerate(layers):
-        for j in coord_rng.choice(layer.weight.size, size=8, replace=False):
-            orig = layer.weight.flat[j]
-            layer.weight.flat[j] = orig + h_step
+    for (weight, _, _), (leaf, _, _) in zip(layers, leaves):
+        for j in coord_rng.choice(weight.size, size=8, replace=False):
+            orig = weight.flat[j]
+            weight.flat[j] = orig + h_step
             up = loss_at(layers)
-            layer.weight.flat[j] = orig - h_step
+            weight.flat[j] = orig - h_step
             down = loss_at(layers)
-            layer.weight.flat[j] = orig
+            weight.flat[j] = orig
             fd = (up - down) / (2 * h_step)
-            assert grads.layers[li][0].flat[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            assert leaf.grad.flat[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_sgd_plain_step():
@@ -203,6 +183,27 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     # byte-identical on re-save
     nn.save_checkpoint(loaded, tmp_path / "again.pcn")
     assert (tmp_path / "params.pcn").read_bytes() == (tmp_path / "again.pcn").read_bytes()
+
+
+# Any float64 bit pattern (NaN payloads, signed zeros, subnormals, infinities),
+# drawn as raw 64-bit words.
+float64_bits = hnp.arrays(np.uint64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                      max_side=4)).map(
+    lambda words: words.view(np.float64))
+
+
+@settings(deadline=None, max_examples=150)
+@given(tensors=st.dictionaries(st.text(max_size=12), float64_bits, max_size=5))
+def test_checkpoint_roundtrip_bit_exact_property(tensors):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "params.pcn"
+        nn.save_checkpoint(tensors, path)
+        loaded = nn.load_checkpoint(path)
+    assert list(loaded) == list(tensors)
+    for name, tensor in tensors.items():
+        assert loaded[name].dtype == np.float64
+        assert loaded[name].shape == tensor.shape
+        assert loaded[name].tobytes() == tensor.tobytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):
