@@ -181,6 +181,14 @@ def test_evaluate_per_episode_results_independent_of_episode_count():
         assert long.per_episode[:5] == short.per_episode
 
 
+def test_evaluate_rejects_fewer_than_one_episode():
+    world, stats, params = make_fixture()
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="num_episodes must be at least 1"):
+            ep.evaluate(params, world.novel, world.knowledge, stats, ep.MODE_MEAN_ONLY,
+                        num_episodes=count)
+
+
 @pytest.mark.parametrize("field,value", [
     ("num_episodes", 0), ("num_episodes", -3), ("n_way", 0), ("k_shot", 0),
     ("m_query", 0), ("k_shot", -1),

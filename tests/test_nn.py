@@ -31,7 +31,17 @@ def make_layers(rng, shapes):
     return [(nn.glorot_uniform(rng, o, i), np.zeros(o), act) for i, o, act in shapes]
 
 
-def test_linear_stack_matches_scalar_reference():
+def test_forward_identity_passthrough():
+    y = linear_stack(np.array([[1.0, -2.0, 0.5]]), [(np.eye(3), np.zeros(3), "identity")])
+    np.testing.assert_array_equal(y, [[1.0, -2.0, 0.5]])
+
+
+def test_forward_relu_clamps():
+    y = linear_stack(np.array([[-1.0, 2.0]]), [(np.eye(2), np.zeros(2), "relu")])
+    np.testing.assert_array_equal(y, [[0.0, 2.0]])
+
+
+def test_forward_matches_scalar_reference():
     # Independent scalar-loop forward pass for a fixed-seed 2-layer net.
     rng = np.random.default_rng(42)
     (w1, b1, _), (w2, b2, _) = layers = make_layers(rng, [(4, 3, "relu"), (3, 2, "identity")])
@@ -54,7 +64,21 @@ def test_linear_stack_matches_scalar_reference():
     np.testing.assert_allclose(y, expected, rtol=1e-12)
 
 
-def test_linear_relu_dead_unit_passes_no_gradient():
+def test_forward_dimension_mismatch():
+    with pytest.raises(ValueError, match="linear shape mismatch"):
+        linear_stack(np.ones((1, 4)), [(np.ones((2, 3)), np.zeros(2), "identity")])
+
+
+def test_backward_linear_outer_product():
+    # Identity activation, loss = sum(outputs): dW = outer(ones, x), db = ones.
+    weight, bias = ad.Node(np.zeros((3, 2))), ad.Node(np.zeros(3))
+    x = np.array([2.0, -1.0])
+    ad.backward(ad.sum(linear_stack(x[None], [(weight, bias, "identity")])))
+    np.testing.assert_allclose(weight.grad, np.outer(np.ones(3), x))
+    np.testing.assert_allclose(bias.grad, np.ones(3))
+
+
+def test_backward_dead_relu_unit():
     weight, bias = ad.Node(np.array([[1.0], [-1.0]])), ad.Node(np.zeros(2))
     out = ad.relu(ad.linear(np.array([[3.0]]), weight, bias))  # unit 1 is dead
     ad.backward(out)
@@ -67,7 +91,7 @@ def test_linear_relu_dead_unit_passes_no_gradient():
     [(8, 256, "relu")],
     [(256, 512, "relu"), (512, 8, "identity")],
 ])
-def test_linear_stack_against_finite_differences(shapes):
+def test_backward_against_finite_differences(shapes):
     rng = np.random.default_rng(7)
     layers = make_layers(rng, shapes)
     x = rng.standard_normal((2, shapes[0][0])) + 0.3
