@@ -20,7 +20,6 @@ __all__ = [
     "Node", "is_node", "value_of", "backward",
     "add", "sub", "mul", "div", "matmul", "linear", "transpose", "reshape",
     "relu", "exp", "log", "sqrt", "maximum", "sum", "mean",
-    "vstack", "take_rows",
     "softmax_rows", "logsumexp_rows",
 ]
 
@@ -294,36 +293,6 @@ def mean(x, axis=None):
         return np.mean(np.asarray(x, np.float64), axis=axis)
     n = x.value.size if axis is None else x.value.shape[axis]
     return mul(sum(x, axis=axis), 1.0 / n)
-
-
-def vstack(parts):
-    """Stack matrices by rows, tracing through Node blocks."""
-    values = [value_of(p) for p in parts]
-    out = np.vstack(values)
-    if not any(is_node(p) for p in parts):
-        return out
-    entries = []
-    offset = 0
-    for part, val in zip(parts, values):
-        rows = val.shape[0]
-        if is_node(part):
-            entries.append((part, lambda g, o=offset, r=rows: g[o:o + r]))
-        offset += rows
-    return _lift(out, entries)
-
-
-def take_rows(x, indices):
-    indices = np.asarray(indices, dtype=np.intp)
-    if not is_node(x):
-        return np.asarray(x, np.float64)[indices]
-    xv = x.value
-
-    def vjp_fn(g):
-        out = np.zeros_like(xv)
-        np.add.at(out, indices, g)
-        return out
-
-    return _lift(xv[indices], [(x, vjp_fn)])
 
 
 def softmax_rows(z):

@@ -36,6 +36,21 @@ def _load_world_and_stats(world_dir: str):
     return world, prototypes, stats
 
 
+def _load_world_and_model(args):
+    """World, attribute stats, and the checkpoint with its metadata, after
+    checking that the checkpoint's dimensions fit the world."""
+    world, _, stats = _load_world_and_stats(args.world)
+    params, metadata = cp.load_model(args.checkpoint)
+    model_dims = (params.input_dim, params.semantic_dim)
+    world_dims = (world.base.dim, world.knowledge.semantic_dim)
+    if model_dims != world_dims:
+        raise ValueError(
+            f"checkpoint {args.checkpoint} takes {model_dims[0]}-d embeddings and "
+            f"{model_dims[1]}-d semantics, but world {args.world} has {world_dims[0]}-d "
+            f"embeddings and {world_dims[1]}-d semantics")
+    return world, stats, params, metadata
+
+
 def _print_report(report: ep.EvalReport) -> None:
     print(f"{'mode':<16}{'n-way':>6}{'k-shot':>8}{'episodes':>10}{'accuracy':>12}{'95% CI':>10}")
     print(f"{report.mode:<16}{report.n_way:>6}{report.k_shot:>8}{report.episodes:>10}"
@@ -93,8 +108,7 @@ def _cmd_train_completion(args) -> int:
 
 def _cmd_meta_train(args) -> int:
     _require_new(args.out, args.overwrite)
-    world, _, stats = _load_world_and_stats(args.world)
-    params, meta = cp.load_model(args.checkpoint)
+    world, stats, params, meta = _load_world_and_model(args)
     episodes_per_epoch = args.episodes_per_epoch or 4 * len(world.knowledge.base_class_ids)
     config = ep.MetaTrainConfig(
         optimizer=nn.SgdConfig(learning_rate=args.learning_rate, momentum=args.momentum,
@@ -128,8 +142,7 @@ def _cmd_eval(args) -> int:
     _require_new(args.out, args.overwrite)
     if args.dump_fusion:
         _require_new(args.dump_fusion, args.overwrite)
-    world, _, stats = _load_world_and_stats(args.world)
-    params, _ = cp.load_model(args.checkpoint)
+    world, stats, params, _ = _load_world_and_model(args)
     dump = [] if args.dump_fusion else None
     report = ep.evaluate(params, _split_dataset(world, args.split), world.knowledge, stats,
                          mode=args.mode, n_way=args.n_way, k_shot=args.k_shot,
@@ -156,8 +169,7 @@ ABLATION_ROWS = (
 
 def _cmd_ablate(args) -> int:
     _require_new(args.out, args.overwrite)
-    world, _, stats = _load_world_and_stats(args.world)
-    params, _ = cp.load_model(args.checkpoint)
+    world, stats, params, _ = _load_world_and_model(args)
     reports = {}
     print(f"{'row':<6}{'mode':<18}{'accuracy':>12}{'95% CI':>10}")
     for row, mode in ABLATION_ROWS:
@@ -174,8 +186,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_noise_sweep(args) -> int:
     _require_new(args.out, args.overwrite)
-    world, _, stats = _load_world_and_stats(args.world)
-    params, _ = cp.load_model(args.checkpoint)
+    world, stats, params, _ = _load_world_and_model(args)
     sweep_modes = (ep.MODE_COMPLETED_ONLY, ep.MODE_GAUSS_FUSION)
     results = {mode: {} for mode in sweep_modes}
     for i, gamma in enumerate(args.gamma_noise):
@@ -202,8 +213,7 @@ def _cmd_report(args) -> int:
     curve_path = args.out_prefix + "-rank-curve.csv"
     _require_new(similarity_path, args.overwrite)
     _require_new(curve_path, args.overwrite)
-    world, _, stats = _load_world_and_stats(args.world)
-    params, _ = cp.load_model(args.checkpoint)
+    world, stats, params, _ = _load_world_and_model(args)
     dataset = _split_dataset(world, args.split)
 
     similarity = ep.prototype_similarity_report(

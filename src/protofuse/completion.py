@@ -115,24 +115,24 @@ def _tensor_dict(params) -> dict:
     return params.tensors() if isinstance(params, CompletionNetParams) else params
 
 
-def sample_attribute_feature(stats: AttributeStats, attribute: int, mode: str,
-                             rng: np.random.Generator | None = None) -> np.ndarray:
-    """One attribute feature draw: mean + std * eps in train mode, mean in test."""
-    if not 0 <= attribute < stats.num_attributes:
-        raise KeyError(f"unknown attribute id {attribute}")
-    if mode == MODE_TEST:
-        return stats.mean[attribute].copy()
-    if mode == MODE_TRAIN:
-        if rng is None:
-            raise ValueError("train mode requires an rng")
-        eps = rng.standard_normal(stats.dim)
-        return stats.mean[attribute] + stats.std[attribute] * eps
-    raise ValueError(f"mode must be '{MODE_TRAIN}' or '{MODE_TEST}', got {mode!r}")
-
-
 def draw_attribute_features(stats: AttributeStats, attributes, mode: str,
                             rng: np.random.Generator | None = None) -> dict:
-    return {int(a): sample_attribute_feature(stats, int(a), mode, rng) for a in attributes}
+    """One feature draw per attribute id, keyed by id: the attribute mean in
+    test mode, mean + std * eps in train mode, with all the noise drawn as
+    one (k, d) block whose row i belongs to ``attributes[i]``."""
+    ids = np.asarray(attributes, dtype=np.int64)
+    unknown = ids[(ids < 0) | (ids >= stats.num_attributes)]
+    if unknown.size:
+        raise KeyError(f"unknown attribute id {unknown[0]}")
+    if mode == MODE_TEST:
+        features = stats.mean[ids]
+    elif mode == MODE_TRAIN:
+        if rng is None:
+            raise ValueError("train mode requires an rng")
+        features = stats.mean[ids] + stats.std[ids] * rng.standard_normal((ids.size, stats.dim))
+    else:
+        raise ValueError(f"mode must be '{MODE_TRAIN}' or '{MODE_TEST}', got {mode!r}")
+    return dict(zip(ids.tolist(), features))
 
 
 def _encode(tensors, x):
@@ -166,7 +166,8 @@ def _complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete,
 
     Generic over plain arrays and traced Nodes. ``draws_by_class`` maps each
     class id to its attribute feature draws (constants, by attribute id);
-    draws of attributes the class is not associated with are ignored. Every
+    every associated attribute needs a draw, and draws of attributes the
+    class is not associated with are ignored. Every
     associated (row, attribute) pair goes through one encoder pass and one
     aggregator pass; a constant (B, pairs) 0/1 matrix sums each row's
     score-weighted latents, so a row with no associated attributes decodes
@@ -175,19 +176,18 @@ def _complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete,
     x = np.asarray(incomplete, dtype=np.float64)
     ids = np.asarray(class_ids, dtype=np.int64)
     combined = _encode(tensors, x)
-    rows, attrs, features = [], [], []
-    for row, cid in enumerate(ids):
-        draws = draws_by_class[int(cid)]
-        for a in sorted(draws):
-            if knowledge.association[cid, a]:
-                rows.append(row)
-                attrs.append(a)
-                features.append(draws[a])
-    if rows:
+    rows, attrs = np.nonzero(knowledge.association[ids])
+    if rows.size:
+        features = []
+        for cid, a in zip(ids[rows].tolist(), attrs.tolist()):
+            try:
+                features.append(draws_by_class[cid][a])
+            except KeyError:
+                raise KeyError(f"no feature draw for attribute {a} of class {cid}") from None
         latents = _encode(tensors, np.stack(features))
         scores = _attention_scores(tensors, knowledge, ids[rows], x[rows], attrs)
-        select = np.zeros((ids.size, len(rows)))
-        select[rows, np.arange(len(rows))] = 1.0
+        select = np.zeros((ids.size, rows.size))
+        select[rows, np.arange(rows.size)] = 1.0
         combined = ad.add(ad.matmul(select, ad.mul(latents, scores)), combined)
     return _decode(tensors, combined)
 
@@ -410,4 +410,6 @@ def load_model(path) -> tuple:
             raise nn.CheckpointError(
                 f"{path}: tensor '{name}' has shape {store.value(name).shape}, "
                 f"expected {shape} from the sidecar dimensions")
+        if not np.isfinite(store.value(name)).all():
+            raise nn.CheckpointError(f"{path}: tensor '{name}' holds non-finite values")
     return params, sidecar.get("metadata", {})

@@ -61,9 +61,6 @@ class Episode:
     def k_shot(self) -> int:
         return self.support_x.shape[0] // self.n_way
 
-    def position_of(self, class_id) -> int:
-        return int(np.searchsorted(self.roster, class_id))
-
     def support_of(self, class_id) -> np.ndarray:
         return self.support_x[self.support_y == class_id]
 

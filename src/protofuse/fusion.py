@@ -1,16 +1,23 @@
 """Transductive estimation of diagonal-Gaussian prototype distributions and
 their Bayesian fusion via the closed-form product of Gaussians.
 
+One pass, ``_fuse``, does the paper's four steps for a whole episode: it
+soft-assigns every sample against each prototype family, estimates a
+diagonal Gaussian per class from each assignment, floors the variances and
+multiplies the two Gaussians. It is generic over plain ndarrays and autodiff
+Nodes: ``fuse_prototypes`` (inference) runs it on arrays and wraps the
+result in validated ``FusionResult`` stacks, and ``fused_means`` (the
+episodic training loss) runs it with the completed prototypes traced, so the
+loss differentiates through the soft assignment, the class moments and the
+product formula. ``soft_assign``, ``weighted_gaussian_estimate`` and
+``gaussian_product`` expose single steps over the same helpers.
+
 The estimated variances are floored at ``EPSILON_VARIANCE``. The floor
 matters: with a single labeled support and near-one-hot responsibilities the
 weighted variance collapses to zero, which would make the Gaussian product
 degenerate; flooring keeps fusion well-defined in exactly the 1-shot regime
 this pipeline targets. The product's normalizing constant is never computed
 because only the posterior mean and variance are consumed downstream.
-
-The internal ``_`` helpers are generic over plain ndarrays and autodiff
-Nodes, so the episodic training loss can differentiate straight through the
-fusion arithmetic (responsibilities included).
 """
 
 from __future__ import annotations
@@ -112,32 +119,29 @@ def cosine_matrix(embeddings, prototypes):
     return ad.div(raw, ad.reshape(p_norms, (1, pv.shape[0])))
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+def _check_assignment_inputs(labels: np.ndarray, num_classes: int, lam: float) -> None:
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+    if labels.max(initial=-1) >= num_classes:
+        raise ValueError("label refers to a class position beyond the prototype count")
 
 
-def _soft_assign_matrix(embeddings, labels, prototypes, lam: float):
-    """Generic responsibility matrix; traced when ``prototypes`` is a Node."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    n_classes = ad.value_of(prototypes).shape[0]
-    labeled_idx = np.flatnonzero(y >= 0)
-    unlabeled_idx = np.flatnonzero(y < 0)
-    parts = []
-    if labeled_idx.size:
-        parts.append(_one_hot(y[labeled_idx], n_classes))
-    if unlabeled_idx.size:
-        sims = cosine_matrix(x[unlabeled_idx], prototypes)
-        parts.append(ad.softmax_rows(ad.mul(sims, lam)))
-    full = parts[0] if len(parts) == 1 else ad.vstack(parts)
-    order = np.concatenate([labeled_idx, unlabeled_idx])
-    if np.array_equal(order, np.arange(y.size)):
-        return full
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    return ad.take_rows(full, inverse)
+def _soft_assign_matrix(x: np.ndarray, labels: np.ndarray, prototypes, lam: float):
+    """Responsibility matrix for any label layout; traced when ``prototypes`` is a Node.
+
+    ``hard`` holds the one-hot rows of the labeled samples and the constant
+    0/1 ``place`` matrix puts softmax row j at unlabeled sample j. The
+    placement adds only exact zeros, so every row equals its direct formula
+    bit for bit. With no unlabeled sample the (0, d) block flows through.
+    """
+    unlabeled = np.flatnonzero(labels < 0)
+    labeled = np.flatnonzero(labels >= 0)
+    hard = np.zeros((labels.size, ad.value_of(prototypes).shape[0]))
+    hard[labeled, labels[labeled]] = 1.0
+    place = np.zeros((labels.size, unlabeled.size))
+    place[unlabeled, np.arange(unlabeled.size)] = 1.0
+    soft = ad.softmax_rows(ad.mul(cosine_matrix(x[unlabeled], prototypes), lam))
+    return ad.add(hard, ad.matmul(place, soft))
 
 
 def soft_assign(embeddings, labels, prototypes, lam: float = DEFAULT_LAMBDA) -> SoftAssignment:
@@ -147,13 +151,10 @@ def soft_assign(embeddings, labels, prototypes, lam: float = DEFAULT_LAMBDA) -> 
     for unlabeled ones. Labeled rows become exact one-hot vectors; unlabeled
     rows are softmax(lam * cosine) over the prototype rows.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
     y = np.asarray(labels, dtype=np.int64)
-    n_classes = np.asarray(prototypes).shape[0]
-    if y.size and y.max(initial=-1) >= n_classes:
-        raise ValueError("label refers to a class position beyond the prototype count")
-    matrix = _soft_assign_matrix(embeddings, y, np.asarray(prototypes, np.float64), lam)
+    p = np.asarray(prototypes, dtype=np.float64)
+    _check_assignment_inputs(y, p.shape[0], lam)
+    matrix = _soft_assign_matrix(np.asarray(embeddings, dtype=np.float64), y, p, lam)
     return SoftAssignment(matrix, y >= 0)
 
 
@@ -256,42 +257,55 @@ class FusionResult:
         return self.posterior.mean
 
 
+def _fuse(embeddings, labels, mean_prototypes, completed_prototypes, lam: float,
+          floor: float):
+    """The one fusion pass over an episode's samples, all classes at once.
+
+    Soft-assigns all samples twice (once per prototype family), estimates a
+    floored diagonal Gaussian per class from each assignment, and multiplies
+    them with the completed-prototype Gaussian as the prior and the
+    mean-based Gaussian as the likelihood. ``completed_prototypes`` may be a
+    traced Node; the mean side involves no trainable quantity and stays
+    untraced. Returns the two responsibility matrices and the (mean,
+    variance) pairs of the mean-based, completed and posterior stacks.
+    """
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    means = np.asarray(mean_prototypes, dtype=np.float64)
+    completed_shape = ad.value_of(completed_prototypes).shape
+    if completed_shape != means.shape:
+        raise ValueError(f"completed prototypes of shape {completed_shape} do not match "
+                         f"mean prototypes of shape {means.shape}")
+    _check_assignment_inputs(y, means.shape[0], lam)
+    assign_mean = _soft_assign_matrix(x, y, means, lam)
+    assign_comp = _soft_assign_matrix(x, y, completed_prototypes, lam)
+    mu_mean, var_mean = _class_moments(x, assign_mean)
+    mu_comp, var_comp = _class_moments(x, assign_comp)
+    mean_side = (mu_mean, np.maximum(var_mean, floor))
+    comp_side = (mu_comp, ad.maximum(var_comp, floor))
+    posterior = _product_moments(*comp_side, *mean_side)
+    return assign_mean, assign_comp, mean_side, comp_side, posterior
+
+
 def fuse_prototypes(embeddings, labels, mean_prototypes, completed_prototypes,
                     lam: float = DEFAULT_LAMBDA,
                     floor: float = EPSILON_VARIANCE) -> FusionResult:
-    """Full fusion pass over one episode's supports and queries, all classes at once.
-
-    Soft-assigns all samples twice (once per prototype family), estimates a
-    diagonal Gaussian per class from each assignment, and multiplies them
-    with the completed-prototype Gaussian as the prior and the mean-based
-    Gaussian as the likelihood. The fused prototype is the posterior mean.
-    """
-    x = np.asarray(embeddings, dtype=np.float64)
-    assign_mean = soft_assign(x, labels, mean_prototypes, lam)
-    assign_comp = soft_assign(x, labels, completed_prototypes, lam)
-    mean_side = DiagonalGaussian.from_moments(*_class_moments(x, assign_mean.matrix), floor)
-    comp_side = DiagonalGaussian.from_moments(*_class_moments(x, assign_comp.matrix), floor)
-    posterior = gaussian_product(comp_side, mean_side)
-    return FusionResult(mean_side, comp_side, posterior, assign_mean, assign_comp)
+    """Full fusion pass over one episode's supports and queries (``_fuse``),
+    with every stack and assignment validated. The fused prototype is the
+    posterior mean."""
+    assign_mean, assign_comp, mean_side, comp_side, posterior = _fuse(
+        embeddings, labels, mean_prototypes, completed_prototypes, lam, floor)
+    labeled = np.asarray(labels, dtype=np.int64) >= 0
+    return FusionResult(DiagonalGaussian(*mean_side), DiagonalGaussian(*comp_side),
+                        DiagonalGaussian(*posterior), SoftAssignment(assign_mean, labeled),
+                        SoftAssignment(assign_comp, labeled))
 
 
 def fused_means(embeddings, labels, mean_prototypes, completed_prototypes,
                 lam: float = DEFAULT_LAMBDA, floor: float = EPSILON_VARIANCE):
     """Fused prototypes of every class, (num_classes, d), for the episodic
-    training loss.
-
-    ``completed_prototypes`` is a (num_classes, d) matrix, a traced Node
-    during training. The mean-prototype side involves no trainable quantity
-    and is computed untraced; the completed side is differentiated through
-    the soft assignment, the class moments and the product formula. The
-    arithmetic is ``fuse_prototypes``'s.
-    """
-    x = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    assign_mean = _soft_assign_matrix(x, y, np.asarray(mean_prototypes, np.float64), lam)
-    assign_comp = _soft_assign_matrix(x, y, completed_prototypes, lam)
-    mu_mean, var_mean = _class_moments(x, assign_mean)
-    mu_comp, var_comp = _class_moments(x, assign_comp)
-    mean, _ = _product_moments(mu_comp, ad.maximum(var_comp, floor),
-                               mu_mean, np.maximum(var_mean, floor))
+    training loss: the posterior mean of ``_fuse``, traced when
+    ``completed_prototypes`` is a Node."""
+    _, _, _, _, (mean, _) = _fuse(embeddings, labels, mean_prototypes, completed_prototypes,
+                                  lam, floor)
     return mean

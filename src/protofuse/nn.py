@@ -84,20 +84,6 @@ class ParamStore:
             if node.grad is not None:
                 self._grads[name] += node.grad
 
-    def values_copy(self) -> dict[str, np.ndarray]:
-        return {name: v.copy() for name, v in self._values.items()}
-
-    def load_values(self, mapping) -> None:
-        for name, value in mapping.items():
-            if name not in self._values:
-                raise KeyError(f"unknown parameter '{name}'")
-            v = np.asarray(value, dtype=np.float64)
-            if v.shape != self._values[name].shape:
-                raise ValueError(
-                    f"parameter '{name}' has shape {self._values[name].shape}, got {v.shape}"
-                )
-            self._values[name][...] = v
-
 
 @dataclass
 class SgdConfig:

@@ -135,19 +135,6 @@ def test_sum_mean_axes():
     assert ad.mean(m) == pytest.approx(np.mean(m))
 
 
-def test_vstack_take_rows():
-    rows = RNG.standard_normal((2, 3))
-    idx = np.array([2, 0, 1, 3, 1])
-
-    def build(x):
-        m = ad.vstack([rows[:1], ad.reshape(x, (1, 3)), ad.mul(ad.reshape(x, (1, 3)), 2.0),
-                       np.ones((1, 3))])
-        picked = ad.take_rows(m, idx)
-        return ad.sum(ad.mul(picked, np.arange(15.0).reshape(5, 3)))
-
-    check_op(build, rows[1])
-
-
 def test_softmax_rows_matches_direct_formula():
     z = RNG.standard_normal((5, 4)) * 3
     p = ad.softmax_rows(z)

@@ -188,3 +188,30 @@ def test_eval_zero_episodes_is_an_error_and_writes_nothing(tmp_path, workspace, 
     assert code == 1
     assert "num_episodes must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["meta-train", "--out", "out.pcn"],
+    ["eval", "--mode", "gauss-fusion", "--out", "out.json", "--dump-fusion", "dump.jsonl"],
+    ["ablate", "--out", "out.json"],
+    ["noise-sweep", "--gamma-noise", "0.1", "--out", "out.json"],
+    ["report", "--out-prefix", "out"],
+])
+def test_checkpoint_of_another_world_is_rejected_at_load(tmp_path, workspace, capsys,
+                                                         command):
+    _, _, model = workspace
+    other = tmp_path / "other-world"
+    flags = list(GEN_FLAGS)
+    flags[flags.index("--semantic-dim") + 1] = "4"
+    assert main(["gen", "--out", str(other)] + flags) == 0
+    capsys.readouterr()
+    paths = [str(tmp_path / a) if a.startswith(("out", "dump")) else a for a in command]
+    code = main(paths + ["--world", str(other), "--checkpoint", str(model), "--seed", "1",
+                         "--episodes", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert "\n" not in err and captured.out == ""
+    assert f"checkpoint {model} takes 12-d embeddings and 6-d semantics" in err
+    assert f"world {other} has 12-d embeddings and 4-d semantics" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other-world"]

@@ -1,6 +1,8 @@
 """Completion network: batched test-mode completion against scalar and
 traced oracles, task sampling, training, and checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -36,21 +38,25 @@ def constant_stats(values, std=None):
 # --- attribute feature sampling ---------------------------------------------
 
 def test_sample_test_mode_returns_mean_exactly():
-    stats = constant_stats([[1.0, -2.0]], std=[[3.0, 3.0]])
-    np.testing.assert_array_equal(cp.sample_attribute_feature(stats, 0, "test"), [1.0, -2.0])
+    stats = constant_stats([[1.0, -2.0], [0.5, 0.25]], std=[[3.0, 3.0], [1.0, 1.0]])
+    draws = cp.draw_attribute_features(stats, [1, 0], "test")
+    assert list(draws) == [1, 0]
+    np.testing.assert_array_equal(draws[0], [1.0, -2.0])
+    np.testing.assert_array_equal(draws[1], [0.5, 0.25])
+    assert cp.draw_attribute_features(stats, [], "test") == {}
 
 
 def test_sample_train_mode_zero_std_is_mean():
     stats = constant_stats([[4.0, 5.0]])
-    out = cp.sample_attribute_feature(stats, 0, "train", np.random.default_rng(0))
-    np.testing.assert_array_equal(out, [4.0, 5.0])
+    out = cp.draw_attribute_features(stats, [0], "train", np.random.default_rng(0))
+    np.testing.assert_array_equal(out[0], [4.0, 5.0])
 
 
 def test_sample_train_mode_moments():
     mu, sigma = np.array([[2.0, -1.0]]), np.array([[0.5, 2.0]])
     stats = constant_stats(mu, sigma)
     rng = np.random.default_rng(123)
-    draws = np.stack([cp.sample_attribute_feature(stats, 0, "train", rng)
+    draws = np.stack([cp.draw_attribute_features(stats, [0], "train", rng)[0]
                       for _ in range(10_000)])
     se_mean = sigma[0] / np.sqrt(10_000)
     assert (np.abs(draws.mean(axis=0) - mu[0]) < 3 * se_mean).all()
@@ -58,11 +64,23 @@ def test_sample_train_mode_moments():
     assert (np.abs(draws.std(axis=0) - sigma[0]) < 3 * se_std).all()
 
 
+def test_sample_train_mode_block_equals_per_attribute_draws():
+    stats = constant_stats(np.random.default_rng(1).standard_normal((4, 3)),
+                           np.abs(np.random.default_rng(2).standard_normal((4, 3))))
+    block = cp.draw_attribute_features(stats, [3, 0, 2], "train", np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for a in (3, 0, 2):
+        expected = stats.mean[a] + stats.std[a] * rng.standard_normal(3)
+        np.testing.assert_array_equal(block[a], expected)
+
+
 def test_sample_unknown_attribute():
-    with pytest.raises(KeyError, match="unknown attribute"):
-        cp.sample_attribute_feature(constant_stats([[0.0]]), 3, "test")
+    with pytest.raises(KeyError, match="unknown attribute id 3"):
+        cp.draw_attribute_features(constant_stats([[0.0]]), [0, 3], "test")
     with pytest.raises(ValueError, match="mode"):
-        cp.sample_attribute_feature(constant_stats([[0.0]]), 0, "maybe")
+        cp.draw_attribute_features(constant_stats([[0.0]]), [0], "maybe")
+    with pytest.raises(ValueError, match="requires an rng"):
+        cp.draw_attribute_features(constant_stats([[0.0]]), [0], "train")
 
 
 # --- completion ------------------------------------------------------------
@@ -118,6 +136,17 @@ def test_complete_validates_inputs():
         plan.complete([0, 1, 2], np.ones((2, 4)))
     with pytest.raises(ValueError, match="unknown class id -1"):
         plan.complete([0, -1], np.ones((2, 4)))
+
+
+def test_complete_requires_a_draw_for_every_associated_attribute():
+    know, stats = small_world()
+    params = small_params()
+    draws = {1: cp.draw_attribute_features(stats, [1], "test")}  # class 1 also has attribute 2
+    with pytest.raises(KeyError, match="attribute 2 of class 1"):
+        cp._complete(params.tensors(), know, [1], np.ones((1, 4)), draws)
+    with pytest.raises(KeyError, match="attribute 0 of class 0"):
+        cp._complete(params.tensors(), know, [1, 0], np.ones((2, 4)),
+                     {1: cp.draw_attribute_features(stats, [1, 2], "test")})
 
 
 def test_plan_rejects_knowledge_of_another_semantic_dim():
@@ -450,6 +479,17 @@ def test_load_model_rejects_any_tensor_off_the_sidecar_dims(tmp_path):
         nn.save_checkpoint(bad, path)
         with pytest.raises(nn.CheckpointError, match=f"tensor '{name}' has shape"):
             cp.load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_load_model_rejects_non_finite_tensors(tmp_path, value):
+    params = small_params(seed=13)
+    path = tmp_path / "model.pcn"
+    params.store.value("decoder.output.bias")[2] = value
+    cp.save_model(params, path)
+    with pytest.raises(nn.CheckpointError,
+                       match=re.escape(f"{path}: tensor 'decoder.output.bias' holds non-finite")):
+        cp.load_model(path)
 
 
 def test_checkpoint_roundtrip_with_sidecar(tmp_path):

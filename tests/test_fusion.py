@@ -156,6 +156,42 @@ def test_soft_assign_argmax_invariant_to_prototype_scaling():
     np.testing.assert_array_equal(np.argmax(a.matrix, axis=1), np.argmax(b.matrix, axis=1))
 
 
+@pytest.mark.parametrize("labels", [[0, 2, 1, 0], [-1, -1, -1, -1], [-1, 2, -1, 0]],
+                         ids=["all-labeled", "all-unlabeled", "interleaved"])
+def test_soft_assign_matches_per_row_reference(labels):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((4, 5))
+    prototypes = rng.standard_normal((3, 5))
+    lam = 7.0
+    matrix = fusion.soft_assign(x, labels, prototypes, lam).matrix
+    traced = fusion._soft_assign_matrix(x, np.array(labels), ad.Node(prototypes), lam)
+    np.testing.assert_array_equal(ad.value_of(traced), matrix)
+    for i, label in enumerate(labels):
+        if label >= 0:
+            expected = np.eye(3)[label]
+            np.testing.assert_array_equal(matrix[i], expected)
+        else:
+            sims = [float(x[i] @ p / (np.linalg.norm(x[i]) * np.linalg.norm(p)))
+                    for p in prototypes]
+            weights = [math.exp(lam * s) for s in sims]
+            np.testing.assert_allclose(matrix[i], [w / sum(weights) for w in weights],
+                                       rtol=1e-12)
+
+
+def test_soft_assign_rejects_bad_lambda_and_labels():
+    x, prototypes = np.eye(2), np.eye(2)
+    with pytest.raises(ValueError, match="lam must be positive"):
+        fusion.soft_assign(x, [-1, -1], prototypes, lam=0.0)
+    with pytest.raises(ValueError, match="beyond the prototype count"):
+        fusion.soft_assign(x, [2, -1], prototypes)
+    with pytest.raises(ValueError, match="lam must be positive"):
+        fusion.fused_means(x, [0, 1], prototypes, ad.Node(prototypes), lam=-1.0)
+    with pytest.raises(ValueError, match="beyond the prototype count"):
+        fusion.fused_means(x, [0, 2], prototypes, ad.Node(prototypes))
+    with pytest.raises(ValueError, match="do not match mean prototypes"):
+        fusion.fuse_prototypes(x, [0, 1], prototypes, np.eye(3))
+
+
 def test_soft_assign_zero_norm_errors_name_offender():
     prototypes = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="embedding at row 1"):
@@ -265,7 +301,9 @@ def test_fused_means_gradient_flows_through_responsibilities():
     other = rng.standard_normal(3)
 
     def loss_at(vec):
-        completed = ad.vstack([ad.reshape(vec, (1, 3)), other[None]])
+        # row 0 is the probed vector, row 1 a constant
+        completed = ad.add(ad.matmul(np.array([[1.0], [0.0]]), ad.reshape(vec, (1, 3))),
+                           np.vstack([np.zeros(3), other]))
         fused = fusion.fused_means(x, labels, means, completed)
         return ad.sum(ad.mul(fused, np.array([np.arange(3.0), np.ones(3)])))
 
@@ -381,3 +419,13 @@ def test_soft_assignment_rows_sum_to_one_and_ignore_prototype_scale(scale, which
     rescaled = fusion.fuse_prototypes(x, labels, means, scaled)
     np.testing.assert_allclose(rescaled.assignment_completed.matrix,
                                result.assignment_completed.matrix, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(**episode_shapes)
+def test_inference_and_training_fusion_agree_bitwise(seed, n_way, k_shot, m_query, d):
+    x, labels, means, completed = random_episode(seed, n_way, k_shot, m_query, d)
+    fused = fusion.fuse_prototypes(x, labels, means, completed).fused
+    np.testing.assert_array_equal(fusion.fused_means(x, labels, means, completed), fused)
+    traced = fusion.fused_means(x, labels, means, ad.Node(completed))
+    np.testing.assert_array_equal(traced.value, fused)
