@@ -13,9 +13,8 @@ from .completion import (CompletionNetParams, CompletionPlan, CompletionTask,
                          train_completion, save_model, load_model)
 from .datagen import FewShotDataset, World, WorldSpec, generate_world, \
     load_embeddings, load_world, save_world
-from .episodes import (Episode, EvalReport, MetaTrainConfig, MODES, classify,
-                       evaluate, mean_prototype, meta_train,
-                       prototype_similarity_report, rank_curve_report,
+from .episodes import (Episode, EvalReport, MetaTrainConfig, MODES, evaluate,
+                       meta_train, prototype_similarity_report, rank_curve_report,
                        sample_episode)
 from .nn import ParamStore, SgdConfig, gradient_check, sgd_step
 

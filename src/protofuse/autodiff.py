@@ -2,10 +2,11 @@
 
 Each operation records its parent nodes together with a closure mapping the
 output gradient to parent gradients; ``backward`` replays those closures in
-reverse topological order. Every helper in this module also accepts plain
-ndarrays and falls back to numpy, so numerical code can be written once and
-executed either traced (when gradients are needed) or untraced (fast
-inference path).
+reverse topological order. Arithmetic goes through these functions only
+(``Node`` defines no operators), and ``matmul`` multiplies two matrices and
+nothing else. Every helper also accepts plain ndarrays and falls back to
+numpy, so numerical code can be written once and executed either traced
+(when gradients are needed) or untraced (fast inference path).
 
 All values are float64. Stability-sensitive compositions (``softmax_rows``,
 ``logsumexp_rows``) subtract a detached row maximum, which changes neither
@@ -29,8 +30,8 @@ class Node:
 
     __slots__ = ("value", "grad", "_parents", "_vjp")
 
-    # Defer all numpy-mixed arithmetic to the operators below instead of
-    # letting numpy build object arrays.
+    # No arithmetic operators: with this, ``ndarray + Node`` raises TypeError
+    # instead of numpy building an object array.
     __array_ufunc__ = None
 
     def __init__(self, value, parents=(), vjp=None):
@@ -49,39 +50,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(shape={self.value.shape}, leaf={self._vjp is None})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def is_node(x) -> bool:
@@ -116,83 +84,45 @@ def _lift(out_value, entries):
     return Node(out_value, parents, vjp)
 
 
-def add(a, b):
-    if not (is_node(a) or is_node(b)):
-        return np.asarray(a, np.float64) + np.asarray(b, np.float64)
-    av, bv = value_of(a), value_of(b)
-    entries = []
-    if is_node(a):
-        entries.append((a, lambda g: _unbroadcast(g, av.shape)))
-    if is_node(b):
-        entries.append((b, lambda g: _unbroadcast(g, bv.shape)))
-    return _lift(av + bv, entries)
+def _elementwise(forward, d_first, d_second):
+    """Broadcasting binary op from its numpy ``forward`` and the maps
+    (g, a, b) -> each operand's gradient, summed back to that operand's shape."""
+    def op(a, b):
+        av, bv = value_of(a), value_of(b)
+        if not (is_node(a) or is_node(b)):
+            return forward(av, bv)
+        entries = []
+        if is_node(a):
+            entries.append((a, lambda g: _unbroadcast(d_first(g, av, bv), av.shape)))
+        if is_node(b):
+            entries.append((b, lambda g: _unbroadcast(d_second(g, av, bv), bv.shape)))
+        return _lift(forward(av, bv), entries)
+    return op
 
 
-def sub(a, b):
-    if not (is_node(a) or is_node(b)):
-        return np.asarray(a, np.float64) - np.asarray(b, np.float64)
-    av, bv = value_of(a), value_of(b)
-    entries = []
-    if is_node(a):
-        entries.append((a, lambda g: _unbroadcast(g, av.shape)))
-    if is_node(b):
-        entries.append((b, lambda g: _unbroadcast(-g, bv.shape)))
-    return _lift(av - bv, entries)
-
-
-def mul(a, b):
-    if not (is_node(a) or is_node(b)):
-        return np.asarray(a, np.float64) * np.asarray(b, np.float64)
-    av, bv = value_of(a), value_of(b)
-    entries = []
-    if is_node(a):
-        entries.append((a, lambda g: _unbroadcast(g * bv, av.shape)))
-    if is_node(b):
-        entries.append((b, lambda g: _unbroadcast(g * av, bv.shape)))
-    return _lift(av * bv, entries)
-
-
-def div(a, b):
-    if not (is_node(a) or is_node(b)):
-        return np.asarray(a, np.float64) / np.asarray(b, np.float64)
-    av, bv = value_of(a), value_of(b)
-    entries = []
-    if is_node(a):
-        entries.append((a, lambda g: _unbroadcast(g / bv, av.shape)))
-    if is_node(b):
-        entries.append((b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)))
-    return _lift(av / bv, entries)
+add = _elementwise(np.add, lambda g, a, b: g, lambda g, a, b: g)
+sub = _elementwise(np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+mul = _elementwise(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+div = _elementwise(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
+# At ties, maximum's gradient routes to the first argument.
+maximum = _elementwise(np.maximum, lambda g, a, b: g * (a >= b),
+                       lambda g, a, b: g * ~(a >= b))
 
 
 def matmul(a, b):
+    """Product of two matrices."""
     av, bv = value_of(a), value_of(b)
-    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
-        raise ValueError(f"matmul supports vectors and matrices, got {av.ndim}-d @ {bv.ndim}-d")
-    if av.shape[-1] != bv.shape[0]:
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ValueError(f"matmul multiplies two matrices, got {av.ndim}-d @ {bv.ndim}-d")
+    if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
     if not (is_node(a) or is_node(b)):
         return av @ bv
     entries = []
-    if av.ndim == 2 and bv.ndim == 2:
-        if is_node(a):
-            entries.append((a, lambda g: g @ bv.T))
-        if is_node(b):
-            entries.append((b, lambda g: av.T @ g))
-    elif av.ndim == 2 and bv.ndim == 1:
-        if is_node(a):
-            entries.append((a, lambda g: np.outer(g, bv)))
-        if is_node(b):
-            entries.append((b, lambda g: av.T @ g))
-    elif av.ndim == 1 and bv.ndim == 2:
-        if is_node(a):
-            entries.append((a, lambda g: bv @ g))
-        if is_node(b):
-            entries.append((b, lambda g: np.outer(av, g)))
-    else:
-        if is_node(a):
-            entries.append((a, lambda g: g * bv))
-        if is_node(b):
-            entries.append((b, lambda g: g * av))
+    if is_node(a):
+        entries.append((a, lambda g: g @ bv.T))
+    if is_node(b):
+        entries.append((b, lambda g: av.T @ g))
     return _lift(av @ bv, entries)
 
 
@@ -261,20 +191,6 @@ def sqrt(x):
         return np.sqrt(np.asarray(x, np.float64))
     out = np.sqrt(x.value)
     return _lift(out, [(x, lambda g: g * (0.5 / out))])
-
-
-def maximum(a, b):
-    """Elementwise maximum; at ties the gradient routes to the first argument."""
-    if not (is_node(a) or is_node(b)):
-        return np.maximum(np.asarray(a, np.float64), np.asarray(b, np.float64))
-    av, bv = value_of(a), value_of(b)
-    take_a = av >= bv
-    entries = []
-    if is_node(a):
-        entries.append((a, lambda g: _unbroadcast(g * take_a, av.shape)))
-    if is_node(b):
-        entries.append((b, lambda g: _unbroadcast(g * ~take_a, bv.shape)))
-    return _lift(np.maximum(av, bv), entries)
 
 
 def sum(x, axis=None):

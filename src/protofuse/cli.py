@@ -138,17 +138,23 @@ def _split_dataset(world: World, split: str):
     return world.base if split == "base" else world.novel
 
 
+def _evaluate(args, world: World, knowledge, stats, params, mode: str,
+              fusion_dump: list | None = None) -> ep.EvalReport:
+    """``ep.evaluate`` with the split, shape, seed and fusion flags of ``args``."""
+    return ep.evaluate(params, _split_dataset(world, args.split), knowledge, stats,
+                       mode=mode, n_way=args.n_way, k_shot=args.k_shot,
+                       m_query=args.m_query, num_episodes=args.episodes,
+                       seed=args.seed, lam=args.lam, floor=args.variance_floor,
+                       fusion_dump=fusion_dump)
+
+
 def _cmd_eval(args) -> int:
     _require_new(args.out, args.overwrite)
     if args.dump_fusion:
         _require_new(args.dump_fusion, args.overwrite)
     world, stats, params, _ = _load_world_and_model(args)
     dump = [] if args.dump_fusion else None
-    report = ep.evaluate(params, _split_dataset(world, args.split), world.knowledge, stats,
-                         mode=args.mode, n_way=args.n_way, k_shot=args.k_shot,
-                         m_query=args.m_query, num_episodes=args.episodes,
-                         seed=args.seed, lam=args.lam, floor=args.variance_floor,
-                         fusion_dump=dump)
+    report = _evaluate(args, world, world.knowledge, stats, params, args.mode, dump)
     atomic_write_json(args.out, report.to_json_dict())
     if args.dump_fusion:
         import json
@@ -173,10 +179,7 @@ def _cmd_ablate(args) -> int:
     reports = {}
     print(f"{'row':<6}{'mode':<18}{'accuracy':>12}{'95% CI':>10}")
     for row, mode in ABLATION_ROWS:
-        report = ep.evaluate(params, _split_dataset(world, args.split), world.knowledge,
-                             stats, mode=mode, n_way=args.n_way, k_shot=args.k_shot,
-                             m_query=args.m_query, num_episodes=args.episodes,
-                             seed=args.seed, lam=args.lam, floor=args.variance_floor)
+        report = _evaluate(args, world, world.knowledge, stats, params, mode)
         reports[mode] = report.to_json_dict()
         print(f"({row})".ljust(6) + f"{mode:<18}{report.mean_acc * 100:>11.2f}%"
               f"{report.ci95 * 100:>9.2f}%")
@@ -194,10 +197,7 @@ def _cmd_noise_sweep(args) -> int:
         # attribute statistics stay those of the clean base knowledge.
         noisy = inject_knowledge_noise(world.knowledge, gamma, seed=(args.seed, i))
         for mode in sweep_modes:
-            report = ep.evaluate(params, _split_dataset(world, args.split), noisy, stats,
-                                 mode=mode, n_way=args.n_way, k_shot=args.k_shot,
-                                 m_query=args.m_query, num_episodes=args.episodes,
-                                 seed=args.seed, lam=args.lam, floor=args.variance_floor)
+            report = _evaluate(args, world, noisy, stats, params, mode)
             results[mode][f"{gamma}"] = report.to_json_dict()
     print(f"{'mode':<18}" + "".join(f"{'noise=' + str(g):>14}" for g in args.gamma_noise))
     for mode in sweep_modes:

@@ -1,5 +1,7 @@
-"""N-way K-shot episodes: sampling, cosine-softmax classification, episodic
+"""N-way K-shot episodes: sampling, the prototypes of each mode, episodic
 fine-tuning of the completion network, and the evaluation/diagnostic harness.
+Evaluation classifies by the cosine argmax over ``episode_prototypes``;
+fine-tuning minimises the cross-entropy of the scaled cosines.
 
 Evaluation draws one RNG stream per episode (stream id = episode index), so
 an episode's result depends on its seed and index only, not on how many
@@ -57,10 +59,6 @@ class Episode:
     def n_way(self) -> int:
         return self.roster.shape[0]
 
-    @property
-    def k_shot(self) -> int:
-        return self.support_x.shape[0] // self.n_way
-
     def support_of(self, class_id) -> np.ndarray:
         return self.support_x[self.support_y == class_id]
 
@@ -97,35 +95,16 @@ def sample_episode(dataset: FewShotDataset, n_way: int, k_shot: int, m_query: in
     )
 
 
-def mean_prototype(episode: Episode, class_id) -> np.ndarray:
-    """Arithmetic mean of the class's support embeddings."""
-    if class_id not in episode.roster:
-        raise ValueError(f"class {class_id} is not in the episode roster")
-    return episode.support_of(class_id).mean(axis=0)
-
-
 def mean_prototypes(episode: Episode) -> np.ndarray:
     """Support means of every roster class, (n_way, d), rows in roster order.
 
-    Rows are summed in support order, as ``mean_prototype`` sums them.
+    Each class's support rows are summed in support order, as
+    ``episode.support_of(class_id).mean(axis=0)`` sums them.
     """
     positions = np.searchsorted(episode.roster, episode.support_y)
     sums = np.zeros((episode.n_way, episode.support_x.shape[1]))
     np.add.at(sums, positions, episode.support_x)
     return sums / np.bincount(positions, minlength=episode.n_way)[:, None]
-
-
-def classify(query, prototypes, scale_gamma: float) -> np.ndarray:
-    """softmax(scale * cosine) over the prototype rows; the argmax is
-    independent of the (positive) scale."""
-    if not scale_gamma > 0:
-        raise ValueError("scale_gamma must be positive")
-    query = np.asarray(query, dtype=np.float64)
-    sims = fusion.cosine_matrix(query[None, :], np.asarray(prototypes, np.float64))[0]
-    shifted = scale_gamma * sims
-    shifted = shifted - shifted.max()
-    weights = np.exp(shifted)
-    return weights / weights.sum()
 
 
 def episode_rng(seed: int, index: int) -> np.random.Generator:
@@ -141,29 +120,15 @@ def _transductive_pool(episode: Episode):
     return x, labels
 
 
-def completed_prototypes(params, knowledge, stats, episode: Episode) -> np.ndarray:
-    """Test-mode completed prototypes of every roster class, (n_way, d)."""
-    plan = cp.CompletionPlan.build(params, knowledge, stats)
-    return plan.complete(episode.roster, mean_prototypes(episode))
-
-
-def episode_prototypes(params, knowledge, stats, episode: Episode, mode: str,
+def episode_prototypes(plan, episode: Episode, mode: str,
                        lam: float = fusion.DEFAULT_LAMBDA,
                        floor: float = fusion.EPSILON_VARIANCE):
-    """Prototype matrix for the requested ablation mode (plus fusion details
-    when the mode runs the full fusion)."""
-    return _planned_prototypes(_plan_for(mode, params, knowledge, stats), episode, mode,
-                               lam, floor)
+    """Prototype matrix for the requested ablation mode, plus the fusion
+    details when the mode runs the full fusion.
 
-
-def _plan_for(mode: str, params, knowledge, stats):
-    """The completion plan a mode needs: none for mean-only."""
-    if mode == MODE_MEAN_ONLY:
-        return None
-    return cp.CompletionPlan.build(params, knowledge, stats)
-
-
-def _planned_prototypes(plan, episode: Episode, mode: str, lam: float, floor: float):
+    ``plan`` is the caller's ``completion.CompletionPlan``; mean-only needs
+    none and takes ``None``.
+    """
     means = mean_prototypes(episode)
     if mode == MODE_MEAN_ONLY:
         return means, None
@@ -213,7 +178,7 @@ class EvalReport:
 
 
 def _episode_accuracy(plan, episode: Episode, mode: str, lam: float, floor: float):
-    prototypes, detail = _planned_prototypes(plan, episode, mode, lam, floor)
+    prototypes, detail = episode_prototypes(plan, episode, mode, lam, floor)
     sims = fusion.cosine_matrix(episode.query_x, prototypes)
     predicted = episode.roster[np.argmax(sims, axis=1)]
     return float(np.mean(predicted == episode.query_y)), detail
@@ -236,16 +201,20 @@ def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
 
     When ``fusion_dump`` is a list and the mode runs the full fusion, one
     diagnostic entry per episode is appended to it (in episode order).
+    Unusable prototypes raise a one-line ``ValueError("episode <index>: ...")``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_episode_shape(n_way=n_way, k_shot=k_shot, m_query=m_query,
                          num_episodes=num_episodes)
-    plan = _plan_for(mode, params, knowledge, stats)
+    plan = None if mode == MODE_MEAN_ONLY else cp.CompletionPlan.build(params, knowledge, stats)
     accuracies = []
     for index in range(num_episodes):
         episode = sample_episode(dataset, n_way, k_shot, m_query, episode_rng(seed, index))
-        accuracy, detail = _episode_accuracy(plan, episode, mode, lam, floor)
+        try:
+            accuracy, detail = _episode_accuracy(plan, episode, mode, lam, floor)
+        except ValueError as exc:
+            raise ValueError(f"episode {index}: {exc}") from exc
         accuracies.append(accuracy)
         if fusion_dump is not None and detail is not None:
             fusion_dump.append(_fusion_dump_entry(index, detail))

@@ -98,7 +98,9 @@ def cosine_matrix(embeddings, prototypes):
     """Pairwise cosine similarities, rows = embeddings, columns = prototypes.
 
     ``prototypes`` may be a traced Node; embeddings are always constants.
-    Raises on any zero-norm row, naming the offending sample or prototype.
+    Raises on any zero-norm row, naming the offending sample or prototype,
+    and on a prototype whose norm is not finite (a NaN or infinite entry, or
+    a squared norm that overflows), naming its position.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
@@ -111,7 +113,11 @@ def cosine_matrix(embeddings, prototypes):
     if zero.size:
         raise ValueError(f"zero-norm embedding at row {zero[0]}")
     p_norms = ad.sqrt(ad.sum(ad.mul(prototypes, prototypes), axis=1))
-    zero = np.flatnonzero(ad.value_of(p_norms) == 0.0)
+    norms = ad.value_of(p_norms)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"non-finite prototype at position {bad[0]}")
+    zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"zero-norm prototype at position {zero[0]}")
     x_unit = x / x_norms[:, None]

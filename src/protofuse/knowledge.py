@@ -156,9 +156,6 @@ class ClassPrototypeTable:
             raise ValueError("sample counts must be at least 1")
         self._index = {cid: i for i, cid in enumerate(self.class_ids)}
 
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self._index
-
     def prototype(self, class_id: int) -> np.ndarray:
         return self.prototypes[self._index[class_id]]
 

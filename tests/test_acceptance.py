@@ -173,8 +173,7 @@ def test_criterion_03_nearest_centroid_oracle(canonical):
                     best_cid, best_sim = int(cid), sim
             oracle_predictions.append(best_cid)
             oracle_correct += int(best_cid == truth)
-        prototypes, _ = ep.episode_prototypes(params, world.knowledge, stats,
-                                              episode, ep.MODE_MEAN_ONLY)
+        prototypes, _ = ep.episode_prototypes(None, episode, ep.MODE_MEAN_ONLY)
         sims = fusion.cosine_matrix(episode.query_x, prototypes)
         pipeline_predictions = episode.roster[np.argmax(sims, axis=1)]
         assert pipeline_predictions.tolist() == oracle_predictions
@@ -234,7 +233,8 @@ def test_criterion_04_scalar_pipeline_oracle(canonical):
     for index in range(100):
         episode = ep.sample_episode(world.novel, 3, 1, 8, ep.episode_rng(31, index))
         means = ep.mean_prototypes(episode)
-        completed = ep.completed_prototypes(params, world.knowledge, stats, episode)
+        completed = cp.CompletionPlan.build(params, world.knowledge, stats).complete(
+            episode.roster, means)
         x, labels = np.vstack([episode.support_x, episode.query_x]), None
         labels = np.concatenate([np.searchsorted(episode.roster, episode.support_y),
                                  np.full(episode.query_y.size, -1, dtype=np.int64)])

@@ -47,15 +47,13 @@ def test_sub_div_broadcast():
 
 def test_matmul_all_arrangements():
     m = RNG.standard_normal((3, 4))
-    v = RNG.standard_normal(4)
-    u = RNG.standard_normal(3)
     w = RNG.standard_normal((4, 2))
     check_op(lambda x: ad.sum(ad.matmul(x, w)), m)          # 2d @ 2d
     check_op(lambda x: ad.sum(ad.matmul(m, x)), w)
-    check_op(lambda x: ad.sum(ad.matmul(x, v)), m)          # 2d @ 1d
-    check_op(lambda x: ad.sum(ad.matmul(m, x)), v)
-    check_op(lambda x: ad.sum(ad.matmul(x, m)), u)          # 1d @ 2d
-    check_op(lambda x: ad.matmul(x, v), v.copy())           # 1d @ 1d
+    v = RNG.standard_normal(4)
+    for a, b, ranks in ((m, v, "2-d @ 1-d"), (v, w, "1-d @ 2-d"), (v, v, "1-d @ 1-d")):
+        with pytest.raises(ValueError, match=f"^matmul multiplies two matrices, got {ranks}$"):
+            ad.matmul(ad.Node(a), b)
 
 
 def test_matmul_shape_mismatch():
@@ -156,16 +154,6 @@ def test_softmax_no_overflow_on_large_logits():
     np.testing.assert_allclose(p[0], [1.0, 0.0], atol=1e-12)
 
 
-def test_mixed_constant_node_arithmetic():
-    v = RNG.standard_normal(4) + 3.0
-    node = ad.Node(v)
-    out = ad.sum((2.0 * node + v) / (node - 0.5) - node * 0.1)
-    assert isinstance(out, ad.Node)
-    ad.backward(out)
-    numeric = fd_grad(lambda x: float(np.sum((2 * x + v) / (x - 0.5) - x * 0.1)), v)
-    np.testing.assert_allclose(node.grad, numeric, rtol=1e-6)
-
-
 def test_gradient_accumulates_across_reuse():
     v = np.array([1.5, -0.5])
     node = ad.Node(v)
@@ -179,6 +167,14 @@ def test_backward_requires_matching_seed_shape():
     out = ad.mul(node, 2.0)
     with pytest.raises(ValueError, match="seed gradient shape"):
         ad.backward(out, np.ones(2))
+
+
+def test_node_defines_no_arithmetic_operators():
+    node = ad.Node(np.ones(2))
+    for combine in (lambda: node + 1.0, lambda: 2.0 * node, lambda: np.ones(2) + node,
+                    lambda: np.ones((2, 2)) @ node, lambda: -node):
+        with pytest.raises(TypeError):
+            combine()
 
 
 def test_plain_arrays_stay_plain():

@@ -2,11 +2,14 @@
 and overwrite contracts."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import protofuse
 from protofuse.cli import main
 
 GEN_FLAGS = ["--dim", "12", "--semantic-dim", "6", "--base-classes", "6",
@@ -169,12 +172,17 @@ def test_usage_error_exit_code():
 
 
 def test_module_entry_point(tmp_path):
+    # The subprocess imports the same protofuse as this test, installed or not.
+    package_parent = str(Path(protofuse.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent,
+                                                      env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "protofuse", "gen", "--out", str(tmp_path / "w"),
          "--base-classes", "3", "--novel-classes", "2", "--attributes", "6",
          "--attrs-per-class", "2", "3", "--samples-per-class", "5",
          "--dim", "8", "--semantic-dim", "4", "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "w" / "base.manifest.json").exists()
 

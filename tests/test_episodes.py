@@ -1,4 +1,4 @@
-"""Episode sampling, classification, evaluation against a nearest-centroid
+"""Episode sampling, prototypes, evaluation against a nearest-centroid
 oracle, reporting, episodic fine-tuning, and the diagnostics."""
 
 import math
@@ -87,54 +87,15 @@ def test_episode_determinism_bit_for_bit():
     assert a.query_indices.tolist() == b.query_indices.tolist()
 
 
-# --- prototypes and classification --------------------------------------------
-
-def test_mean_prototype_trivials():
-    world = make_world()
-    episode = ep.sample_episode(world.novel, 3, 2, 2, np.random.default_rng(2))
-    cid = int(episode.roster[0])
-    support = episode.support_of(cid)
-    np.testing.assert_allclose(ep.mean_prototype(episode, cid), support.mean(axis=0))
-    with pytest.raises(ValueError, match="roster"):
-        ep.mean_prototype(episode, 999)
-
+# --- prototypes --------------------------------------------------------------
 
 def test_mean_prototype_full_class_equals_table():
     world = make_world()
     episode = ep.sample_episode(world.novel, 1, 20, 0, np.random.default_rng(3))
     cid = int(episode.roster[0])
     table = kn.compute_base_prototypes(world.novel.embeddings, world.novel.labels)
-    np.testing.assert_allclose(ep.mean_prototype(episode, cid), table.prototype(cid),
+    np.testing.assert_allclose(ep.mean_prototypes(episode)[0], table.prototype(cid),
                                atol=1e-12)
-
-
-def test_classify_single_class_certain():
-    probs = ep.classify(np.ones(3), np.ones((1, 3)), scale_gamma=10.0)
-    np.testing.assert_allclose(probs, [1.0])
-
-
-def test_classify_matching_prototype_dominates():
-    # query equal to one prototype, the other orthogonal: softmax(gamma, 0)
-    prototypes = np.array([[1.0, 0.0], [0.0, 1.0]])
-    probs = ep.classify(np.array([1.0, 0.0]), prototypes, scale_gamma=10.0)
-    assert probs[0] == pytest.approx(1 / (1 + math.exp(-10)), rel=1e-12)
-
-
-def test_classify_probabilities_sum_to_one():
-    rng = np.random.default_rng(4)
-    probs = ep.classify(rng.standard_normal(5), rng.standard_normal((4, 5)), 7.0)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (probs >= 0).all()
-
-
-def test_classify_argmax_gamma_invariant():
-    rng = np.random.default_rng(5)
-    query = rng.standard_normal(6)
-    prototypes = rng.standard_normal((4, 6))
-    picks = {int(np.argmax(ep.classify(query, prototypes, g))) for g in (0.1, 1.0, 10.0, 500.0)}
-    assert len(picks) == 1
-    with pytest.raises(ValueError, match="positive"):
-        ep.classify(query, prototypes, 0.0)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -187,6 +148,27 @@ def test_evaluate_rejects_fewer_than_one_episode():
         with pytest.raises(ValueError, match="num_episodes must be at least 1"):
             ep.evaluate(params, world.novel, world.knowledge, stats, ep.MODE_MEAN_ONLY,
                         num_episodes=count)
+
+
+@pytest.mark.parametrize("mode", [ep.MODE_COMPLETED_ONLY, ep.MODE_MEAN_FUSION,
+                                  ep.MODE_GAUSS_FUSION])
+def test_evaluate_names_the_episode_of_non_finite_prototypes(mode):
+    world, stats, params = make_fixture()
+    params.store.value("decoder.output.bias")[3] = np.nan
+    with pytest.raises(ValueError, match="^episode 0: non-finite prototype at position 0$"):
+        ep.evaluate(params, world.novel, world.knowledge, stats, mode, num_episodes=3)
+    # mean-only builds no completion and is unaffected
+    ep.evaluate(params, world.novel, world.knowledge, stats, ep.MODE_MEAN_ONLY,
+                num_episodes=3)
+
+
+@pytest.mark.parametrize("mode", [ep.MODE_COMPLETED_ONLY, ep.MODE_GAUSS_FUSION])
+def test_evaluate_names_the_episode_of_zero_norm_prototypes(mode):
+    world, stats, params = make_fixture()
+    params.store.value("decoder.output.weight")[:] = 0.0
+    params.store.value("decoder.output.bias")[:] = 0.0
+    with pytest.raises(ValueError, match="^episode 0: zero-norm prototype at position 0$"):
+        ep.evaluate(params, world.novel, world.knowledge, stats, mode, num_episodes=3)
 
 
 @pytest.mark.parametrize("field,value", [

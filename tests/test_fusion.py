@@ -200,6 +200,17 @@ def test_soft_assign_zero_norm_errors_name_offender():
         fusion.soft_assign(np.array([[1.0, 0.0]]), [-1], np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cosine_matrix_rejects_non_finite_prototype_by_position(bad):
+    prototypes = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    prototypes[2, 1] = bad
+    x = np.array([[1.0, 0.5]])
+    with pytest.raises(ValueError, match="^non-finite prototype at position 2$"):
+        fusion.cosine_matrix(x, prototypes)
+    with pytest.raises(ValueError, match="^non-finite prototype at position 2$"):
+        fusion.cosine_matrix(x, ad.Node(prototypes))
+
+
 # --- weighted estimation ---------------------------------------------------
 
 def test_weighted_estimate_degenerate_weight_hits_floor():

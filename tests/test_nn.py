@@ -177,10 +177,11 @@ def test_gradient_check_api():
     store = nn.ParamStore()
     store.register("w", rng.standard_normal((3, 4)))
     store.register("b", rng.standard_normal(3))
-    x = rng.standard_normal(4)
+    x = rng.standard_normal((4, 1))
 
     def loss_fn(t):
-        return ad.sum(ad.exp(ad.mul(ad.add(ad.matmul(t["w"], x), t["b"]), 0.1)))
+        product = ad.reshape(ad.matmul(t["w"], x), (3,))
+        return ad.sum(ad.exp(ad.mul(ad.add(product, t["b"]), 0.1)))
 
     report = nn.gradient_check(store, loss_fn, samples_per_tensor=12,
                                rng=np.random.default_rng(1))
