@@ -341,7 +341,10 @@ def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.nda
                                 lam: float = fusion.DEFAULT_LAMBDA,
                                 floor: float = fusion.EPSILON_VARIANCE) -> SimilarityReport:
     """Average cos(prototype, center) for mean-based, completed, and fused
-    prototypes over sampled episodes."""
+    prototypes over sampled episodes.
+
+    Unusable prototypes raise a one-line ``ValueError("episode <index>: ...")``.
+    """
     _check_episode_shape(n_way=n_way, k_shot=k_shot, m_query=m_query,
                          num_episodes=num_episodes)
     plan = cp.CompletionPlan.build(params, knowledge, stats)
@@ -349,9 +352,12 @@ def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.nda
     for index in range(num_episodes):
         episode = sample_episode(dataset, n_way, k_shot, m_query, episode_rng(seed, index))
         means = mean_prototypes(episode)
-        completed = plan.complete(episode.roster, means)
         x, labels = _transductive_pool(episode)
-        fused = fusion.fuse_prototypes(x, labels, means, completed, lam, floor).fused
+        try:
+            completed = plan.complete(episode.roster, means)
+            fused = fusion.fuse_prototypes(x, labels, means, completed, lam, floor).fused
+        except ValueError as exc:
+            raise ValueError(f"episode {index}: {exc}") from exc
         truth = centers[episode.roster]
         sums += [_row_cosines(p, truth).sum() for p in (means, completed, fused)]
     sums /= num_episodes * n_way
@@ -393,7 +399,8 @@ def rank_curve_report(params, dataset: FewShotDataset, centers: np.ndarray,
 
     Every sample is treated as a 1-shot prototype; rank r holds the class's
     r-th closest sample to its center. Classes shorter than the window shrink
-    it (with a count reported).
+    it (with a count reported). A non-finite completion raises a one-line
+    ``ValueError("class <id>: ...")``.
     """
     plan = cp.CompletionPlan.build(params, knowledge, stats)
     raw_rows, completed_rows = [], []
@@ -406,6 +413,8 @@ def rank_curve_report(params, dataset: FewShotDataset, centers: np.ndarray,
         order = np.argsort(-sims)
         raw_rows.append(sims[order])
         completed = plan.complete(np.full(rows.shape[0], cid), rows[order])
+        if not np.isfinite(completed).all():
+            raise ValueError(f"class {cid}: non-finite completed prototype")
         completed_rows.append(_row_cosines(completed, center))
         shortest = rows.shape[0] if shortest is None else min(shortest, rows.shape[0])
         if rows.shape[0] < window:

@@ -3,6 +3,10 @@ weight decay, finite-difference gradient checking, and a versioned binary
 parameter checkpoint. Layers are ``autodiff.linear`` nodes over the
 registry's leaves.
 
+The registry keeps no gradient buffers. ``ParamStore.accumulate`` holds the
+backward pass's leaf gradients as pending gradients, and ``sgd_step`` reads
+them in place, updating each tensor through one scratch array of its own.
+
 Everything runs in double precision on purpose: the gradient-check contract
 (max relative error < 1e-4 against central differences) leaves no room for
 single-precision noise.
@@ -39,7 +43,8 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 
 
 class ParamStore:
-    """Flat registry of named float64 tensors with paired gradient buffers.
+    """Flat registry of named float64 tensors, the gradients pending for the
+    next ``sgd_step``, and the optimizer's velocity and scratch arrays.
 
     Values are mutated in place by ``sgd_step`` so that any view handed out
     (e.g. the arrays a ``CompletionPlan`` holds) tracks training.
@@ -47,15 +52,15 @@ class ParamStore:
 
     def __init__(self):
         self._values: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
+        self._pending: dict[str, np.ndarray] = {}
         self._velocity: dict[str, np.ndarray] = {}
+        self._scratch: dict[str, np.ndarray] = {}
 
     def register(self, name: str, value) -> np.ndarray:
         if name in self._values:
             raise ValueError(f"parameter '{name}' already registered")
         v = np.array(value, dtype=np.float64)
         self._values[name] = v
-        self._grads[name] = np.zeros_like(v)
         return v
 
     def names(self) -> list[str]:
@@ -67,22 +72,27 @@ class ParamStore:
     def value(self, name: str) -> np.ndarray:
         return self._values[name]
 
-    def grad(self, name: str) -> np.ndarray:
-        return self._grads[name]
-
-    def zero_grads(self) -> None:
-        for g in self._grads.values():
-            g[...] = 0.0
-
     def leaves(self) -> dict[str, ad.Node]:
         """Fresh leaf Nodes wrapping the live parameter arrays."""
         return {name: ad.Node(v) for name, v in self._values.items()}
 
     def accumulate(self, leaves: dict[str, ad.Node]) -> None:
-        """Add leaf gradients (from a backward pass) into the grad buffers."""
+        """Hand a backward pass's leaf gradients to the next ``sgd_step``.
+
+        The store keeps a reference to each leaf's ``.grad``, not a copy. Only
+        a tensor that already has a pending gradient (``accumulate`` called
+        twice before one step) gets a new array, the sum of the two. Leaf
+        gradients may alias each other, so nothing here or in ``sgd_step``
+        writes into them. perfbench traces this method by name
+        (``nn.ParamStore.accumulate``).
+        """
         for name, node in leaves.items():
-            if node.grad is not None:
-                self._grads[name] += node.grad
+            if node.grad is None:
+                continue
+            if name not in self._values:
+                raise KeyError(name)
+            pending = self._pending.get(name)
+            self._pending[name] = node.grad if pending is None else pending + node.grad
 
 
 @dataclass
@@ -105,24 +115,41 @@ class SgdConfig:
 
 def sgd_step(store: ParamStore, config: SgdConfig) -> None:
     """Momentum update with L2 decay folded into the gradient:
-    g <- g + wd*theta; v <- m*v + g; theta <- theta - lr*v. Grads are zeroed after.
+    g <- g + wd*theta; v <- m*v + g; theta <- theta - lr*v.
 
-    Aborts (before touching any parameter) if any gradient is non-finite.
+    ``g`` is the tensor's pending gradient, or zero when it has none (so a
+    parameter off the loss's path still decays). Each tensor is updated
+    through its own scratch array, in this operation order: scratch = wd*theta,
+    scratch = g + scratch, v *= m, v += scratch, scratch = lr*v,
+    theta -= scratch. The pending gradients are only read, then released.
+
+    Aborts (before touching any parameter or velocity) if any pending
+    gradient is non-finite: a finite sum clears a tensor in one pass, and
+    only a non-finite sum (which finite values can also overflow to) falls
+    back to the per-element test.
     """
-    for name in store.names():
-        if not np.all(np.isfinite(store.grad(name))):
-            raise NonFiniteGradientError(name)
-    for name in store.names():
-        theta = store.value(name)
-        g = store.grad(name) + config.weight_decay * theta
+    pending = store._pending
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in store.names():
+            g = pending.get(name)
+            if g is not None and not np.isfinite(g.sum()) and not np.isfinite(g).all():
+                raise NonFiniteGradientError(name)
+    lr, momentum, decay = config.learning_rate, config.momentum, config.weight_decay
+    for name, theta in store._values.items():
         v = store._velocity.get(name)
         if v is None:
-            v = np.zeros_like(theta)
-            store._velocity[name] = v
-        v *= config.momentum
-        v += g
-        theta -= config.learning_rate * v
-    store.zero_grads()
+            v = store._velocity[name] = np.zeros_like(theta)
+            store._scratch[name] = np.empty_like(theta)
+        scratch = store._scratch[name]
+        np.multiply(decay, theta, out=scratch)
+        g = pending.get(name)
+        if g is not None:
+            np.add(g, scratch, out=scratch)
+        v *= momentum
+        v += scratch
+        np.multiply(lr, v, out=scratch)
+        theta -= scratch
+    pending.clear()
 
 
 @dataclass

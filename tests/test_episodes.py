@@ -300,6 +300,14 @@ def test_similarity_mean_based_below_one_under_noise():
     assert report.mean_based < 1.0 - 1e-6
 
 
+def test_similarity_report_names_the_episode_of_non_finite_prototypes():
+    world, stats, params = make_fixture()
+    params.store.value("decoder.output.bias")[3] = np.nan
+    with pytest.raises(ValueError, match="^episode 0: non-finite prototype at position 0$"):
+        ep.prototype_similarity_report(params, world.novel, world.centers,
+                                       world.knowledge, stats, num_episodes=3)
+
+
 def test_moving_average_window_one_and_constant():
     values = np.array([3.0, 3.0, 3.0, 3.0])
     np.testing.assert_allclose(ep.moving_average(values, 3), values)
@@ -345,3 +353,11 @@ def test_rank_curve_shapes_and_window_shrink():
     assert report.ranks.tolist() == list(range(20))
     # raw similarities were sorted descending, so the smoothed curve cannot rise
     assert (np.diff(ep.moving_average(report.raw, 1)) <= 1e-9).all()
+
+
+def test_rank_curve_names_the_class_of_a_non_finite_completion():
+    world, stats, params = make_fixture()
+    params.store.value("decoder.output.bias")[3] = np.nan
+    first = int(world.novel.class_ids()[0])
+    with pytest.raises(ValueError, match=f"^class {first}: non-finite completed prototype$"):
+        ep.rank_curve_report(params, world.novel, world.centers, world.knowledge, stats)

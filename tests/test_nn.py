@@ -31,6 +31,15 @@ def make_layers(rng, shapes):
     return [(nn.glorot_uniform(rng, o, i), np.zeros(o), act) for i, o, act in shapes]
 
 
+def accumulate_grads(store, **grads):
+    """Hand ``grads`` to ``store`` the way a training loop does: as the
+    ``.grad`` of leaf Nodes passed to ``accumulate``."""
+    leaves = store.leaves()
+    for name, grad in grads.items():
+        leaves[name].grad = np.array(grad, dtype=np.float64)
+    store.accumulate(leaves)
+
+
 def test_forward_identity_passthrough():
     y = linear_stack(np.array([[1.0, -2.0, 0.5]]), [(np.eye(3), np.zeros(3), "identity")])
     np.testing.assert_array_equal(y, [[1.0, -2.0, 0.5]])
@@ -120,10 +129,12 @@ def test_backward_against_finite_differences(shapes):
 def test_sgd_plain_step():
     store = nn.ParamStore()
     store.register("w", [1.0, 2.0])
-    store.grad("w")[...] = [0.5, -0.5]
+    accumulate_grads(store, w=[0.5, -0.5])
     nn.sgd_step(store, nn.SgdConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0))
     np.testing.assert_allclose(store.value("w"), [0.5, 2.5])
-    np.testing.assert_array_equal(store.grad("w"), 0.0)
+    # the step took the gradient: a second one with nothing accumulated only decays
+    nn.sgd_step(store, nn.SgdConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.1))
+    np.testing.assert_allclose(store.value("w"), [0.45, 2.25])
 
 
 def test_sgd_momentum_doubles_second_displacement():
@@ -131,10 +142,10 @@ def test_sgd_momentum_doubles_second_displacement():
     store = nn.ParamStore()
     store.register("w", [0.0])
     cfg = nn.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-    store.grad("w")[...] = 1.0
+    accumulate_grads(store, w=[1.0])
     nn.sgd_step(store, cfg)
     first = -store.value("w")[0]
-    store.grad("w")[...] = 1.0
+    accumulate_grads(store, w=[1.0])
     before = store.value("w")[0]
     nn.sgd_step(store, cfg)
     second = before - store.value("w")[0]
@@ -153,11 +164,88 @@ def test_sgd_aborts_on_non_finite_gradient():
     store = nn.ParamStore()
     store.register("fine", [1.0])
     store.register("broken", [1.0])
-    store.grad("broken")[...] = np.nan
+    accumulate_grads(store, fine=[2.0], broken=[np.nan])
     with pytest.raises(nn.NonFiniteGradientError, match="broken"):
         nn.sgd_step(store, nn.SgdConfig(learning_rate=0.1))
-    # nothing was mutated
+    # nothing was mutated, velocity included
     np.testing.assert_array_equal(store.value("fine"), [1.0])
+    assert not any(v.any() for v in store._velocity.values())
+
+
+def reference_sgd_step(values, velocity, grads, lr, momentum, decay):
+    """The update as one formula per tensor, a tensor without a gradient
+    counting as a zero gradient."""
+    for name, theta in values.items():
+        g = grads.get(name, np.zeros_like(theta)) + decay * theta
+        velocity[name] = momentum * velocity[name] + g
+        theta -= lr * velocity[name]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(),
+       shapes=st.lists(hnp.array_shapes(min_dims=0, max_dims=2, max_side=5),
+                       min_size=1, max_size=3),
+       momentum=st.sampled_from([0.0, 0.9]) | st.floats(0.0, 0.99),
+       lr=st.floats(1e-4, 1.0),
+       decay=st.sampled_from([0.0, 5e-4, 0.1]),
+       steps=st.integers(1, 4))
+def test_sgd_step_equals_reference_update_bitwise(data, shapes, momentum, lr, decay, steps):
+    values = st.floats(-10.0, 10.0, allow_subnormal=False)
+    store = nn.ParamStore()
+    names = [f"t{i}" for i in range(len(shapes))]
+    for name, shape in zip(names, shapes):
+        store.register(name, data.draw(hnp.arrays(np.float64, shape, elements=values)))
+    store.register("idle", data.draw(hnp.arrays(np.float64, (3,), elements=values)))
+    expected = {name: store.value(name).copy() for name in store.names()}
+    velocity = {name: np.zeros_like(theta) for name, theta in expected.items()}
+    config = nn.SgdConfig(learning_rate=lr, momentum=momentum, weight_decay=decay)
+    for _ in range(steps):
+        # one or two backward passes per step; "idle" never gets a gradient
+        summed = {}
+        for _ in range(data.draw(st.integers(1, 2))):
+            grads = {name: data.draw(hnp.arrays(np.float64, store.value(name).shape,
+                                                elements=values))
+                     for name in names}
+            accumulate_grads(store, **grads)
+            for name, grad in grads.items():
+                summed[name] = grad if name not in summed else summed[name] + grad
+        nn.sgd_step(store, config)
+        reference_sgd_step(expected, velocity, summed, lr, momentum, decay)
+    for name in store.names():
+        assert store.value(name).tobytes() == expected[name].tobytes(), name
+
+
+def test_sgd_steps_finite_gradients_whose_sum_overflows():
+    store = nn.ParamStore()
+    store.register("w", [0.0, 0.0])
+    grad = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):
+        assert np.isinf(grad.sum())
+    accumulate_grads(store, w=grad)
+    nn.sgd_step(store, nn.SgdConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.0))
+    np.testing.assert_array_equal(store.value("w"), [-5e307, -5e307])
+
+
+def test_sgd_step_leaves_sharing_one_gradient_array():
+    store = nn.ParamStore()
+    store.register("a", [1.0, 2.0])
+    store.register("b", [3.0, -4.0])
+    config = nn.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
+    expected = {name: store.value(name).copy() for name in store.names()}
+    velocity = {name: np.zeros(2) for name in store.names()}
+    for _ in range(2):
+        leaves = store.leaves()
+        ad.backward(ad.add(leaves["a"], leaves["b"]), seed=np.array([0.5, -0.25]))
+        shared = leaves["a"].grad
+        assert leaves["b"].grad is shared  # add's gradient is the output's, for both
+        snapshot = shared.copy()
+        store.accumulate(leaves)
+        nn.sgd_step(store, config)
+        reference_sgd_step(expected, velocity, {"a": snapshot, "b": snapshot},
+                           0.1, 0.9, 0.01)
+        assert shared.tobytes() == snapshot.tobytes()
+    for name in store.names():
+        assert store.value(name).tobytes() == expected[name].tobytes(), name
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -259,4 +347,6 @@ def test_param_store_register_and_leaves():
     out = ad.sum(ad.mul(leaves["w"], 3.0))
     ad.backward(out)
     store.accumulate(leaves)
-    np.testing.assert_allclose(store.grad("w"), [[3.0, 3.0]])
+    # a plain step (lr 1, no momentum or decay) subtracts the accumulated gradient
+    nn.sgd_step(store, nn.SgdConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0))
+    np.testing.assert_allclose(arr, [[1.0 - 3.0, 2.0 - 3.0]])
