@@ -240,14 +240,26 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _add_eval_shape(p: argparse.ArgumentParser, episodes_default: int) -> None:
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_episode_shape(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-way", type=int, default=5)
     p.add_argument("--k-shot", type=int, default=1)
     p.add_argument("--m-query", type=int, default=15)
-    p.add_argument("--episodes", type=int, default=episodes_default)
     p.add_argument("--lambda", dest="lam", type=float, default=fusion.DEFAULT_LAMBDA,
                    help="softmax sharpness for soft assignment")
     p.add_argument("--variance-floor", type=float, default=fusion.EPSILON_VARIANCE)
+
+
+def _add_eval_shape(p: argparse.ArgumentParser, episodes_default: int) -> None:
+    _add_episode_shape(p)
+    p.add_argument("--episodes", type=int, default=episodes_default)
     p.add_argument("--split", choices=("base", "novel"), default="novel")
 
 
@@ -281,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--k-shot", type=int, default=1)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--episodes-per-epoch", type=int, default=None,
+    p.add_argument("--episodes-per-epoch", type=_positive_int, default=None,
                    help="default: 4x the number of base classes")
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--momentum", type=float, default=0.9)
@@ -295,11 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--episodes-per-epoch", type=int, default=None)
+    p.add_argument("--episodes-per-epoch", type=_positive_int, default=None,
+                   help="default: 4x the number of base classes")
     p.add_argument("--learning-rate", type=float, default=1e-4)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=0.0005)
-    _add_eval_shape(p, episodes_default=600)
+    _add_episode_shape(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_meta_train)
@@ -343,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-prefix", required=True)
     _add_eval_shape(p, episodes_default=1000)
-    p.add_argument("--window", type=int, default=50)
+    p.add_argument("--window", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_report)

@@ -11,13 +11,12 @@ normalization across attributes. The classifier scale used downstream is
 kept here as ``log_scale`` so one checkpoint carries the whole trainable
 state; optimizing the log keeps the scale positive.
 
-Both routines that run the network complete a (B, d) block of prototypes
-in one pass and share the encoder and decoder. ``_complete`` is generic over
-plain arrays and traced Nodes and takes each class's attribute feature
-draws: ``completion_loss`` calls it with one row, the episodic loss with an
-episode's classes. ``CompletionPlan`` is the untraced test-mode path that
-inference uses; it precomputes the terms that depend only on the
-parameters and the knowledge, and ``_complete`` is its oracle in the tests.
+Completing a (B, d) block as classes ``class_ids`` scores every associated
+(row, attribute) pair in one batch, in the order ``_pairs`` fixes. Training
+feeds ``_complete`` (generic over plain arrays and traced Nodes) one drawn
+feature per pair as a (pairs, d) matrix. ``CompletionPlan`` is the untraced
+inference path: it uses the attribute means, precomputes what depends only
+on the parameters and the knowledge, and has ``_complete`` as its oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from . import autodiff as ad
 from . import nn
 from .fileio import atomic_write_json
 from .knowledge import AttributeStats, PrimitiveKnowledge
-
-MODE_TRAIN = "train"
-MODE_TEST = "test"
 
 ENCODER_DIM = 256
 AGGREGATOR_HIDDEN = 300
@@ -115,24 +111,26 @@ def _tensor_dict(params) -> dict:
     return params.tensors() if isinstance(params, CompletionNetParams) else params
 
 
-def draw_attribute_features(stats: AttributeStats, attributes, mode: str,
-                            rng: np.random.Generator | None = None) -> dict:
-    """One feature draw per attribute id, keyed by id: the attribute mean in
-    test mode, mean + std * eps in train mode, with all the noise drawn as
-    one (k, d) block whose row i belongs to ``attributes[i]``."""
-    ids = np.asarray(attributes, dtype=np.int64)
-    unknown = ids[(ids < 0) | (ids >= stats.num_attributes)]
+def _pairs(association: np.ndarray, class_ids) -> tuple:
+    """(rows, attributes) of every associated pair when row i is class
+    ``class_ids[i]``: row by row, attributes ascending."""
+    ids = np.asarray(class_ids, dtype=np.int64)
+    unknown = ids[(ids < 0) | (ids >= association.shape[0])]
     if unknown.size:
-        raise KeyError(f"unknown attribute id {unknown[0]}")
-    if mode == MODE_TEST:
-        features = stats.mean[ids]
-    elif mode == MODE_TRAIN:
-        if rng is None:
-            raise ValueError("train mode requires an rng")
-        features = stats.mean[ids] + stats.std[ids] * rng.standard_normal((ids.size, stats.dim))
-    else:
-        raise ValueError(f"mode must be '{MODE_TRAIN}' or '{MODE_TEST}', got {mode!r}")
-    return dict(zip(ids.tolist(), features))
+        raise ValueError(f"unknown class id {unknown[0]}")
+    return np.nonzero(association[ids])
+
+
+def draw_attribute_features(stats: AttributeStats, knowledge: PrimitiveKnowledge,
+                            class_ids, rng: np.random.Generator) -> np.ndarray:
+    """One training feature per associated pair of ``class_ids``, as the
+    (pairs, d) matrix ``mean[a] + std[a] * eps`` whose row p belongs to pair
+    p of ``_pairs``; the noise is one (pairs, d) block of ``rng``."""
+    if stats.num_attributes != knowledge.num_attributes:
+        raise ValueError(f"attribute stats cover {stats.num_attributes} attributes, "
+                         f"the knowledge has {knowledge.num_attributes}")
+    _, attrs = _pairs(knowledge.association, class_ids)
+    return stats.mean[attrs] + stats.std[attrs] * rng.standard_normal((attrs.size, stats.dim))
 
 
 def _encode(tensors, x):
@@ -160,31 +158,27 @@ def _decode(tensors, combined):
     return ad.linear(hidden, tensors["decoder.output.weight"], tensors["decoder.output.bias"])
 
 
-def _complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete,
-              draws_by_class: dict):
+def _complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete, features):
     """Complete row i of the (B, d) ``incomplete`` as class ``class_ids[i]``.
 
-    Generic over plain arrays and traced Nodes. ``draws_by_class`` maps each
-    class id to its attribute feature draws (constants, by attribute id);
-    every associated attribute needs a draw, and draws of attributes the
-    class is not associated with are ignored. Every
-    associated (row, attribute) pair goes through one encoder pass and one
-    aggregator pass; a constant (B, pairs) 0/1 matrix sums each row's
-    score-weighted latents, so a row with no associated attributes decodes
-    its own encoded prototype.
+    Generic over plain arrays and traced Nodes. ``features`` is the constant
+    (pairs, d) matrix of attribute features, row p for pair p of ``_pairs``
+    (as ``draw_attribute_features`` returns it). All pairs go through one
+    encoder pass and one aggregator pass; a constant (B, pairs) 0/1 matrix
+    sums each row's score-weighted latents, so a row with no associated
+    attributes decodes its own encoded prototype.
     """
     x = np.asarray(incomplete, dtype=np.float64)
     ids = np.asarray(class_ids, dtype=np.int64)
+    if ids.shape != (x.shape[0],):
+        raise ValueError(f"{ids.size} class ids for {x.shape[0]} prototypes")
+    rows, attrs = _pairs(knowledge.association, ids)
+    if np.shape(features) != (rows.size, x.shape[1]):
+        raise ValueError(f"{rows.size} associated pairs of {x.shape[1]}-d prototypes need "
+                         f"a ({rows.size}, {x.shape[1]}) feature block, got {np.shape(features)}")
     combined = _encode(tensors, x)
-    rows, attrs = np.nonzero(knowledge.association[ids])
     if rows.size:
-        features = []
-        for cid, a in zip(ids[rows].tolist(), attrs.tolist()):
-            try:
-                features.append(draws_by_class[cid][a])
-            except KeyError:
-                raise KeyError(f"no feature draw for attribute {a} of class {cid}") from None
-        latents = _encode(tensors, np.stack(features))
+        latents = _encode(tensors, features)
         scores = _attention_scores(tensors, knowledge, ids[rows], x[rows], attrs)
         select = np.zeros((ids.size, rows.size))
         select[rows, np.arange(rows.size)] = 1.0
@@ -194,12 +188,12 @@ def _complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete,
 
 @dataclass(frozen=True)
 class CompletionPlan:
-    """Test-mode completion constants of one (params, knowledge, stats) triple.
+    """Inference completion constants of one (params, knowledge, stats) triple.
 
     The aggregator's first layer acts on (prototype, class semantic,
     attribute semantic), so its pre-activation splits into one term per
     column block. The class and attribute terms and the attribute latents
-    of the test-mode (mean) features depend only on the triple; they are
+    of the attribute means depend only on the triple; they are
     computed once here, and completing B prototypes then costs a few
     (B, ...) matmuls. SGD updates the parameters in place and a noisy
     knowledge copy changes the associations, so a plan is built for one
@@ -255,15 +249,11 @@ class CompletionPlan:
             raise ValueError(f"prototypes must be {d}-vectors, got a block of shape {x.shape}")
         if ids.shape != (x.shape[0],):
             raise ValueError(f"{ids.size} class ids for {x.shape[0]} prototypes")
-        unknown = ids[(ids < 0) | (ids >= self.association.shape[0])]
-        if unknown.size:
-            raise ValueError(f"unknown class id {unknown[0]}")
+        rows, attrs = _pairs(self.association, ids)
         z_proto = _encode(t, x)
-        gates = self.association[ids]
-        rows, attrs = np.nonzero(gates)
         pre = (x @ self.prototype_weight.T + self.class_terms[ids])[rows] \
             + self.attribute_terms[attrs]
-        alphas = np.zeros(gates.shape)
+        alphas = np.zeros((ids.size, self.association.shape[1]))
         alphas[rows, attrs] = (ad.relu(pre) @ t["aggregator.output.weight"][0]
                                + t["aggregator.output.bias"])
         return _decode(t, alphas @ self.attribute_latents + z_proto)
@@ -271,7 +261,8 @@ class CompletionPlan:
 
 def complete_prototype(params, knowledge: PrimitiveKnowledge, stats: AttributeStats,
                        class_id: int, incomplete) -> np.ndarray:
-    """Complete one prototype in test mode (the one-row case of ``CompletionPlan``)."""
+    """Complete one prototype from the attribute means (the one-row case of
+    ``CompletionPlan``)."""
     plan = CompletionPlan.build(params, knowledge, stats)
     return plan.complete([class_id], np.asarray(incomplete, dtype=np.float64)[None])[0]
 
@@ -326,11 +317,11 @@ def sample_completion_tasks(embeddings, labels, prototypes, k_shot: int, count: 
 
 
 def completion_loss(tensors, knowledge: PrimitiveKnowledge, task: CompletionTask,
-                    attribute_values: dict):
+                    features):
     """Mean-over-dimensions squared error of the completed prototype (the
-    one-row case of ``_complete``)."""
+    one-row case of ``_complete``, with the task class's (pairs, d) features)."""
     predicted = _complete(tensors, knowledge, [task.class_id], task.incomplete[None],
-                          {task.class_id: attribute_values})
+                          features)
     diff = ad.sub(predicted, task.target)
     return ad.mean(ad.mul(diff, diff))
 
@@ -342,7 +333,7 @@ def train_completion(params: CompletionNetParams, knowledge: PrimitiveKnowledge,
 
     The task list is consumed in ``config.epochs`` consecutive chunks, so
     callers control how many fresh episodes each epoch sees. Attribute
-    features are re-sampled (train mode) per task.
+    features are drawn afresh for every task.
     """
     tasks = list(tasks)
     if not tasks:
@@ -354,10 +345,9 @@ def train_completion(params: CompletionNetParams, knowledge: PrimitiveKnowledge,
         total = 0.0
         for index in chunk:
             task = tasks[index]
-            draws = draw_attribute_features(
-                stats, knowledge.attributes_of(task.class_id), MODE_TRAIN, rng)
+            features = draw_attribute_features(stats, knowledge, [task.class_id], rng)
             leaves = params.store.leaves()
-            loss = completion_loss(leaves, knowledge, task, draws)
+            loss = completion_loss(leaves, knowledge, task, features)
             if not np.isfinite(loss.value):
                 raise RuntimeError(
                     f"non-finite completion loss on class {task.class_id}")

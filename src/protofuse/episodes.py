@@ -239,16 +239,17 @@ def _fusion_dump_entry(index: int, result: fusion.FusionResult) -> dict:
 
 
 def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode,
-                      draws_by_class: dict, lam: float = fusion.DEFAULT_LAMBDA,
+                      features, lam: float = fusion.DEFAULT_LAMBDA,
                       floor: float = fusion.EPSILON_VARIANCE):
     """Cross-entropy of query labels under the full fused pipeline.
 
-    ``draws_by_class`` maps class ids to their attribute feature draws, so the
-    same loss can be re-evaluated with frozen sampling noise. Generic over
-    traced and plain tensors.
+    ``features`` is the (pairs, d) attribute feature matrix of the episode's
+    roster (``draw_attribute_features``), passed in so the same loss can be
+    re-evaluated with frozen sampling noise. Generic over traced and plain
+    tensors.
     """
     means = mean_prototypes(episode)
-    completed = cp._complete(tensors, knowledge, episode.roster, means, draws_by_class)
+    completed = cp._complete(tensors, knowledge, episode.roster, means, features)
     x, labels = _transductive_pool(episode)
     fused = fusion.fused_means(x, labels, means, completed, lam, floor)
     sims = fusion.cosine_matrix(episode.query_x, fused)
@@ -292,13 +293,9 @@ def meta_train(params: cp.CompletionNetParams, dataset: FewShotDataset,
         for _ in range(config.episodes_per_epoch):
             episode = sample_episode(dataset, config.n_way, config.k_shot,
                                      config.m_query, rng)
-            draws = {
-                int(cid): cp.draw_attribute_features(
-                    stats, knowledge.attributes_of(int(cid)), cp.MODE_TRAIN, rng)
-                for cid in episode.roster
-            }
+            features = cp.draw_attribute_features(stats, knowledge, episode.roster, rng)
             leaves = params.store.leaves()
-            loss = meta_episode_loss(leaves, knowledge, episode, draws,
+            loss = meta_episode_loss(leaves, knowledge, episode, features,
                                      config.lam, config.variance_floor)
             if not np.isfinite(loss.value):
                 raise RuntimeError("non-finite episodic loss")

@@ -98,10 +98,6 @@ class PrimitiveKnowledge:
     def semantic_dim(self) -> int:
         return self.class_semantics.shape[1]
 
-    def attributes_of(self, class_id: int) -> np.ndarray:
-        """Indices of attributes associated with ``class_id``."""
-        return np.flatnonzero(self.association[class_id])
-
     def is_base(self, class_id: int) -> bool:
         return class_id in set(self.base_class_ids)
 

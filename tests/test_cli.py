@@ -171,6 +171,42 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_meta_train_rejects_evaluation_flags(tmp_path, workspace):
+    _, world, model = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["meta-train", "--world", str(world), "--checkpoint", str(model),
+              "--out", str(tmp_path / "meta.pcn"), "--episodes", "999", "--split", "base",
+              "--seed", "7"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["train-completion"],
+                                     ["meta-train", "--checkpoint", "model.pcn"]])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_episodes_per_epoch_below_one_is_a_usage_error(tmp_path, workspace, capsys,
+                                                       command, count):
+    _, world, model = workspace
+    flags = [str(model) if a == "model.pcn" else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(flags + ["--world", str(world), "--out", str(tmp_path / "out.pcn"),
+                      "--epochs", "1", "--episodes-per-epoch", count, "--seed", "5"])
+    assert exc.value.code == 2
+    assert f"--episodes-per-epoch: must be at least 1, got {count}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_window_zero_fails_before_writing(tmp_path, workspace, capsys):
+    _, world, model = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--world", str(world), "--checkpoint", str(model),
+              "--out-prefix", str(tmp_path / "diag"), "--episodes", "2", "--window", "0",
+              "--seed", "29"])
+    assert exc.value.code == 2
+    assert "--window: must be at least 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entry_point(tmp_path):
     # The subprocess imports the same protofuse as this test, installed or not.
     package_parent = str(Path(protofuse.__file__).resolve().parent.parent)
@@ -200,10 +236,11 @@ def test_eval_zero_episodes_is_an_error_and_writes_nothing(tmp_path, workspace, 
 
 @pytest.mark.parametrize("command", [
     ["meta-train", "--out", "out.pcn"],
-    ["eval", "--mode", "gauss-fusion", "--out", "out.json", "--dump-fusion", "dump.jsonl"],
-    ["ablate", "--out", "out.json"],
-    ["noise-sweep", "--gamma-noise", "0.1", "--out", "out.json"],
-    ["report", "--out-prefix", "out"],
+    ["eval", "--mode", "gauss-fusion", "--out", "out.json", "--dump-fusion", "dump.jsonl",
+     "--episodes", "2"],
+    ["ablate", "--out", "out.json", "--episodes", "2"],
+    ["noise-sweep", "--gamma-noise", "0.1", "--out", "out.json", "--episodes", "2"],
+    ["report", "--out-prefix", "out", "--episodes", "2"],
 ])
 def test_checkpoint_of_another_world_is_rejected_at_load(tmp_path, workspace, capsys,
                                                          command):
@@ -214,8 +251,7 @@ def test_checkpoint_of_another_world_is_rejected_at_load(tmp_path, workspace, ca
     assert main(["gen", "--out", str(other)] + flags) == 0
     capsys.readouterr()
     paths = [str(tmp_path / a) if a.startswith(("out", "dump")) else a for a in command]
-    code = main(paths + ["--world", str(other), "--checkpoint", str(model), "--seed", "1",
-                         "--episodes", "2"])
+    code = main(paths + ["--world", str(other), "--checkpoint", str(model), "--seed", "1"])
     assert code == 1
     captured = capsys.readouterr()
     err = captured.err.strip()

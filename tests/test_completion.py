@@ -1,10 +1,12 @@
-"""Completion network: batched test-mode completion against scalar and
+"""Completion network: feature draws, batched completion against scalar and
 traced oracles, task sampling, training, and checkpoints."""
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protofuse import autodiff as ad
 from protofuse import completion as cp
@@ -37,27 +39,19 @@ def constant_stats(values, std=None):
 
 # --- attribute feature sampling ---------------------------------------------
 
-def test_sample_test_mode_returns_mean_exactly():
-    stats = constant_stats([[1.0, -2.0], [0.5, 0.25]], std=[[3.0, 3.0], [1.0, 1.0]])
-    draws = cp.draw_attribute_features(stats, [1, 0], "test")
-    assert list(draws) == [1, 0]
-    np.testing.assert_array_equal(draws[0], [1.0, -2.0])
-    np.testing.assert_array_equal(draws[1], [0.5, 0.25])
-    assert cp.draw_attribute_features(stats, [], "test") == {}
-
-
 def test_sample_train_mode_zero_std_is_mean():
     stats = constant_stats([[4.0, 5.0]])
-    out = cp.draw_attribute_features(stats, [0], "train", np.random.default_rng(0))
-    np.testing.assert_array_equal(out[0], [4.0, 5.0])
+    out = cp.draw_attribute_features(stats, small_knowledge([[1]], num_base=1), [0],
+                                     np.random.default_rng(0))
+    np.testing.assert_array_equal(out, [[4.0, 5.0]])
 
 
 def test_sample_train_mode_moments():
     mu, sigma = np.array([[2.0, -1.0]]), np.array([[0.5, 2.0]])
     stats = constant_stats(mu, sigma)
-    rng = np.random.default_rng(123)
-    draws = np.stack([cp.draw_attribute_features(stats, [0], "train", rng)[0]
-                      for _ in range(10_000)])
+    know = small_knowledge([[1]], num_base=1)
+    draws = cp.draw_attribute_features(stats, know, np.zeros(10_000, dtype=int),
+                                       np.random.default_rng(123))
     se_mean = sigma[0] / np.sqrt(10_000)
     assert (np.abs(draws.mean(axis=0) - mu[0]) < 3 * se_mean).all()
     se_std = sigma[0] / np.sqrt(2 * 10_000)
@@ -67,20 +61,36 @@ def test_sample_train_mode_moments():
 def test_sample_train_mode_block_equals_per_attribute_draws():
     stats = constant_stats(np.random.default_rng(1).standard_normal((4, 3)),
                            np.abs(np.random.default_rng(2).standard_normal((4, 3))))
-    block = cp.draw_attribute_features(stats, [3, 0, 2], "train", np.random.default_rng(5))
+    know = small_knowledge([[1, 0, 1, 1], [0, 0, 0, 0], [0, 1, 0, 0]], num_base=3)
+    block = cp.draw_attribute_features(stats, know, [0, 1, 2], np.random.default_rng(5))
     rng = np.random.default_rng(5)
-    for a in (3, 0, 2):
-        expected = stats.mean[a] + stats.std[a] * rng.standard_normal(3)
-        np.testing.assert_array_equal(block[a], expected)
+    assert block.shape == (4, 3)
+    for row, a in zip(block, (0, 2, 3, 1)):
+        np.testing.assert_array_equal(row, stats.mean[a] + stats.std[a] * rng.standard_normal(3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=6), st.integers(0, 2**32 - 1))
+def test_one_roster_draw_equals_concatenated_class_draws(roster, seed):
+    stats = constant_stats(np.random.default_rng(1).standard_normal((5, 3)),
+                           np.abs(np.random.default_rng(2).standard_normal((5, 3))))
+    know = small_knowledge([[1, 0, 1, 1, 0], [0, 0, 0, 0, 0], [0, 1, 0, 0, 1],
+                            [1, 1, 1, 1, 1]], num_base=4)
+    block = cp.draw_attribute_features(stats, know, roster, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    expected = np.vstack([np.zeros((0, 3))]
+                         + [cp.draw_attribute_features(stats, know, [c], rng) for c in roster])
+    assert block.shape == expected.shape and block.tobytes() == expected.tobytes()
 
 
 def test_sample_unknown_attribute():
-    with pytest.raises(KeyError, match="unknown attribute id 3"):
-        cp.draw_attribute_features(constant_stats([[0.0]]), [0, 3], "test")
-    with pytest.raises(ValueError, match="mode"):
-        cp.draw_attribute_features(constant_stats([[0.0]]), [0], "maybe")
-    with pytest.raises(ValueError, match="requires an rng"):
-        cp.draw_attribute_features(constant_stats([[0.0]]), [0], "train")
+    know = small_knowledge([[1, 0, 0, 1]], num_base=1)
+    with pytest.raises(ValueError, match="stats cover 1 attributes, the knowledge has 4"):
+        cp.draw_attribute_features(constant_stats([[0.0]]), know, [0],
+                                   np.random.default_rng(0))
+    with pytest.raises(ValueError, match="unknown class id 1"):
+        cp.draw_attribute_features(constant_stats(np.zeros((4, 1))), know, [0, 1],
+                                   np.random.default_rng(0))
 
 
 # --- completion ------------------------------------------------------------
@@ -114,10 +124,9 @@ def test_complete_traced_equals_plain_given_same_draws():
     know, stats = small_world()
     params = small_params(seed=4)
     p = np.random.default_rng(2).standard_normal((1, 4))
-    draws = {2: cp.draw_attribute_features(stats, know.attributes_of(2), "train",
-                                           np.random.default_rng(3))}
-    plain = cp._complete(params.tensors(), know, [2], p, draws)
-    traced = cp._complete(params.leaves(), know, [2], p, draws)
+    features = cp.draw_attribute_features(stats, know, [2], np.random.default_rng(3))
+    plain = cp._complete(params.tensors(), know, [2], p, features)
+    traced = cp._complete(params.leaves(), know, [2], p, features)
     assert ad.is_node(traced) and not ad.is_node(plain)
     np.testing.assert_allclose(ad.value_of(traced), plain, atol=1e-12)
 
@@ -136,17 +145,30 @@ def test_complete_validates_inputs():
         plan.complete([0, 1, 2], np.ones((2, 4)))
     with pytest.raises(ValueError, match="unknown class id -1"):
         plan.complete([0, -1], np.ones((2, 4)))
+    with pytest.raises(ValueError, match="1 class ids for 3 prototypes"):
+        cp._complete(params.tensors(), know, [0], np.ones((3, 4)), np.ones((2, 4)))
 
 
-def test_complete_requires_a_draw_for_every_associated_attribute():
+def test_complete_rejects_a_feature_block_of_the_wrong_shape():
     know, stats = small_world()
     params = small_params()
-    draws = {1: cp.draw_attribute_features(stats, [1], "test")}  # class 1 also has attribute 2
-    with pytest.raises(KeyError, match="attribute 2 of class 1"):
-        cp._complete(params.tensors(), know, [1], np.ones((1, 4)), draws)
-    with pytest.raises(KeyError, match="attribute 0 of class 0"):
-        cp._complete(params.tensors(), know, [1, 0], np.ones((2, 4)),
-                     {1: cp.draw_attribute_features(stats, [1, 2], "test")})
+    features = cp.draw_attribute_features(stats, know, [1, 0], np.random.default_rng(0))
+    for tensors in (params.tensors(), params.leaves()):
+        cp._complete(tensors, know, [1, 0], np.ones((2, 4)), features)
+        for bad in (features[:3], features[:, :3], features[None]):
+            with pytest.raises(ValueError) as err:
+                cp._complete(tensors, know, [1, 0], np.ones((2, 4)), bad)
+            assert "need a (4, 4) feature block" in str(err.value)
+            assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("bad_id", [-1, 3, 7])
+def test_complete_rejects_unknown_class_ids(bad_id):
+    know, stats = small_world()
+    params = small_params()
+    for tensors in (params.tensors(), params.leaves()):
+        with pytest.raises(ValueError, match=f"unknown class id {bad_id}"):
+            cp._complete(tensors, know, [0, bad_id], np.ones((2, 4)), np.ones((4, 4)))
 
 
 def test_plan_rejects_knowledge_of_another_semantic_dim():
@@ -171,7 +193,7 @@ def dense(weight, bias, vector, relu):
 
 def naive_completion(params, know, stats, class_id, incomplete, features=None):
     """Scalar-loop completion, one attribute at a time, from ``features``
-    (attribute id -> feature draw); test mode (the attribute means) when None."""
+    (attribute id -> feature); the attribute means when None."""
     t = params.tensors()
     encode = lambda v: dense(t["encoder.weight"], t["encoder.bias"], v, True)
     combined = encode(incomplete)
@@ -209,16 +231,15 @@ def test_batched_complete_matches_scalar_loop_on_train_draws():
     params = small_params(seed=9)
     x = np.random.default_rng(11).standard_normal((4, 4))
     ids = [2, 1, 0, 0]
-    rng = np.random.default_rng(12)
-    draws = {cid: cp.draw_attribute_features(stats, know.attributes_of(cid), "train", rng)
-             for cid in (0, 1, 2)}
-    draws[2][3] = rng.standard_normal(4)  # a draw of an unassociated attribute is ignored
-    assert draws[1] == {}
-    plain = cp._complete(params.tensors(), know, ids, x, draws)
-    traced = cp._complete(params.leaves(), know, ids, x, draws)
+    features = cp.draw_attribute_features(stats, know, ids, np.random.default_rng(12))
+    assert features.shape == (2 + 0 + 3 + 3, 4)
+    plain = cp._complete(params.tensors(), know, ids, x, features)
+    traced = cp._complete(params.leaves(), know, ids, x, features)
     np.testing.assert_array_equal(ad.value_of(traced), plain)
+    rows, attrs = np.nonzero(know.association[ids])
     for row, cid in enumerate(ids):
-        expected = naive_completion(params, know, stats, cid, x[row], draws[cid])
+        by_attribute = dict(zip(attrs[rows == row].tolist(), features[rows == row]))
+        expected = naive_completion(params, know, stats, cid, x[row], by_attribute)
         np.testing.assert_allclose(plain[row], expected, rtol=1e-12, atol=1e-12)
 
 
@@ -241,7 +262,7 @@ def test_aggregate_matches_scalar_reference():
     plan = cp.CompletionPlan.build(params, know, stats)
     x = np.random.default_rng(11).standard_normal(4)
     for cid in range(2):
-        attrs = know.attributes_of(cid)
+        attrs = np.flatnonzero(know.association[cid])
         traced = cp._attention_scores(t, know, np.full(len(attrs), cid),
                                       np.tile(x, (len(attrs), 1)), attrs)
         for k, a in enumerate(attrs):
@@ -315,9 +336,8 @@ def test_plan_matches_traced_completion_on_acceptance_world(noise):
     ids = np.arange(know.num_classes)
     x = np.random.default_rng(1).standard_normal((ids.size, world.base.dim))
     out = cp.CompletionPlan.build(params, know, stats).complete(ids, x)
-    draws = {int(cid): {int(a): stats.mean[a] for a in know.attributes_of(cid)}
-             for cid in ids}
-    expected = cp._complete(params.tensors(), know, ids, x, draws)
+    means = stats.mean[np.nonzero(know.association[ids])[1]]
+    expected = cp._complete(params.tensors(), know, ids, x, means)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
@@ -327,10 +347,9 @@ def test_completion_gradient_check_full_pipeline():
     task = cp.CompletionTask(class_id=0, support=np.ones((2, 4)),
                              incomplete=np.full(4, 0.7),
                              target=np.random.default_rng(5).standard_normal(4))
-    draws = cp.draw_attribute_features(stats, know.attributes_of(0), "train",
-                                       np.random.default_rng(6))
+    features = cp.draw_attribute_features(stats, know, [0], np.random.default_rng(6))
     report = nn.gradient_check(params.store,
-                               lambda t: cp.completion_loss(t, know, task, draws),
+                               lambda t: cp.completion_loss(t, know, task, features),
                                samples_per_tensor=10, rng=np.random.default_rng(7))
     assert report.max_relative_error < 1e-4
 

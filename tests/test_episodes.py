@@ -221,12 +221,12 @@ def test_eval_report_ci_formula():
 def test_meta_loss_gradient_check():
     world, stats, params = make_fixture(seed=6)
     episode = ep.sample_episode(world.base, 3, 1, 4, np.random.default_rng(8))
-    draws = {int(c): cp.draw_attribute_features(stats, world.knowledge.attributes_of(int(c)),
-                                                "train", np.random.default_rng(9))
-             for c in episode.roster}
+    features = np.vstack([cp.draw_attribute_features(stats, world.knowledge, [c],
+                                                     np.random.default_rng(9))
+                          for c in episode.roster])
     report = nn.gradient_check(
         params.store,
-        lambda t: ep.meta_episode_loss(t, world.knowledge, episode, draws),
+        lambda t: ep.meta_episode_loss(t, world.knowledge, episode, features),
         samples_per_tensor=8, rng=np.random.default_rng(10))
     assert report.max_relative_error < 1e-4
 
