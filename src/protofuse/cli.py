@@ -248,13 +248,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a value that must be above 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_episode_shape(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-way", type=int, default=5)
     p.add_argument("--k-shot", type=int, default=1)
     p.add_argument("--m-query", type=int, default=15)
-    p.add_argument("--lambda", dest="lam", type=float, default=fusion.DEFAULT_LAMBDA,
+    p.add_argument("--lambda", dest="lam", type=_positive_float, default=fusion.DEFAULT_LAMBDA,
                    help="softmax sharpness for soft assignment")
-    p.add_argument("--variance-floor", type=float, default=fusion.EPSILON_VARIANCE)
+    p.add_argument("--variance-floor", type=_positive_float, default=fusion.EPSILON_VARIANCE)
 
 
 def _add_eval_shape(p: argparse.ArgumentParser, episodes_default: int) -> None:
@@ -324,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=ep.MODES, required=True)
     _add_eval_shape(p, episodes_default=600)
     p.add_argument("--dump-fusion", default=None,
-                   help="optional JSONL path for per-episode fusion diagnostics")
+                   help="optional JSONL path for per-episode fusion diagnostics; "
+                        "needs --mode gauss-fusion")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_eval)
@@ -367,6 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "eval" and args.dump_fusion and args.mode != ep.MODE_GAUSS_FUSION:
+        parser.error(f"eval --dump-fusion needs --mode {ep.MODE_GAUSS_FUSION}, "
+                     f"the only mode that runs the fusion")
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

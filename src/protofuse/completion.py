@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .fileio import atomic_write_json
+from .fileio import atomic_write_json, read_json_object
 from .knowledge import AttributeStats, PrimitiveKnowledge
 
 ENCODER_DIM = 256
@@ -376,25 +376,24 @@ def save_model(params: CompletionNetParams, path, metadata: dict | None = None) 
 
 def load_model(path) -> tuple:
     """Load a checkpoint + sidecar pair; returns (params, metadata)."""
-    import json
-
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    sidecar_path = f"{path}.json"
+    sidecar = read_json_object(sidecar_path)
+    dims = ("input_dim", "semantic_dim", "encoder_dim", "aggregator_hidden", "decoder_hidden")
+    absent = [key for key in dims if key not in sidecar]
+    if absent:
+        raise nn.CheckpointError(f"{sidecar_path}: sidecar is missing {absent}")
     tensors = nn.load_checkpoint(path)
     missing = [name for name in TENSOR_NAMES if name not in tensors]
     if missing:
-        raise nn.CheckpointError(f"checkpoint is missing tensors: {missing}")
+        raise nn.CheckpointError(f"{path}: checkpoint is missing tensors: {missing}")
     store = nn.ParamStore()
     for name in TENSOR_NAMES:
         store.register(name, tensors[name])
-    params = CompletionNetParams(
-        store=store,
-        input_dim=int(sidecar["input_dim"]),
-        semantic_dim=int(sidecar["semantic_dim"]),
-        encoder_dim=int(sidecar["encoder_dim"]),
-        aggregator_hidden=int(sidecar["aggregator_hidden"]),
-        decoder_hidden=int(sidecar["decoder_hidden"]),
-    )
+    try:
+        sizes = {key: int(sidecar[key]) for key in dims}
+    except (TypeError, ValueError) as exc:
+        raise nn.CheckpointError(f"{sidecar_path}: dimensions must be integers: {exc}") from exc
+    params = CompletionNetParams(store=store, **sizes)
     for name, shape in params.tensor_shapes().items():
         if store.value(name).shape != shape:
             raise nn.CheckpointError(

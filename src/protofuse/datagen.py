@@ -17,13 +17,13 @@ sample means when dropout_rate is 0.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fileio import atomic_write_json, atomic_write_text, atomic_write_bytes, sha256_file
+from .fileio import (atomic_write_bytes, atomic_write_json, atomic_write_text,
+                     read_json_object, sha256_file)
 from .knowledge import (PrimitiveKnowledge, load_knowledge, prune_unsupported_attributes,
                         save_knowledge)
 
@@ -208,15 +208,18 @@ def save_dataset(dataset: FewShotDataset, directory, stem: str) -> str:
 
 def load_embeddings(manifest_path) -> FewShotDataset:
     """Load a dataset from its manifest, verifying checksum and consistency."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json_object(manifest_path)
     for key in ("d", "n", "classes", "labels_file", "payload_file", "payload_dtype", "checksum"):
         if key not in manifest:
-            raise DatasetFormatError(f"manifest is missing '{key}'")
-    d, n = int(manifest["d"]), int(manifest["n"])
+            raise DatasetFormatError(f"{manifest_path}: manifest is missing '{key}'")
+    try:
+        d, n = int(manifest["d"]), int(manifest["n"])
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{manifest_path}: d and n must be integers: {exc}") from exc
     dtype = PAYLOAD_DTYPES.get(manifest["payload_dtype"])
     if dtype is None:
-        raise DatasetFormatError(f"unknown payload_dtype {manifest['payload_dtype']!r}")
+        raise DatasetFormatError(
+            f"{manifest_path}: unknown payload_dtype {manifest['payload_dtype']!r}")
     directory = os.path.dirname(os.fspath(manifest_path))
     payload_path = os.path.join(directory, manifest["payload_file"])
     labels_path = os.path.join(directory, manifest["labels_file"])
@@ -224,13 +227,14 @@ def load_embeddings(manifest_path) -> FewShotDataset:
     actual = sha256_file(payload_path)
     if actual != manifest["checksum"]:
         raise DatasetFormatError(
-            f"payload checksum mismatch: manifest says {manifest['checksum']}, file is {actual}")
+            f"{payload_path}: payload checksum mismatch: manifest says "
+            f"{manifest['checksum']}, file is {actual}")
     itemsize = np.dtype(dtype).itemsize
     expected_bytes = n * d * itemsize
     actual_bytes = os.path.getsize(payload_path)
     if actual_bytes != expected_bytes:
         raise DatasetFormatError(
-            f"payload size mismatch: expected {expected_bytes} bytes ({n}x{d}), "
+            f"{payload_path}: payload size mismatch: expected {expected_bytes} bytes ({n}x{d}), "
             f"got {actual_bytes}")
     flat = np.fromfile(payload_path, dtype=dtype)
     embeddings = flat.astype(np.float64).reshape(n, d)
@@ -238,15 +242,17 @@ def load_embeddings(manifest_path) -> FewShotDataset:
     with open(labels_path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if len(lines) != n:
-        raise DatasetFormatError(f"labels file has {len(lines)} entries, expected {n}")
+        raise DatasetFormatError(
+            f"{labels_path}: labels file has {len(lines)} entries, expected {n}")
     try:
         labels = np.asarray([int(line) for line in lines], dtype=np.int64)
     except ValueError as exc:
-        raise DatasetFormatError(f"labels file contains a non-integer entry: {exc}") from None
+        raise DatasetFormatError(
+            f"{labels_path}: labels file contains a non-integer entry: {exc}") from None
     known = set(int(c) for c in manifest["classes"])
     unknown = sorted(set(labels.tolist()) - known)
     if unknown:
-        raise DatasetFormatError(f"labels reference unknown class ids: {unknown}")
+        raise DatasetFormatError(f"{labels_path}: labels reference unknown class ids: {unknown}")
     return FewShotDataset(embeddings, labels, manifest.get("split", "base"))
 
 
@@ -270,16 +276,24 @@ def load_world(directory) -> World:
     base = load_embeddings(os.path.join(directory, "base.manifest.json"))
     novel = load_embeddings(os.path.join(directory, "novel.manifest.json"))
     knowledge = load_knowledge(os.path.join(directory, "knowledge.json"))
-    with open(os.path.join(directory, "centers.json"), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    centers = np.asarray(doc["centers"], dtype=np.float64)
+    centers_path = os.path.join(directory, "centers.json")
+    doc = read_json_object(centers_path)
+    absent = [key for key in ("d", "num_classes", "centers") if key not in doc]
+    if absent:
+        raise DatasetFormatError(f"{centers_path}: missing {absent}")
+    try:
+        centers = np.asarray(doc["centers"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{centers_path}: centers must be a matrix: {exc}") from exc
     if centers.shape != (doc["num_classes"], doc["d"]):
-        raise DatasetFormatError("centers.json shape fields disagree with the payload")
+        raise DatasetFormatError(f"{centers_path}: shape fields disagree with the payload")
     spec = None
     spec_path = os.path.join(directory, "worldspec.json")
     if os.path.exists(spec_path):
-        with open(spec_path, "r", encoding="utf-8") as fh:
-            spec_doc = json.load(fh)
-        spec_doc["attributes_per_class"] = tuple(spec_doc["attributes_per_class"])
-        spec = WorldSpec(**spec_doc)
+        spec_doc = read_json_object(spec_path)
+        try:
+            spec_doc["attributes_per_class"] = tuple(spec_doc["attributes_per_class"])
+            spec = WorldSpec(**spec_doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{spec_path}: {exc}") from exc
     return World(base, novel, knowledge, centers, spec)

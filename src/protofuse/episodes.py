@@ -11,6 +11,14 @@ interpreter lock, and a thread pool made it slower. Each call that completes
 prototypes builds one ``completion.CompletionPlan`` for its parameters,
 knowledge and stats and completes each episode's classes in one batch.
 
+Every ``Episode`` is class-major: ``sample_episode`` fills one
+``(n_way, k_shot + m_query)`` matrix of dataset indices, row i for roster
+class i, and the first ``k_shot`` columns are the supports. So support row j
+is of roster position ``j // k_shot`` and query row j of ``j // m_query``
+(``class_positions``), and the mean prototypes are a reshape and one mean.
+The layout is the same for every episode of a shape, so a batched evaluator
+(ROADMAP.md, item 3) can stack the index matrices of a block of episodes.
+
 Embeddings are treated as a fixed feature space throughout: episodic
 fine-tuning updates only the completion network and the classifier scale.
 Gradients flow through the whole episode loss, including the fusion stage
@@ -21,7 +29,7 @@ fusion pass and one cosine classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,10 +49,13 @@ MODES = (MODE_MEAN_ONLY, MODE_COMPLETED_ONLY, MODE_MEAN_FUSION, MODE_GAUSS_FUSIO
 
 @dataclass
 class Episode:
-    """Support and query sets over a sorted class roster.
+    """Support and query sets over a sorted class roster, class-major.
 
     Labels are global class ids; ``roster`` maps positions to ids. Support
-    and query rows never share a dataset index.
+    rows ``i * k_shot`` to ``(i + 1) * k_shot - 1`` are of class
+    ``roster[i]``, and so are query rows ``i * m_query`` to
+    ``(i + 1) * m_query - 1``. Support and query rows never share a dataset
+    index.
     """
 
     roster: np.ndarray          # (n_way,) sorted class ids
@@ -59,39 +70,50 @@ class Episode:
     def n_way(self) -> int:
         return self.roster.shape[0]
 
+    @property
+    def k_shot(self) -> int:
+        return self.support_y.shape[0] // self.n_way
+
+    @property
+    def m_query(self) -> int:
+        return self.query_y.shape[0] // self.n_way
+
     def support_of(self, class_id) -> np.ndarray:
         return self.support_x[self.support_y == class_id]
 
 
+def class_positions(n_way: int, per_class: int) -> np.ndarray:
+    """Roster position of every row of a class-major block of ``per_class``
+    rows per class: ``per_class`` zeros, then ones, and so on."""
+    return np.repeat(np.arange(n_way), per_class)
+
+
 def sample_episode(dataset: FewShotDataset, n_way: int, k_shot: int, m_query: int,
                    rng: np.random.Generator) -> Episode:
-    """Uniform classes without replacement, then uniform disjoint samples."""
+    """Uniform classes without replacement, then uniform disjoint samples:
+    one ``rng.choice`` of ``k_shot + m_query`` indices per roster class, in
+    roster order, as row i of the episode's index matrix."""
     class_ids = dataset.class_ids()
     if class_ids.size < n_way:
         raise ValueError(f"dataset has {class_ids.size} classes, needs {n_way}")
     chosen = np.sort(rng.choice(class_ids, size=n_way, replace=False))
-    sup_x, sup_y, qry_x, qry_y = [], [], [], []
-    sup_idx, qry_idx = [], []
-    for cid in chosen:
+    picked = np.empty((n_way, k_shot + m_query), dtype=np.int64)
+    for row, cid in zip(picked, chosen):
         rows = dataset.indices_of(cid)
         if rows.size < k_shot + m_query:
             raise ValueError(
                 f"class {cid} has {rows.size} samples, needs {k_shot + m_query}")
-        picked = rng.choice(rows, size=k_shot + m_query, replace=False)
-        sup_idx.append(picked[:k_shot])
-        qry_idx.append(picked[k_shot:])
-        sup_x.append(dataset.embeddings[picked[:k_shot]])
-        qry_x.append(dataset.embeddings[picked[k_shot:]])
-        sup_y.append(np.full(k_shot, cid, dtype=np.int64))
-        qry_y.append(np.full(m_query, cid, dtype=np.int64))
+        row[:] = rng.choice(rows, size=k_shot + m_query, replace=False)
+    support_indices = picked[:, :k_shot].ravel()
+    query_indices = picked[:, k_shot:].ravel()
     return Episode(
         roster=chosen,
-        support_x=np.vstack(sup_x),
-        support_y=np.concatenate(sup_y),
-        query_x=np.vstack(qry_x) if m_query else np.empty((0, dataset.dim)),
-        query_y=np.concatenate(qry_y) if m_query else np.empty(0, dtype=np.int64),
-        support_indices=np.concatenate(sup_idx),
-        query_indices=np.concatenate(qry_idx) if m_query else np.empty(0, dtype=np.int64),
+        support_x=dataset.embeddings[support_indices],
+        support_y=chosen[class_positions(n_way, k_shot)],
+        query_x=dataset.embeddings[query_indices],
+        query_y=chosen[class_positions(n_way, m_query)],
+        support_indices=support_indices,
+        query_indices=query_indices,
     )
 
 
@@ -101,10 +123,7 @@ def mean_prototypes(episode: Episode) -> np.ndarray:
     Each class's support rows are summed in support order, as
     ``episode.support_of(class_id).mean(axis=0)`` sums them.
     """
-    positions = np.searchsorted(episode.roster, episode.support_y)
-    sums = np.zeros((episode.n_way, episode.support_x.shape[1]))
-    np.add.at(sums, positions, episode.support_x)
-    return sums / np.bincount(positions, minlength=episode.n_way)[:, None]
+    return episode.support_x.reshape(episode.n_way, episode.k_shot, -1).mean(axis=1)
 
 
 def episode_rng(seed: int, index: int) -> np.random.Generator:
@@ -115,8 +134,8 @@ def episode_rng(seed: int, index: int) -> np.random.Generator:
 def _transductive_pool(episode: Episode):
     """(embeddings, labels-as-positions) for S then Q; queries unlabeled."""
     x = np.vstack([episode.support_x, episode.query_x])
-    positions = np.searchsorted(episode.roster, episode.support_y)
-    labels = np.concatenate([positions, np.full(episode.query_y.shape[0], -1, np.int64)])
+    labels = np.concatenate([class_positions(episode.n_way, episode.k_shot),
+                             np.full(episode.query_y.shape[0], -1, np.int64)])
     return x, labels
 
 
@@ -165,16 +184,7 @@ class EvalReport:
         self.ci95 = float(1.96 * accs.std() / np.sqrt(accs.size))
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_way": self.n_way,
-            "k_shot": self.k_shot,
-            "episodes": self.episodes,
-            "mean_acc": self.mean_acc,
-            "ci95": self.ci95,
-            "seed": self.seed,
-            "per_episode": list(map(float, self.per_episode)),
-        }
+        return asdict(self)
 
 
 def _episode_accuracy(plan, episode: Episode, mode: str, lam: float, floor: float):
@@ -254,9 +264,7 @@ def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode,
     fused = fusion.fused_means(x, labels, means, completed, lam, floor)
     sims = fusion.cosine_matrix(episode.query_x, fused)
     logits = ad.mul(sims, ad.exp(tensors["log_scale"]))
-    positions = np.searchsorted(episode.roster, episode.query_y)
-    mask = np.zeros((positions.size, episode.n_way))
-    mask[np.arange(positions.size), positions] = 1.0
+    mask = np.eye(episode.n_way)[class_positions(episode.n_way, episode.m_query)]
     picked = ad.sum(ad.mul(logits, mask), axis=1)
     return ad.mean(ad.sub(ad.logsumexp_rows(logits), picked))
 
@@ -317,12 +325,7 @@ class SimilarityReport:
     episodes: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean_based": self.mean_based,
-            "completed": self.completed,
-            "fused": self.fused,
-            "episodes": self.episodes,
-        }
+        return asdict(self)
 
 
 def _row_cosines(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -365,14 +368,10 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving average; leading entries average what is available."""
     if window < 1:
         raise ValueError("window must be at least 1")
-    values = np.asarray(values, dtype=np.float64)
-    csum = np.cumsum(values)
-    out = np.empty_like(values)
-    for i in range(values.size):
-        lo = max(0, i - window + 1)
-        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out
+    csum = np.cumsum(np.asarray(values, dtype=np.float64))
+    lagged = np.zeros_like(csum)
+    lagged[window:] = csum[:-window]
+    return (csum - lagged) / np.minimum(np.arange(1, csum.size + 1), window)
 
 
 @dataclass
@@ -400,34 +399,23 @@ def rank_curve_report(params, dataset: FewShotDataset, centers: np.ndarray,
     ``ValueError("class <id>: ...")``.
     """
     plan = cp.CompletionPlan.build(params, knowledge, stats)
-    raw_rows, completed_rows = [], []
-    shortest = None
-    below = 0
-    for cid in dataset.class_ids():
+    class_ids, counts = np.unique(dataset.labels, return_counts=True)
+    raw = np.full((class_ids.size, counts.max()), np.nan)
+    completed_sims = np.full_like(raw, np.nan)
+    for i, cid in enumerate(class_ids):
         rows = dataset.embeddings[dataset.indices_of(cid)]
         center = np.broadcast_to(centers[int(cid)], rows.shape)
         sims = _row_cosines(rows, center)
         order = np.argsort(-sims)
-        raw_rows.append(sims[order])
+        raw[i, :rows.shape[0]] = sims[order]
         completed = plan.complete(np.full(rows.shape[0], cid), rows[order])
         if not np.isfinite(completed).all():
             raise ValueError(f"class {cid}: non-finite completed prototype")
-        completed_rows.append(_row_cosines(completed, center))
-        shortest = rows.shape[0] if shortest is None else min(shortest, rows.shape[0])
-        if rows.shape[0] < window:
-            below += 1
-    max_rank = max(len(r) for r in raw_rows)
-
-    def averaged(rows_list):
-        padded = np.full((len(rows_list), max_rank), np.nan)
-        for i, row in enumerate(rows_list):
-            padded[i, :row.size] = row
-        return np.nanmean(padded, axis=0)
-
-    effective = min(window, shortest)
+        completed_sims[i, :rows.shape[0]] = _row_cosines(completed, center)
+    effective = min(window, int(counts.min()))
     return RankCurveReport(
-        raw=moving_average(averaged(raw_rows), effective),
-        completed=moving_average(averaged(completed_rows), effective),
+        raw=moving_average(np.nanmean(raw, axis=0), effective),
+        completed=moving_average(np.nanmean(completed_sims, axis=0), effective),
         window=effective,
-        classes_below_window=below,
+        classes_below_window=int((counts < window).sum()),
     )

@@ -51,22 +51,6 @@ class DiagonalGaussian:
         if (self.variance <= 0).any():
             raise ValueError("variance must be strictly positive (apply a floor first)")
 
-    @classmethod
-    def from_moments(cls, mean, variance, floor: float = EPSILON_VARIANCE):
-        """Construct with the variance floored at ``floor``."""
-        return cls(np.asarray(mean, np.float64),
-                   np.maximum(np.asarray(variance, np.float64), floor))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1]
-
-    def __getitem__(self, row: int) -> "DiagonalGaussian":
-        """Row ``row`` of a stack of Gaussians."""
-        if self.mean.ndim != 2:
-            raise TypeError("only a stack of Gaussians can be indexed")
-        return DiagonalGaussian(self.mean[row], self.variance[row])
-
 
 @dataclass
 class SoftAssignment:
@@ -214,7 +198,7 @@ def weighted_gaussian_estimate(embeddings, assignment: SoftAssignment, class_ind
     if not w.sum() > 0.0:
         raise ValueError(f"zero total responsibility for class position {class_index}")
     mean, var = _class_moments(np.asarray(embeddings, dtype=np.float64), w)
-    return DiagonalGaussian.from_moments(mean[0], var[0], floor)
+    return DiagonalGaussian(mean[0], np.maximum(var[0], floor))
 
 
 def _product_moments(prior_mean, prior_var, lik_mean, lik_var):
@@ -283,6 +267,8 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes, lam: float,
         raise ValueError(f"completed prototypes of shape {completed_shape} do not match "
                          f"mean prototypes of shape {means.shape}")
     _check_assignment_inputs(y, means.shape[0], lam)
+    if not floor > 0:
+        raise ValueError(f"variance floor must be positive, got {floor}")
     assign_mean = _soft_assign_matrix(x, y, means, lam)
     assign_comp = _soft_assign_matrix(x, y, completed_prototypes, lam)
     mu_mean, var_mean = _class_moments(x, assign_mean)

@@ -10,13 +10,12 @@ same policy by dropping attributes no base class is associated with.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import atomic_write_json
+from .fileio import atomic_write_json, read_json_object
 
 SPLIT_BASE = "base"
 SPLIT_NOVEL = "novel"
@@ -317,8 +316,21 @@ def load_knowledge(path) -> PrimitiveKnowledge:
     warning reports their ids), mirroring the construction-time rejection in
     ``compute_attribute_stats``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        knowledge = _knowledge_from_doc(read_json_object(path))
+    except KnowledgeFormatError as exc:
+        raise KnowledgeFormatError(f"{path}: {exc}") from exc
+    knowledge, removed = prune_unsupported_attributes(knowledge)
+    if removed:
+        warnings.warn(
+            f"removed {len(removed)} attribute(s) without base-class support: {removed}",
+            stacklevel=2,
+        )
+    return knowledge
+
+
+def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
+    """Validate a parsed knowledge document and build the knowledge from it."""
     for key in ("classes", "attributes", "associations"):
         if key not in doc or not isinstance(doc[key], list):
             raise KnowledgeFormatError(f"{key}: expected a list")
@@ -400,7 +412,7 @@ def load_knowledge(path) -> PrimitiveKnowledge:
             raise KnowledgeFormatError(f"{context}: unknown attribute id {aid}")
         association[cid, aid] = 1
 
-    knowledge = PrimitiveKnowledge(
+    return PrimitiveKnowledge(
         association=association,
         class_semantics=class_semantics,
         attribute_semantics=attribute_semantics,
@@ -409,10 +421,3 @@ def load_knowledge(path) -> PrimitiveKnowledge:
         class_names=tuple(class_names),
         attribute_names=tuple(attribute_names),
     )
-    knowledge, removed = prune_unsupported_attributes(knowledge)
-    if removed:
-        warnings.warn(
-            f"removed {len(removed)} attribute(s) without base-class support: {removed}",
-            stacklevel=2,
-        )
-    return knowledge

@@ -226,14 +226,15 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic bytes {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+        raise CheckpointError(
+            f"{path}: bad magic bytes {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
     offset = 4
     tensors: dict[str, np.ndarray] = {}
 
     def need(n: int, what: str):
         if offset + n > len(data):
             raise CheckpointError(
-                f"truncated checkpoint while reading {what}: "
+                f"{path}: truncated checkpoint while reading {what}: "
                 f"expected {offset + n} bytes, file has {len(data)}"
             )
 

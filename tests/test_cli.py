@@ -3,6 +3,7 @@ and overwrite contracts."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,18 @@ def test_eval_fusion_dump(tmp_path, workspace):
     assert len(lines) == 3
     entry = json.loads(lines[0])
     assert {"mean_based", "completed", "posterior"} <= set(entry)
+
+
+@pytest.mark.parametrize("mode", ["mean-only", "completed-only", "mean-fusion"])
+def test_fusion_dump_without_fusion_is_a_usage_error(tmp_path, workspace, capsys, mode):
+    _, world, model = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--world", str(world), "--checkpoint", str(model), "--mode", mode,
+              "--episodes", "2", "--seed", "2", "--out", str(tmp_path / "r.json"),
+              "--dump-fusion", str(tmp_path / "d.jsonl")])
+    assert exc.value.code == 2
+    assert "--dump-fusion needs --mode gauss-fusion" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_meta_train_runs(tmp_path, workspace):
@@ -259,3 +272,86 @@ def test_checkpoint_of_another_world_is_rejected_at_load(tmp_path, workspace, ca
     assert f"checkpoint {model} takes 12-d embeddings and 6-d semantics" in err
     assert f"world {other} has 12-d embeddings and 4-d semantics" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["other-world"]
+
+
+@pytest.mark.parametrize("command", [
+    ["meta-train", "--out", "out.pcn"],
+    ["eval", "--mode", "mean-only", "--out", "out.json"],
+    ["ablate", "--out", "out.json"],
+    ["noise-sweep", "--gamma-noise", "0.1", "--out", "out.json"],
+    ["report", "--out-prefix", "out"],
+])
+@pytest.mark.parametrize("flag,value", [("--lambda", "0"), ("--lambda", "-1"),
+                                        ("--variance-floor", "0"),
+                                        ("--variance-floor", "-1")])
+def test_fusion_constants_must_be_positive(tmp_path, workspace, capsys, command, flag,
+                                           value):
+    _, world, model = workspace
+    paths = [str(tmp_path / a) if a.startswith("out") else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(paths + ["--world", str(world), "--checkpoint", str(model), "--episodes", "2",
+                      flag, value, "--seed", "1"])
+    assert exc.value.code == 2
+    assert f"{flag}: must be positive, got {float(value)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _rewrite_json(path, mutate):
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _flip_payload_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+CORRUPTIONS = {
+    "sidecar-json": ("model.pcn.json", "Expecting property name",
+                     lambda p: p.write_text("{bad")),
+    "sidecar-not-an-object": ("model.pcn.json", "expected a JSON object, got int",
+                              lambda p: p.write_text("5")),
+    "checkpoint-magic": ("model.pcn", "bad magic bytes b'XXXX'",
+                         lambda p: p.write_bytes(b"XXXX" + p.read_bytes()[4:])),
+    "checkpoint-truncated": ("model.pcn", "truncated checkpoint while reading payload",
+                             lambda p: p.write_bytes(p.read_bytes()[:-5])),
+    "knowledge-json": ("world/knowledge.json", "Expecting value",
+                       lambda p: p.write_text("not json")),
+    "knowledge-classes": ("world/knowledge.json", "classes: expected a list",
+                          lambda p: _rewrite_json(p, lambda d: d.update(classes=5))),
+    "payload-checksum": ("world/base.f64le", "payload checksum mismatch", _flip_payload_byte),
+    "manifest-d": ("world/base.manifest.json", "manifest is missing 'd'",
+                   lambda p: _rewrite_json(p, lambda d: d.pop("d"))),
+    "manifest-d-not-an-integer": ("world/base.manifest.json", "d and n must be integers",
+                                  lambda p: _rewrite_json(p, lambda d: d.update(d="abc"))),
+    "sidecar-dimension-not-an-integer": (
+        "model.pcn.json", "dimensions must be integers",
+        lambda p: _rewrite_json(p, lambda d: d.update(input_dim=[12]))),
+    "centers": ("world/centers.json", "missing ['centers']",
+                lambda p: _rewrite_json(p, lambda d: d.pop("centers"))),
+    "centers-not-numbers": ("world/centers.json", "centers must be a matrix",
+                            lambda p: _rewrite_json(p, lambda d: d.update(centers="abc"))),
+    "worldspec-unknown-field": ("world/worldspec.json", "unexpected keyword argument 'bogus'",
+                                lambda p: _rewrite_json(p, lambda d: d.update(bogus=1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_load_errors_name_their_file(tmp_path, workspace, capsys, case):
+    _, world, model = workspace
+    shutil.copytree(world, tmp_path / "world")
+    shutil.copy(model, tmp_path / "model.pcn")
+    shutil.copy(f"{model}.json", tmp_path / "model.pcn.json")
+    name, message, corrupt = CORRUPTIONS[case]
+    corrupt(tmp_path / name)
+    capsys.readouterr()
+    code = main(["eval", "--world", str(tmp_path / "world"),
+                 "--checkpoint", str(tmp_path / "model.pcn"), "--mode", "mean-only",
+                 "--episodes", "2", "--seed", "1", "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "r.json").exists()

@@ -1,10 +1,13 @@
 """Episode sampling, prototypes, evaluation against a nearest-centroid
 oracle, reporting, episodic fine-tuning, and the diagnostics."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protofuse import completion as cp
 from protofuse import datagen
@@ -77,6 +80,51 @@ def test_episode_class_frequencies_uniform():
     p = 2 / 5
     bound = 3 * np.sqrt(trials * p * (1 - p))
     assert (np.abs(counts - trials * p) < bound).all()
+
+
+@functools.cache
+def novel_split():
+    return make_world().novel
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_way=st.integers(1, 5), k_shot=st.integers(1, 6),
+       m_query=st.integers(0, 6))
+def test_episode_rows_are_class_major(seed, n_way, k_shot, m_query):
+    dataset = novel_split()
+    episode = ep.sample_episode(dataset, n_way, k_shot, m_query, np.random.default_rng(seed))
+    assert (episode.k_shot, episode.m_query) == (k_shot, m_query)
+    for i, cid in enumerate(episode.support_y):
+        assert cid == episode.roster[i // k_shot]
+    for j, cid in enumerate(episode.query_y):
+        assert cid == episode.roster[j // m_query]
+    # every row is the dataset row its index names, with that row's label
+    for x, y, indices in ((episode.support_x, episode.support_y, episode.support_indices),
+                          (episode.query_x, episode.query_y, episode.query_indices)):
+        assert x.tobytes() == dataset.embeddings[indices].tobytes()
+        assert y.tolist() == dataset.labels[indices].tolist()
+    np.testing.assert_array_equal(ep.class_positions(n_way, k_shot),
+                                  np.searchsorted(episode.roster, episode.support_y))
+
+
+@pytest.mark.parametrize("n_way,k_shot,m_query", [(5, 1, 15), (3, 5, 0), (5, 5, 4)])
+def test_sample_episode_replays_one_choice_per_roster_class(n_way, k_shot, m_query):
+    # One choice of classes, then one choice of k_shot + m_query indices per
+    # roster class in roster order: the support columns come first.
+    dataset = novel_split()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        episode = ep.sample_episode(dataset, n_way, k_shot, m_query, rng)
+        replay = np.random.default_rng(seed)
+        roster = np.sort(replay.choice(dataset.class_ids(), size=n_way, replace=False))
+        picked = np.stack([replay.choice(dataset.indices_of(c), size=k_shot + m_query,
+                                         replace=False) for c in roster])
+        assert episode.roster.tolist() == roster.tolist()
+        assert episode.support_indices.tolist() == picked[:, :k_shot].ravel().tolist()
+        assert episode.query_indices.tolist() == picked[:, k_shot:].ravel().tolist()
+        assert episode.query_x.shape == (n_way * m_query, dataset.dim)
+        # the stream is left where the replay leaves it
+        assert rng.random() == replay.random()
 
 
 def test_episode_determinism_bit_for_bit():
@@ -191,7 +239,7 @@ def test_degenerate_episode_shapes_are_rejected_before_any_work(call, field, val
 
 def test_mean_prototypes_equal_per_class_support_means_bitwise():
     world = make_world()
-    for k_shot in (1, 3, 7):
+    for k_shot in (1, 3, 5, 7):
         episode = ep.sample_episode(world.novel, 4, k_shot, 2, np.random.default_rng(k_shot))
         expected = np.stack([episode.support_of(c).mean(axis=0) for c in episode.roster])
         assert ep.mean_prototypes(episode).tobytes() == expected.tobytes()
@@ -314,6 +362,18 @@ def test_moving_average_window_one_and_constant():
     jagged = np.array([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(ep.moving_average(jagged, 1), jagged)
     np.testing.assert_allclose(ep.moving_average(jagged, 2), [1.0, 1.5, 2.5, 3.5])
+
+
+@pytest.mark.parametrize("size,window", [(1, 1), (7, 3), (7, 7), (7, 9), (333, 1),
+                                         (333, 50), (333, 333), (333, 400)])
+def test_moving_average_equals_the_trailing_cumsum_loop_bitwise(size, window):
+    values = np.random.default_rng(size + window).standard_normal(size)
+    csum = np.cumsum(values)
+    expected = []
+    for i in range(size):
+        lo = max(0, i - window + 1)
+        expected.append((csum[i] - (csum[lo - 1] if lo > 0 else 0.0)) / (i - lo + 1))
+    assert ep.moving_average(values, window).tobytes() == np.array(expected).tobytes()
 
 
 def test_rank_curve_completion_gap_widens_with_rank():

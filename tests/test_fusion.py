@@ -82,8 +82,6 @@ def test_product_dimension_mismatch():
 
 
 def test_diagonal_gaussian_flooring():
-    g = fusion.DiagonalGaussian.from_moments([1.0, 2.0], [0.0, 5.0], floor=1e-6)
-    np.testing.assert_allclose(g.variance, [1e-6, 5.0])
     with pytest.raises(ValueError, match="strictly positive"):
         fusion.DiagonalGaussian(np.zeros(2), np.array([0.0, 1.0]))
 
@@ -192,6 +190,15 @@ def test_soft_assign_rejects_bad_lambda_and_labels():
         fusion.fuse_prototypes(x, [0, 1], prototypes, np.eye(3))
 
 
+@pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
+def test_fusion_rejects_a_floor_that_is_not_positive(floor):
+    x, prototypes = np.eye(2), np.eye(2)
+    with pytest.raises(ValueError, match=f"^variance floor must be positive, got {floor}$"):
+        fusion.fuse_prototypes(x, [0, 1], prototypes, prototypes, floor=floor)
+    with pytest.raises(ValueError, match=f"^variance floor must be positive, got {floor}$"):
+        fusion.fused_means(x, [0, 1], prototypes, ad.Node(prototypes), floor=floor)
+
+
 def test_soft_assign_zero_norm_errors_name_offender():
     prototypes = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="embedding at row 1"):
@@ -219,6 +226,10 @@ def test_weighted_estimate_degenerate_weight_hits_floor():
     g = fusion.weighted_gaussian_estimate(x, assign, 0)
     np.testing.assert_allclose(g.mean, [0.0])
     np.testing.assert_allclose(g.variance, [fusion.EPSILON_VARIANCE])
+    two_point = fusion.SoftAssignment(np.full((2, 2), 0.5), np.array([False, False]))
+    g = fusion.weighted_gaussian_estimate(np.array([[0.0, 1.0], [0.0, 5.0]]), two_point, 0,
+                                          floor=1e-3)
+    np.testing.assert_allclose(g.variance, [1e-3, 4.0])
 
 
 def test_weighted_estimate_two_point():
@@ -269,8 +280,8 @@ def test_fuse_identical_prototype_families_collapse():
     prototypes = rng.standard_normal((2, 4))
     result = fusion.fuse_prototypes(x, labels, prototypes, prototypes.copy())
     for k in range(2):
-        np.testing.assert_allclose(result.fused[k], result.mean_based[k].mean, atol=1e-12)
-        np.testing.assert_allclose(result.mean_based[k].mean, result.completed[k].mean,
+        np.testing.assert_allclose(result.fused[k], result.mean_based.mean[k], atol=1e-12)
+        np.testing.assert_allclose(result.mean_based.mean[k], result.completed.mean[k],
                                    atol=1e-12)
 
 
@@ -397,8 +408,8 @@ def test_fusion_posterior_is_tighter_and_between_per_dimension(seed, n_way, k_sh
         g_mean = fusion.weighted_gaussian_estimate(x, result.assignment_mean, k)
         g_comp = fusion.weighted_gaussian_estimate(x, result.assignment_completed, k)
         single = fusion.gaussian_product(g_comp, g_mean)
-        np.testing.assert_allclose(post[k].mean, single.mean, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(post[k].variance, single.variance, rtol=1e-12)
+        np.testing.assert_allclose(post.mean[k], single.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(post.variance[k], single.variance, rtol=1e-12)
     # the traced training-loss fusion computes the same posterior means
     traced = fusion.fused_means(x, labels, means, ad.Node(completed))
     np.testing.assert_allclose(ad.value_of(traced), post.mean, rtol=1e-12, atol=1e-12)
