@@ -17,7 +17,7 @@ import numpy as np
 
 from . import completion as cp
 from . import episodes as ep
-from . import fusion, nn
+from . import nn
 from .datagen import World, WorldSpec, generate_world, load_world, save_world
 from .fileio import atomic_write_json, atomic_write_text
 from .knowledge import compute_attribute_stats, compute_base_prototypes, \
@@ -114,8 +114,7 @@ def _cmd_meta_train(args) -> int:
         optimizer=nn.SgdConfig(learning_rate=args.learning_rate, momentum=args.momentum,
                                weight_decay=args.weight_decay, epochs=args.epochs),
         n_way=args.n_way, k_shot=args.k_shot, m_query=args.m_query,
-        episodes_per_epoch=episodes_per_epoch,
-        lam=args.lam, variance_floor=args.variance_floor, seed=args.seed)
+        episodes_per_epoch=episodes_per_epoch, seed=args.seed)
     _, losses = ep.meta_train(params, world.base, world.knowledge, stats, config)
     cp.save_model(params, args.out, metadata={
         "phase": "meta",
@@ -140,12 +139,11 @@ def _split_dataset(world: World, split: str):
 
 def _evaluate(args, world: World, knowledge, stats, params, mode: str,
               fusion_dump: list | None = None) -> ep.EvalReport:
-    """``ep.evaluate`` with the split, shape, seed and fusion flags of ``args``."""
+    """``ep.evaluate`` with the split, shape and seed flags of ``args``."""
     return ep.evaluate(params, _split_dataset(world, args.split), knowledge, stats,
                        mode=mode, n_way=args.n_way, k_shot=args.k_shot,
                        m_query=args.m_query, num_episodes=args.episodes,
-                       seed=args.seed, lam=args.lam, floor=args.variance_floor,
-                       fusion_dump=fusion_dump)
+                       seed=args.seed, fusion_dump=fusion_dump)
 
 
 def _cmd_eval(args) -> int:
@@ -219,7 +217,7 @@ def _cmd_report(args) -> int:
     similarity = ep.prototype_similarity_report(
         params, dataset, world.centers, world.knowledge, stats,
         num_episodes=args.episodes, n_way=args.n_way, k_shot=args.k_shot,
-        m_query=args.m_query, seed=args.seed, lam=args.lam, floor=args.variance_floor)
+        m_query=args.m_query, seed=args.seed)
     atomic_write_json(similarity_path, similarity.to_json_dict())
 
     curve = ep.rank_curve_report(params, dataset, world.centers, world.knowledge,
@@ -248,21 +246,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a value that must be above 0."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def _add_episode_shape(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-way", type=int, default=5)
     p.add_argument("--k-shot", type=int, default=1)
     p.add_argument("--m-query", type=int, default=15)
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=fusion.DEFAULT_LAMBDA,
-                   help="softmax sharpness for soft assignment")
-    p.add_argument("--variance-floor", type=_positive_float, default=fusion.EPSILON_VARIANCE)
 
 
 def _add_eval_shape(p: argparse.ArgumentParser, episodes_default: int) -> None:

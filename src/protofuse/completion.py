@@ -33,6 +33,7 @@ from .knowledge import AttributeStats, PrimitiveKnowledge
 ENCODER_DIM = 256
 AGGREGATOR_HIDDEN = 300
 DECODER_HIDDEN = 512
+SCALE_INIT = 10.0  # the classifier scale gamma every new network starts from
 
 TENSOR_NAMES = (
     "encoder.weight", "encoder.bias",
@@ -59,10 +60,7 @@ class CompletionNetParams:
     def initialize(cls, input_dim: int, semantic_dim: int, seed,
                    encoder_dim: int = ENCODER_DIM,
                    aggregator_hidden: int = AGGREGATOR_HIDDEN,
-                   decoder_hidden: int = DECODER_HIDDEN,
-                   scale_init: float = 10.0) -> "CompletionNetParams":
-        if scale_init <= 0:
-            raise ValueError("scale_init must be positive")
+                   decoder_hidden: int = DECODER_HIDDEN) -> "CompletionNetParams":
         rng = np.random.default_rng(seed)
         aggregator_in = input_dim + 2 * semantic_dim
         store = nn.ParamStore()
@@ -77,7 +75,7 @@ class CompletionNetParams:
         store.register("decoder.hidden.bias", np.zeros(decoder_hidden))
         store.register("decoder.output.weight", nn.glorot_uniform(rng, input_dim, decoder_hidden))
         store.register("decoder.output.bias", np.zeros(input_dim))
-        store.register("log_scale", np.log(scale_init))
+        store.register("log_scale", np.log(SCALE_INIT))
         return cls(store, input_dim, semantic_dim, encoder_dim, aggregator_hidden, decoder_hidden)
 
     def tensors(self) -> dict:

@@ -38,7 +38,11 @@ class DatasetFormatError(ValueError):
 
 @dataclass
 class FewShotDataset:
-    """An embedding matrix with integer class labels and a split tag."""
+    """An embedding matrix with integer class labels and a split tag.
+
+    The sorted class ids and each class's row indices are computed once, at
+    construction, and handed out as read-only arrays.
+    """
 
     embeddings: np.ndarray  # (n, d)
     labels: np.ndarray      # (n,)
@@ -53,6 +57,13 @@ class FewShotDataset:
             raise ValueError("labels must align with embedding rows")
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
+        order = np.argsort(self.labels, kind="stable")
+        class_ids, starts = np.unique(self.labels[order], return_index=True)
+        order.flags.writeable = False
+        class_ids.flags.writeable = False
+        self._class_ids = class_ids
+        self._rows = dict(zip(class_ids.tolist(), np.split(order, starts[1:])))
+        self._no_rows = order[:0]
 
     @property
     def n(self) -> int:
@@ -63,10 +74,11 @@ class FewShotDataset:
         return self.embeddings.shape[1]
 
     def class_ids(self) -> np.ndarray:
-        return np.unique(self.labels)
+        return self._class_ids
 
     def indices_of(self, class_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == class_id)
+        """Ascending row indices of ``class_id``; empty for an absent class."""
+        return self._rows.get(class_id, self._no_rows)
 
 
 @dataclass

@@ -139,9 +139,7 @@ def _transductive_pool(episode: Episode):
     return x, labels
 
 
-def episode_prototypes(plan, episode: Episode, mode: str,
-                       lam: float = fusion.DEFAULT_LAMBDA,
-                       floor: float = fusion.EPSILON_VARIANCE):
+def episode_prototypes(plan, episode: Episode, mode: str):
     """Prototype matrix for the requested ablation mode, plus the fusion
     details when the mode runs the full fusion.
 
@@ -158,7 +156,7 @@ def episode_prototypes(plan, episode: Episode, mode: str,
         return fusion.mean_fuse(means, completed), None
     if mode == MODE_GAUSS_FUSION:
         x, labels = _transductive_pool(episode)
-        result = fusion.fuse_prototypes(x, labels, means, completed, lam, floor)
+        result = fusion.fuse_prototypes(x, labels, means, completed)
         return result.fused, result
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
@@ -187,8 +185,8 @@ class EvalReport:
         return asdict(self)
 
 
-def _episode_accuracy(plan, episode: Episode, mode: str, lam: float, floor: float):
-    prototypes, detail = episode_prototypes(plan, episode, mode, lam, floor)
+def _episode_accuracy(plan, episode: Episode, mode: str):
+    prototypes, detail = episode_prototypes(plan, episode, mode)
     sims = fusion.cosine_matrix(episode.query_x, prototypes)
     predicted = episode.roster[np.argmax(sims, axis=1)]
     return float(np.mean(predicted == episode.query_y)), detail
@@ -204,8 +202,6 @@ def _check_episode_shape(**counts) -> None:
 def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
              stats: AttributeStats, mode: str, n_way: int = 5, k_shot: int = 1,
              m_query: int = 15, num_episodes: int = 600, seed: int = 0,
-             lam: float = fusion.DEFAULT_LAMBDA,
-             floor: float = fusion.EPSILON_VARIANCE,
              fusion_dump: list | None = None) -> EvalReport:
     """Accuracy over freshly sampled episodes, reported with a 95% CI.
 
@@ -222,7 +218,7 @@ def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
     for index in range(num_episodes):
         episode = sample_episode(dataset, n_way, k_shot, m_query, episode_rng(seed, index))
         try:
-            accuracy, detail = _episode_accuracy(plan, episode, mode, lam, floor)
+            accuracy, detail = _episode_accuracy(plan, episode, mode)
         except ValueError as exc:
             raise ValueError(f"episode {index}: {exc}") from exc
         accuracies.append(accuracy)
@@ -248,9 +244,7 @@ def _fusion_dump_entry(index: int, result: fusion.FusionResult) -> dict:
     }
 
 
-def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode,
-                      features, lam: float = fusion.DEFAULT_LAMBDA,
-                      floor: float = fusion.EPSILON_VARIANCE):
+def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode, features):
     """Cross-entropy of query labels under the full fused pipeline.
 
     ``features`` is the (pairs, d) attribute feature matrix of the episode's
@@ -261,7 +255,7 @@ def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode,
     means = mean_prototypes(episode)
     completed = cp._complete(tensors, knowledge, episode.roster, means, features)
     x, labels = _transductive_pool(episode)
-    fused = fusion.fused_means(x, labels, means, completed, lam, floor)
+    fused = fusion.fused_means(x, labels, means, completed)
     sims = fusion.cosine_matrix(episode.query_x, fused)
     logits = ad.mul(sims, ad.exp(tensors["log_scale"]))
     mask = np.eye(episode.n_way)[class_positions(episode.n_way, episode.m_query)]
@@ -276,8 +270,6 @@ class MetaTrainConfig:
     k_shot: int = 1
     m_query: int = 15
     episodes_per_epoch: int = 64
-    lam: float = fusion.DEFAULT_LAMBDA
-    variance_floor: float = fusion.EPSILON_VARIANCE
     seed: int = 0
 
     def __post_init__(self):
@@ -303,8 +295,7 @@ def meta_train(params: cp.CompletionNetParams, dataset: FewShotDataset,
                                      config.m_query, rng)
             features = cp.draw_attribute_features(stats, knowledge, episode.roster, rng)
             leaves = params.store.leaves()
-            loss = meta_episode_loss(leaves, knowledge, episode, features,
-                                     config.lam, config.variance_floor)
+            loss = meta_episode_loss(leaves, knowledge, episode, features)
             if not np.isfinite(loss.value):
                 raise RuntimeError("non-finite episodic loss")
             ad.backward(loss)
@@ -337,9 +328,8 @@ def _row_cosines(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.ndarray,
                                 knowledge: PrimitiveKnowledge, stats: AttributeStats,
                                 num_episodes: int = 1000, n_way: int = 5,
-                                k_shot: int = 1, m_query: int = 15, seed: int = 0,
-                                lam: float = fusion.DEFAULT_LAMBDA,
-                                floor: float = fusion.EPSILON_VARIANCE) -> SimilarityReport:
+                                k_shot: int = 1, m_query: int = 15,
+                                seed: int = 0) -> SimilarityReport:
     """Average cos(prototype, center) for mean-based, completed, and fused
     prototypes over sampled episodes.
 
@@ -355,7 +345,7 @@ def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.nda
         x, labels = _transductive_pool(episode)
         try:
             completed = plan.complete(episode.roster, means)
-            fused = fusion.fuse_prototypes(x, labels, means, completed, lam, floor).fused
+            fused = fusion.fuse_prototypes(x, labels, means, completed).fused
         except ValueError as exc:
             raise ValueError(f"episode {index}: {exc}") from exc
         truth = centers[episode.roster]

@@ -12,12 +12,15 @@ loss differentiates through the soft assignment, the class moments and the
 product formula. ``soft_assign``, ``weighted_gaussian_estimate`` and
 ``gaussian_product`` expose single steps over the same helpers.
 
-The estimated variances are floored at ``EPSILON_VARIANCE``. The floor
-matters: with a single labeled support and near-one-hot responsibilities the
-weighted variance collapses to zero, which would make the Gaussian product
-degenerate; flooring keeps fusion well-defined in exactly the 1-shot regime
-this pipeline targets. The product's normalizing constant is never computed
-because only the posterior mean and variance are consumed downstream.
+The paper fixes the soft-assignment sharpness and the variance floor, and so
+does this module: ``DEFAULT_LAMBDA`` (the softmax sharpness) and
+``EPSILON_VARIANCE`` (the floor) are module constants, not arguments of any
+function. The floor matters: with a single labeled support and near-one-hot
+responsibilities the weighted variance collapses to zero, which would make
+the Gaussian product degenerate; flooring keeps fusion well-defined in
+exactly the 1-shot regime this pipeline targets. The product's normalizing
+constant is never computed because only the posterior mean and variance are
+consumed downstream.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import numpy as np
 
 from . import autodiff as ad
 
-EPSILON_VARIANCE = 1e-6
+EPSILON_VARIANCE = 1e-6  # floor of every estimated variance
 
-DEFAULT_LAMBDA = 10.0  # fixed softmax sharpness for soft assignment
+DEFAULT_LAMBDA = 10.0  # softmax sharpness of the soft assignment
 
 
 @dataclass
@@ -109,14 +112,12 @@ def cosine_matrix(embeddings, prototypes):
     return ad.div(raw, ad.reshape(p_norms, (1, pv.shape[0])))
 
 
-def _check_assignment_inputs(labels: np.ndarray, num_classes: int, lam: float) -> None:
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+def _check_assignment_inputs(labels: np.ndarray, num_classes: int) -> None:
     if labels.max(initial=-1) >= num_classes:
         raise ValueError("label refers to a class position beyond the prototype count")
 
 
-def _soft_assign_matrix(x: np.ndarray, labels: np.ndarray, prototypes, lam: float):
+def _soft_assign_matrix(x: np.ndarray, labels: np.ndarray, prototypes):
     """Responsibility matrix for any label layout; traced when ``prototypes`` is a Node.
 
     ``hard`` holds the one-hot rows of the labeled samples and the constant
@@ -130,21 +131,21 @@ def _soft_assign_matrix(x: np.ndarray, labels: np.ndarray, prototypes, lam: floa
     hard[labeled, labels[labeled]] = 1.0
     place = np.zeros((labels.size, unlabeled.size))
     place[unlabeled, np.arange(unlabeled.size)] = 1.0
-    soft = ad.softmax_rows(ad.mul(cosine_matrix(x[unlabeled], prototypes), lam))
+    soft = ad.softmax_rows(ad.mul(cosine_matrix(x[unlabeled], prototypes), DEFAULT_LAMBDA))
     return ad.add(hard, ad.matmul(place, soft))
 
 
-def soft_assign(embeddings, labels, prototypes, lam: float = DEFAULT_LAMBDA) -> SoftAssignment:
+def soft_assign(embeddings, labels, prototypes) -> SoftAssignment:
     """Responsibilities over classes for every sample of an episode.
 
     ``labels`` holds the class position (0..N-1) for labeled samples and -1
     for unlabeled ones. Labeled rows become exact one-hot vectors; unlabeled
-    rows are softmax(lam * cosine) over the prototype rows.
+    rows are softmax(DEFAULT_LAMBDA * cosine) over the prototype rows.
     """
     y = np.asarray(labels, dtype=np.int64)
     p = np.asarray(prototypes, dtype=np.float64)
-    _check_assignment_inputs(y, p.shape[0], lam)
-    matrix = _soft_assign_matrix(np.asarray(embeddings, dtype=np.float64), y, p, lam)
+    _check_assignment_inputs(y, p.shape[0])
+    matrix = _soft_assign_matrix(np.asarray(embeddings, dtype=np.float64), y, p)
     return SoftAssignment(matrix, y >= 0)
 
 
@@ -191,14 +192,14 @@ def _weighted_square_deviations(x: np.ndarray, responsibilities, mean):
     return ad.Node(out, parents, vjp)
 
 
-def weighted_gaussian_estimate(embeddings, assignment: SoftAssignment, class_index: int,
-                               floor: float = EPSILON_VARIANCE) -> DiagonalGaussian:
+def weighted_gaussian_estimate(embeddings, assignment: SoftAssignment,
+                               class_index: int) -> DiagonalGaussian:
     """Responsibility-weighted mean and population variance for one class."""
     w = assignment.matrix[:, [class_index]]
     if not w.sum() > 0.0:
         raise ValueError(f"zero total responsibility for class position {class_index}")
     mean, var = _class_moments(np.asarray(embeddings, dtype=np.float64), w)
-    return DiagonalGaussian(mean[0], np.maximum(var[0], floor))
+    return DiagonalGaussian(mean[0], np.maximum(var[0], EPSILON_VARIANCE))
 
 
 def _product_moments(prior_mean, prior_var, lik_mean, lik_var):
@@ -247,8 +248,7 @@ class FusionResult:
         return self.posterior.mean
 
 
-def _fuse(embeddings, labels, mean_prototypes, completed_prototypes, lam: float,
-          floor: float):
+def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
     """The one fusion pass over an episode's samples, all classes at once.
 
     Soft-assigns all samples twice (once per prototype family), estimates a
@@ -266,38 +266,33 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes, lam: float,
     if completed_shape != means.shape:
         raise ValueError(f"completed prototypes of shape {completed_shape} do not match "
                          f"mean prototypes of shape {means.shape}")
-    _check_assignment_inputs(y, means.shape[0], lam)
-    if not floor > 0:
-        raise ValueError(f"variance floor must be positive, got {floor}")
-    assign_mean = _soft_assign_matrix(x, y, means, lam)
-    assign_comp = _soft_assign_matrix(x, y, completed_prototypes, lam)
+    _check_assignment_inputs(y, means.shape[0])
+    assign_mean = _soft_assign_matrix(x, y, means)
+    assign_comp = _soft_assign_matrix(x, y, completed_prototypes)
     mu_mean, var_mean = _class_moments(x, assign_mean)
     mu_comp, var_comp = _class_moments(x, assign_comp)
-    mean_side = (mu_mean, np.maximum(var_mean, floor))
-    comp_side = (mu_comp, ad.maximum(var_comp, floor))
+    mean_side = (mu_mean, np.maximum(var_mean, EPSILON_VARIANCE))
+    comp_side = (mu_comp, ad.maximum(var_comp, EPSILON_VARIANCE))
     posterior = _product_moments(*comp_side, *mean_side)
     return assign_mean, assign_comp, mean_side, comp_side, posterior
 
 
-def fuse_prototypes(embeddings, labels, mean_prototypes, completed_prototypes,
-                    lam: float = DEFAULT_LAMBDA,
-                    floor: float = EPSILON_VARIANCE) -> FusionResult:
+def fuse_prototypes(embeddings, labels, mean_prototypes,
+                    completed_prototypes) -> FusionResult:
     """Full fusion pass over one episode's supports and queries (``_fuse``),
     with every stack and assignment validated. The fused prototype is the
     posterior mean."""
     assign_mean, assign_comp, mean_side, comp_side, posterior = _fuse(
-        embeddings, labels, mean_prototypes, completed_prototypes, lam, floor)
+        embeddings, labels, mean_prototypes, completed_prototypes)
     labeled = np.asarray(labels, dtype=np.int64) >= 0
     return FusionResult(DiagonalGaussian(*mean_side), DiagonalGaussian(*comp_side),
                         DiagonalGaussian(*posterior), SoftAssignment(assign_mean, labeled),
                         SoftAssignment(assign_comp, labeled))
 
 
-def fused_means(embeddings, labels, mean_prototypes, completed_prototypes,
-                lam: float = DEFAULT_LAMBDA, floor: float = EPSILON_VARIANCE):
+def fused_means(embeddings, labels, mean_prototypes, completed_prototypes):
     """Fused prototypes of every class, (num_classes, d), for the episodic
     training loss: the posterior mean of ``_fuse``, traced when
     ``completed_prototypes`` is a Node."""
-    _, _, _, _, (mean, _) = _fuse(embeddings, labels, mean_prototypes, completed_prototypes,
-                                  lam, floor)
+    _, _, _, _, (mean, _) = _fuse(embeddings, labels, mean_prototypes, completed_prototypes)
     return mean

@@ -154,9 +154,6 @@ class ClassPrototypeTable:
     def prototype(self, class_id: int) -> np.ndarray:
         return self.prototypes[self._index[class_id]]
 
-    def sample_count(self, class_id: int) -> int:
-        return int(self.sample_counts[self._index[class_id]])
-
 
 def _check_labeled_embeddings(embeddings, labels):
     x = np.asarray(embeddings, dtype=np.float64)

@@ -36,6 +36,25 @@ def test_base_and_novel_classes_disjoint():
     assert novel_ids == set(world.knowledge.novel_class_ids)
 
 
+def test_class_index_matches_label_scans_and_is_read_only():
+    world = datagen.generate_world(spec())
+    rng = np.random.default_rng(3)
+    shuffled = rng.permutation(world.novel.labels)  # classes interleaved
+    datasets = (world.base, world.novel,
+                datagen.FewShotDataset(world.novel.embeddings, shuffled, "novel-test"))
+    for dataset in datasets:
+        ids = dataset.class_ids()
+        np.testing.assert_array_equal(ids, np.unique(dataset.labels))
+        assert not ids.flags.writeable
+        absent = int(ids.max()) + 1
+        for cid in [*ids.tolist(), absent]:
+            rows = dataset.indices_of(cid)
+            assert rows.dtype == np.int64
+            np.testing.assert_array_equal(rows, np.flatnonzero(dataset.labels == cid))
+            assert not rows.flags.writeable
+        assert dataset.indices_of(absent).size == 0
+
+
 def test_no_dropout_no_noise_samples_equal_centers():
     world = datagen.generate_world(spec(dropout_rate=0.0, noise_std=0.0))
     for cid in world.base.class_ids():

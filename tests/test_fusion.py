@@ -90,14 +90,14 @@ def test_diagonal_gaussian_flooring():
 
 def test_soft_assign_single_class_is_certain():
     x = np.array([[1.0, 0.0], [0.5, 0.5]])
-    assign = fusion.soft_assign(x, [-1, -1], np.array([[2.0, 1.0]]), lam=10.0)
+    assign = fusion.soft_assign(x, [-1, -1], np.array([[2.0, 1.0]]))
     np.testing.assert_allclose(assign.matrix, [[1.0], [1.0]])
 
 
 def test_soft_assign_equidistant_splits_evenly():
     prototypes = np.array([[1.0, 0.0], [0.0, 1.0]])
     x = np.array([[1.0, 1.0]])  # equal cosine to both
-    assign = fusion.soft_assign(x, [-1], prototypes, lam=10.0)
+    assign = fusion.soft_assign(x, [-1], prototypes)
     np.testing.assert_allclose(assign.matrix[0], [0.5, 0.5], atol=1e-12)
 
 
@@ -105,8 +105,8 @@ def test_soft_assign_matches_direct_softmax_of_cosines():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((6, 4))
     prototypes = rng.standard_normal((3, 4))
-    lam = 10.0
-    assign = fusion.soft_assign(x, [-1] * 6, prototypes, lam)
+    lam = fusion.DEFAULT_LAMBDA
+    assign = fusion.soft_assign(x, [-1] * 6, prototypes)
     for i in range(6):
         sims = [
             float(x[i] @ p / (np.linalg.norm(x[i]) * np.linalg.norm(p)))
@@ -127,13 +127,10 @@ def test_soft_assign_two_known_cosines():
 def test_soft_assign_labeled_rows_exact_one_hot():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     prototypes = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assign = fusion.soft_assign(x, [1, -1, 0], prototypes, lam=3.0)
+    assign = fusion.soft_assign(x, [1, -1, 0], prototypes)
     np.testing.assert_array_equal(assign.matrix[0], [0.0, 1.0])
     np.testing.assert_array_equal(assign.matrix[2], [1.0, 0.0])
     assert not assign.labeled[1]
-    # labeled rows do not depend on lam
-    again = fusion.soft_assign(x, [1, -1, 0], prototypes, lam=50.0)
-    np.testing.assert_array_equal(assign.matrix[0], again.matrix[0])
 
 
 def test_soft_assign_rows_sum_to_one():
@@ -160,9 +157,9 @@ def test_soft_assign_matches_per_row_reference(labels):
     rng = np.random.default_rng(21)
     x = rng.standard_normal((4, 5))
     prototypes = rng.standard_normal((3, 5))
-    lam = 7.0
-    matrix = fusion.soft_assign(x, labels, prototypes, lam).matrix
-    traced = fusion._soft_assign_matrix(x, np.array(labels), ad.Node(prototypes), lam)
+    lam = fusion.DEFAULT_LAMBDA
+    matrix = fusion.soft_assign(x, labels, prototypes).matrix
+    traced = fusion._soft_assign_matrix(x, np.array(labels), ad.Node(prototypes))
     np.testing.assert_array_equal(ad.value_of(traced), matrix)
     for i, label in enumerate(labels):
         if label >= 0:
@@ -178,25 +175,12 @@ def test_soft_assign_matches_per_row_reference(labels):
 
 def test_soft_assign_rejects_bad_lambda_and_labels():
     x, prototypes = np.eye(2), np.eye(2)
-    with pytest.raises(ValueError, match="lam must be positive"):
-        fusion.soft_assign(x, [-1, -1], prototypes, lam=0.0)
     with pytest.raises(ValueError, match="beyond the prototype count"):
         fusion.soft_assign(x, [2, -1], prototypes)
-    with pytest.raises(ValueError, match="lam must be positive"):
-        fusion.fused_means(x, [0, 1], prototypes, ad.Node(prototypes), lam=-1.0)
     with pytest.raises(ValueError, match="beyond the prototype count"):
         fusion.fused_means(x, [0, 2], prototypes, ad.Node(prototypes))
     with pytest.raises(ValueError, match="do not match mean prototypes"):
         fusion.fuse_prototypes(x, [0, 1], prototypes, np.eye(3))
-
-
-@pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
-def test_fusion_rejects_a_floor_that_is_not_positive(floor):
-    x, prototypes = np.eye(2), np.eye(2)
-    with pytest.raises(ValueError, match=f"^variance floor must be positive, got {floor}$"):
-        fusion.fuse_prototypes(x, [0, 1], prototypes, prototypes, floor=floor)
-    with pytest.raises(ValueError, match=f"^variance floor must be positive, got {floor}$"):
-        fusion.fused_means(x, [0, 1], prototypes, ad.Node(prototypes), floor=floor)
 
 
 def test_soft_assign_zero_norm_errors_name_offender():
@@ -227,9 +211,8 @@ def test_weighted_estimate_degenerate_weight_hits_floor():
     np.testing.assert_allclose(g.mean, [0.0])
     np.testing.assert_allclose(g.variance, [fusion.EPSILON_VARIANCE])
     two_point = fusion.SoftAssignment(np.full((2, 2), 0.5), np.array([False, False]))
-    g = fusion.weighted_gaussian_estimate(np.array([[0.0, 1.0], [0.0, 5.0]]), two_point, 0,
-                                          floor=1e-3)
-    np.testing.assert_allclose(g.variance, [1e-3, 4.0])
+    g = fusion.weighted_gaussian_estimate(np.array([[0.0, 1.0], [0.0, 5.0]]), two_point, 0)
+    np.testing.assert_allclose(g.variance, [fusion.EPSILON_VARIANCE, 4.0])
 
 
 def test_weighted_estimate_two_point():

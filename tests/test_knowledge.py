@@ -25,7 +25,7 @@ def tiny_knowledge(association, num_base, sem_dim=3, seed=0):
 def test_prototype_two_point_mean():
     table = kn.compute_base_prototypes([[1.0, 3.0], [3.0, 5.0]], [0, 0])
     np.testing.assert_allclose(table.prototype(0), [2.0, 4.0])
-    assert table.sample_count(0) == 2
+    assert table.sample_counts[0] == 2
 
 
 def test_prototype_single_sample_identity():

@@ -339,7 +339,7 @@ def test_checkpoint_truncation_reports_byte_counts(tmp_path):
 def test_param_store_register_and_leaves():
     store = nn.ParamStore()
     arr = store.register("w", [[1.0, 2.0]])
-    assert "w" in store
+    assert "w" in store.names()
     with pytest.raises(ValueError, match="already registered"):
         store.register("w", [0.0])
     leaves = store.leaves()
