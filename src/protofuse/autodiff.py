@@ -3,10 +3,12 @@
 Each operation records its parent nodes together with a closure mapping the
 output gradient to parent gradients; ``backward`` replays those closures in
 reverse topological order. Arithmetic goes through these functions only
-(``Node`` defines no operators), and ``matmul`` multiplies two matrices and
-nothing else. Every helper also accepts plain ndarrays and falls back to
-numpy, so numerical code can be written once and executed either traced
-(when gradients are needed) or untraced (fast inference path).
+(``Node`` defines no operators). ``matmul`` and ``transpose`` act on the last
+two axes, so they take one matrix or a stack of matrices along leading axes
+(``matmul`` broadcasts those axes); no other rank is accepted. Every helper
+also accepts plain ndarrays and falls back to numpy, so numerical code can be
+written once and executed either traced (when gradients are needed) or
+untraced (fast inference path).
 
 All values are float64. Stability-sensitive compositions (``softmax_rows``,
 ``logsumexp_rows``) subtract a detached row maximum, which changes neither
@@ -109,20 +111,27 @@ maximum = _elementwise(np.maximum, lambda g, a, b: g * (a >= b),
                        lambda g, a, b: g * ~(a >= b))
 
 
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    """View of ``x`` with its last two axes swapped (``x.T`` of a matrix)."""
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a, b):
-    """Product of two matrices."""
+    """Product of two matrices, or of two stacks of them over broadcast
+    leading axes. Each matrix product of a stack is the one numpy computes
+    for that pair alone."""
     av, bv = value_of(a), value_of(b)
-    if av.ndim != 2 or bv.ndim != 2:
+    if av.ndim < 2 or bv.ndim < 2:
         raise ValueError(f"matmul multiplies two matrices, got {av.ndim}-d @ {bv.ndim}-d")
-    if av.shape[1] != bv.shape[0]:
+    if av.shape[-1] != bv.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
     if not (is_node(a) or is_node(b)):
         return av @ bv
     entries = []
     if is_node(a):
-        entries.append((a, lambda g: g @ bv.T))
+        entries.append((a, lambda g: _unbroadcast(g @ _swap_last(bv), av.shape)))
     if is_node(b):
-        entries.append((b, lambda g: av.T @ g))
+        entries.append((b, lambda g: _unbroadcast(_swap_last(av) @ g, bv.shape)))
     return _lift(av @ bv, entries)
 
 
@@ -152,11 +161,14 @@ def linear(x, w, b):
 
 
 def transpose(x):
+    """Swap the last two axes: the transpose of a matrix or of each matrix
+    of a stack."""
+    xv = value_of(x)
+    if xv.ndim < 2:
+        raise ValueError(f"transpose expects a matrix or a stack of them, got {xv.ndim}-d")
     if not is_node(x):
-        return np.asarray(x, np.float64).T
-    if x.ndim != 2:
-        raise ValueError("transpose expects a matrix")
-    return _lift(x.value.T, [(x, lambda g: g.T)])
+        return _swap_last(xv)
+    return _lift(_swap_last(xv), [(x, _swap_last)])
 
 
 def reshape(x, shape):
@@ -212,18 +224,18 @@ def mean(x, axis=None):
 
 
 def softmax_rows(z):
-    """Row-wise softmax with a detached max shift (value and gradient exact)."""
-    shift = value_of(z).max(axis=1, keepdims=True)
+    """Softmax over the last axis with a detached max shift (value and
+    gradient exact)."""
+    shift = value_of(z).max(axis=-1, keepdims=True)
     e = exp(sub(z, shift))
-    totals = sum(e, axis=1)
-    n = value_of(z).shape[0]
-    return div(e, reshape(totals, (n, 1)))
+    totals = sum(e, axis=-1)
+    return div(e, reshape(totals, shift.shape))
 
 
 def logsumexp_rows(z):
-    shift = value_of(z).max(axis=1, keepdims=True)
-    inner = sum(exp(sub(z, shift)), axis=1)
-    return add(log(inner), shift[:, 0])
+    shift = value_of(z).max(axis=-1, keepdims=True)
+    inner = sum(exp(sub(z, shift)), axis=-1)
+    return add(log(inner), shift[..., 0])
 
 
 def _topological_order(root: Node):

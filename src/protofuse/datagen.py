@@ -40,8 +40,9 @@ class DatasetFormatError(ValueError):
 class FewShotDataset:
     """An embedding matrix with integer class labels and a split tag.
 
-    The sorted class ids and each class's row indices are computed once, at
-    construction, and handed out as read-only arrays.
+    Every embedding must be finite. The sorted class ids and each class's
+    row indices are computed once, at construction, and handed out as
+    read-only arrays.
     """
 
     embeddings: np.ndarray  # (n, d)
@@ -55,6 +56,9 @@ class FewShotDataset:
             raise ValueError("embeddings must be a nonempty (n x d) matrix")
         if self.labels.shape != (self.embeddings.shape[0],):
             raise ValueError("labels must align with embedding rows")
+        finite = np.isfinite(self.embeddings).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"embedding row {np.flatnonzero(~finite)[0]} is not finite")
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
         order = np.argsort(self.labels, kind="stable")
@@ -265,7 +269,10 @@ def load_embeddings(manifest_path) -> FewShotDataset:
     unknown = sorted(set(labels.tolist()) - known)
     if unknown:
         raise DatasetFormatError(f"{labels_path}: labels reference unknown class ids: {unknown}")
-    return FewShotDataset(embeddings, labels, manifest.get("split", "base"))
+    try:
+        return FewShotDataset(embeddings, labels, manifest.get("split", "base"))
+    except ValueError as exc:
+        raise DatasetFormatError(f"{manifest_path}: {exc}") from exc
 
 
 def save_world(world: World, directory) -> None:
@@ -284,11 +291,10 @@ def save_world(world: World, directory) -> None:
         atomic_write_json(os.path.join(directory, "worldspec.json"), spec_doc)
 
 
-def load_world(directory) -> World:
-    base = load_embeddings(os.path.join(directory, "base.manifest.json"))
-    novel = load_embeddings(os.path.join(directory, "novel.manifest.json"))
-    knowledge = load_knowledge(os.path.join(directory, "knowledge.json"))
-    centers_path = os.path.join(directory, "centers.json")
+def _load_centers(centers_path, splits) -> np.ndarray:
+    """The (num_classes, d) center matrix of ``centers.json``, checked against
+    its own shape fields and against the datasets in ``splits``: the same d,
+    a row for every class id, and finite values."""
     doc = read_json_object(centers_path)
     absent = [key for key in ("d", "num_classes", "centers") if key not in doc]
     if absent:
@@ -299,6 +305,27 @@ def load_world(directory) -> World:
         raise DatasetFormatError(f"{centers_path}: centers must be a matrix: {exc}") from exc
     if centers.shape != (doc["num_classes"], doc["d"]):
         raise DatasetFormatError(f"{centers_path}: shape fields disagree with the payload")
+    for dataset in splits:
+        if dataset.dim != centers.shape[1]:
+            raise DatasetFormatError(f"{centers_path}: centers are {centers.shape[1]}-d, "
+                                     f"the {dataset.split} embeddings {dataset.dim}-d")
+        ids = dataset.class_ids()
+        rowless = ids[(ids < 0) | (ids >= centers.shape[0])]
+        if rowless.size:
+            raise DatasetFormatError(f"{centers_path}: no center row for class id "
+                                     f"{rowless[0]} of the {dataset.split} split")
+    finite = np.isfinite(centers).all(axis=1)
+    if not finite.all():
+        raise DatasetFormatError(
+            f"{centers_path}: center row {np.flatnonzero(~finite)[0]} is not finite")
+    return centers
+
+
+def load_world(directory) -> World:
+    base = load_embeddings(os.path.join(directory, "base.manifest.json"))
+    novel = load_embeddings(os.path.join(directory, "novel.manifest.json"))
+    knowledge = load_knowledge(os.path.join(directory, "knowledge.json"))
+    centers = _load_centers(os.path.join(directory, "centers.json"), (base, novel))
     spec = None
     spec_path = os.path.join(directory, "worldspec.json")
     if os.path.exists(spec_path):

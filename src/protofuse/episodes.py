@@ -3,27 +3,45 @@ fine-tuning of the completion network, and the evaluation/diagnostic harness.
 Evaluation classifies by the cosine argmax over ``episode_prototypes``;
 fine-tuning minimises the cross-entropy of the scaled cosines.
 
-Evaluation draws one RNG stream per episode (stream id = episode index), so
-an episode's result depends on its seed and index only, not on how many
-episodes one call evaluates. Episodes run one after another in the calling
-thread: the per-episode work is small-array numpy that holds the
-interpreter lock, and a thread pool made it slower. Each call that completes
-prototypes builds one ``completion.CompletionPlan`` for its parameters,
-knowledge and stats and completes each episode's classes in one batch.
-
 Every ``Episode`` is class-major: ``sample_episode`` fills one
 ``(n_way, k_shot + m_query)`` matrix of dataset indices, row i for roster
 class i, and the first ``k_shot`` columns are the supports. So support row j
 is of roster position ``j // k_shot`` and query row j of ``j // m_query``
 (``class_positions``), and the mean prototypes are a reshape and one mean.
-The layout is the same for every episode of a shape, so a batched evaluator
-(ROADMAP.md, item 3) can stack the index matrices of a block of episodes.
+An ``Episode`` may also be a block of E episodes of one shape, with a
+leading axis of E on every array; the prototype and evaluation functions
+here take either.
+
+Evaluation draws one RNG stream per episode (stream id = episode index) and
+handles the episodes of a call in consecutive blocks of ``BLOCK_EPISODES``,
+the last one possibly shorter. A block's index matrices are drawn episode by
+episode in index order, each from its own stream, and stack into one
+``(E, n_way, k_shot + m_query)`` array that one gather turns into the
+block's supports and queries. Each call that completes prototypes builds
+one ``completion.CompletionPlan`` and completes a block's E * n_way classes
+in one call; soft assignment, class moments, Gaussian product and the
+cosine classifier then run as batched (E, ., .) operations, which compute
+each episode of a block bit for bit as they would compute it alone. Only
+the completion's matrix products over E * n_way rows may round the last bit
+differently for blocks of other lengths, so episode i's accuracy is the
+same, and its fused prototypes agree within 1e-12, whatever the number of
+episodes or the block size. A check that fails for a block is run again
+episode by episode, so the error names the episode at fault.
+
+The block size is chosen by memory, not by any caller's episode count. A
+block's largest temporaries are the completion's (pairs, H) hidden matrix
+and the samples' squared deviations from one class mean, about 0.8 MB and
+0.3 MB for 8 5-way 1-shot 15-query episodes of the benchmark world. Up to 8
+episodes per block, repeated 20-episode evaluations page-fault as rarely
+as one episode per pass; from 12 on, each call took 550 to 1,100 minor
+page faults as the allocator handed the freed block back to the system and
+faulted it in again, and larger blocks gained little speed.
 
 Embeddings are treated as a fixed feature space throughout: episodic
 fine-tuning updates only the completion network and the classifier scale.
 Gradients flow through the whole episode loss, including the fusion stage
 and its soft assignments. The traced loss runs each stage once per
-episode on (n_way, .) blocks: one completion pass over the roster, one
+episode on (n_way, .) matrices: one completion pass over the roster, one
 fusion pass and one cosine classifier.
 """
 
@@ -46,10 +64,14 @@ MODE_MEAN_FUSION = "mean-fusion"
 MODE_GAUSS_FUSION = "gauss-fusion"
 MODES = (MODE_MEAN_ONLY, MODE_COMPLETED_ONLY, MODE_MEAN_FUSION, MODE_GAUSS_FUSION)
 
+BLOCK_EPISODES = 8  # episodes sampled, completed, fused and classified per pass
+
 
 @dataclass
 class Episode:
-    """Support and query sets over a sorted class roster, class-major.
+    """Support and query sets over a sorted class roster, class-major; or a
+    block of E such episodes of one shape, every array with a leading axis
+    of E.
 
     Labels are global class ids; ``roster`` maps positions to ids. Support
     rows ``i * k_shot`` to ``(i + 1) * k_shot - 1`` are of class
@@ -58,27 +80,28 @@ class Episode:
     index.
     """
 
-    roster: np.ndarray          # (n_way,) sorted class ids
-    support_x: np.ndarray       # (n_way * k_shot, d)
-    support_y: np.ndarray       # (n_way * k_shot,)
-    query_x: np.ndarray         # (n_way * m_query, d)
-    query_y: np.ndarray         # (n_way * m_query,)
-    support_indices: np.ndarray
-    query_indices: np.ndarray
+    roster: np.ndarray          # ([E,] n_way) sorted class ids
+    support_x: np.ndarray       # ([E,] n_way * k_shot, d)
+    support_y: np.ndarray       # ([E,] n_way * k_shot)
+    query_x: np.ndarray         # ([E,] n_way * m_query, d)
+    query_y: np.ndarray         # ([E,] n_way * m_query)
+    support_indices: np.ndarray  # ([E,] n_way * k_shot)
+    query_indices: np.ndarray    # ([E,] n_way * m_query)
 
     @property
     def n_way(self) -> int:
-        return self.roster.shape[0]
+        return self.roster.shape[-1]
 
     @property
     def k_shot(self) -> int:
-        return self.support_y.shape[0] // self.n_way
+        return self.support_y.shape[-1] // self.n_way
 
     @property
     def m_query(self) -> int:
-        return self.query_y.shape[0] // self.n_way
+        return self.query_y.shape[-1] // self.n_way
 
     def support_of(self, class_id) -> np.ndarray:
+        """Support rows of ``class_id`` in one (unblocked) episode."""
         return self.support_x[self.support_y == class_id]
 
 
@@ -88,11 +111,11 @@ def class_positions(n_way: int, per_class: int) -> np.ndarray:
     return np.repeat(np.arange(n_way), per_class)
 
 
-def sample_episode(dataset: FewShotDataset, n_way: int, k_shot: int, m_query: int,
-                   rng: np.random.Generator) -> Episode:
-    """Uniform classes without replacement, then uniform disjoint samples:
-    one ``rng.choice`` of ``k_shot + m_query`` indices per roster class, in
-    roster order, as row i of the episode's index matrix."""
+def _draw_indices(dataset: FewShotDataset, n_way: int, k_shot: int, m_query: int,
+                  rng: np.random.Generator) -> tuple:
+    """(sorted roster, (n_way, k_shot + m_query) index matrix) of one episode:
+    uniform classes without replacement, then one ``rng.choice`` of disjoint
+    indices per roster class, in roster order, as row i of the matrix."""
     class_ids = dataset.class_ids()
     if class_ids.size < n_way:
         raise ValueError(f"dataset has {class_ids.size} classes, needs {n_way}")
@@ -104,26 +127,44 @@ def sample_episode(dataset: FewShotDataset, n_way: int, k_shot: int, m_query: in
             raise ValueError(
                 f"class {cid} has {rows.size} samples, needs {k_shot + m_query}")
         row[:] = rng.choice(rows, size=k_shot + m_query, replace=False)
-    support_indices = picked[:, :k_shot].ravel()
-    query_indices = picked[:, k_shot:].ravel()
+    return chosen, picked
+
+
+def sample_episode(dataset: FewShotDataset, n_way: int, k_shot: int, m_query: int,
+                   rng: np.random.Generator | list) -> Episode:
+    """One episode drawn from the generator ``rng``, or, when ``rng`` is a
+    list of generators, a block of episodes: episode b is drawn from
+    ``rng[b]`` alone, as it would be by itself, and the index matrices stack
+    into one (E, n_way, k_shot + m_query) array. Either way one fancy index
+    gathers the supports and one the queries."""
+    if isinstance(rng, np.random.Generator):
+        chosen, picked = _draw_indices(dataset, n_way, k_shot, m_query, rng)
+    else:
+        draws = [_draw_indices(dataset, n_way, k_shot, m_query, r) for r in rng]
+        chosen = np.stack([roster for roster, _ in draws])
+        picked = np.stack([matrix for _, matrix in draws])
+    lead = chosen.shape[:-1]
+    support_indices = picked[..., :k_shot].reshape(lead + (n_way * k_shot,))
+    query_indices = picked[..., k_shot:].reshape(lead + (n_way * m_query,))
     return Episode(
         roster=chosen,
         support_x=dataset.embeddings[support_indices],
-        support_y=chosen[class_positions(n_way, k_shot)],
+        support_y=chosen[..., class_positions(n_way, k_shot)],
         query_x=dataset.embeddings[query_indices],
-        query_y=chosen[class_positions(n_way, m_query)],
+        query_y=chosen[..., class_positions(n_way, m_query)],
         support_indices=support_indices,
         query_indices=query_indices,
     )
 
 
 def mean_prototypes(episode: Episode) -> np.ndarray:
-    """Support means of every roster class, (n_way, d), rows in roster order.
+    """Support means of every roster class, ([E,] n_way, d), rows in roster order.
 
     Each class's support rows are summed in support order, as
     ``episode.support_of(class_id).mean(axis=0)`` sums them.
     """
-    return episode.support_x.reshape(episode.n_way, episode.k_shot, -1).mean(axis=1)
+    shape = episode.roster.shape + (episode.k_shot, episode.support_x.shape[-1])
+    return episode.support_x.reshape(shape).mean(axis=-2)
 
 
 def episode_rng(seed: int, index: int) -> np.random.Generator:
@@ -132,16 +173,25 @@ def episode_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _transductive_pool(episode: Episode):
-    """(embeddings, labels-as-positions) for S then Q; queries unlabeled."""
-    x = np.vstack([episode.support_x, episode.query_x])
+    """(embeddings, labels-as-positions) for S then Q; queries unlabeled.
+    The labels are one (S + Q,) layout, shared by every episode of a block."""
+    x = np.concatenate([episode.support_x, episode.query_x], axis=-2)
     labels = np.concatenate([class_positions(episode.n_way, episode.k_shot),
-                             np.full(episode.query_y.shape[0], -1, np.int64)])
+                             np.full(episode.query_y.shape[-1], -1, np.int64)])
     return x, labels
+
+
+def _completed_prototypes(plan, episode: Episode, means: np.ndarray) -> np.ndarray:
+    """Completed prototypes of every class of an episode or block, shaped
+    like ``means``: one ``plan.complete`` call over all of its classes."""
+    d = means.shape[-1]
+    return plan.complete(episode.roster.ravel(), means.reshape(-1, d)).reshape(means.shape)
 
 
 def episode_prototypes(plan, episode: Episode, mode: str):
     """Prototype matrix for the requested ablation mode, plus the fusion
-    details when the mode runs the full fusion.
+    details when the mode runs the full fusion. For a block of episodes
+    both carry its leading episode axis.
 
     ``plan`` is the caller's ``completion.CompletionPlan``; mean-only needs
     none and takes ``None``.
@@ -149,7 +199,7 @@ def episode_prototypes(plan, episode: Episode, mode: str):
     means = mean_prototypes(episode)
     if mode == MODE_MEAN_ONLY:
         return means, None
-    completed = plan.complete(episode.roster, means)
+    completed = _completed_prototypes(plan, episode, means)
     if mode == MODE_COMPLETED_ONLY:
         return completed, None
     if mode == MODE_MEAN_FUSION:
@@ -185,11 +235,12 @@ class EvalReport:
         return asdict(self)
 
 
-def _episode_accuracy(plan, episode: Episode, mode: str):
+def _accuracies(plan, episode: Episode, mode: str):
+    """Query accuracy of every episode of a block, (E,), and the fusion details."""
     prototypes, detail = episode_prototypes(plan, episode, mode)
     sims = fusion.cosine_matrix(episode.query_x, prototypes)
-    predicted = episode.roster[np.argmax(sims, axis=1)]
-    return float(np.mean(predicted == episode.query_y)), detail
+    predicted = np.take_along_axis(episode.roster, np.argmax(sims, axis=-1), axis=-1)
+    return np.mean(predicted == episode.query_y, axis=-1), detail
 
 
 def _check_episode_shape(**counts) -> None:
@@ -197,6 +248,33 @@ def _check_episode_shape(**counts) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _episode_blocks(dataset: FewShotDataset, n_way: int, k_shot: int, m_query: int,
+                    num_episodes: int, seed: int, run):
+    """Episodes 0 .. ``num_episodes - 1`` of ``seed`` in consecutive blocks of
+    BLOCK_EPISODES (the last block may be shorter); yields the episode
+    indices, the block and ``run(block)`` of every block.
+
+    A ``ValueError`` that ``run`` raises for a block is raised again as
+    ``episode <index>: ...`` for the first episode of the block that raises
+    it when run as a block of one.
+    """
+    for start in range(0, num_episodes, BLOCK_EPISODES):
+        indices = range(start, min(start + BLOCK_EPISODES, num_episodes))
+        block = sample_episode(dataset, n_way, k_shot, m_query,
+                               [episode_rng(seed, index) for index in indices])
+        try:
+            result = run(block)
+        except ValueError:
+            for index in indices:
+                try:
+                    run(sample_episode(dataset, n_way, k_shot, m_query,
+                                       [episode_rng(seed, index)]))
+                except ValueError as exc:
+                    raise ValueError(f"episode {index}: {exc}") from exc
+            raise
+        yield indices, block, result
 
 
 def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
@@ -215,32 +293,31 @@ def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
                          num_episodes=num_episodes)
     plan = None if mode == MODE_MEAN_ONLY else cp.CompletionPlan.build(params, knowledge, stats)
     accuracies = []
-    for index in range(num_episodes):
-        episode = sample_episode(dataset, n_way, k_shot, m_query, episode_rng(seed, index))
-        try:
-            accuracy, detail = _episode_accuracy(plan, episode, mode)
-        except ValueError as exc:
-            raise ValueError(f"episode {index}: {exc}") from exc
-        accuracies.append(accuracy)
+    blocks = _episode_blocks(dataset, n_way, k_shot, m_query, num_episodes, seed,
+                             lambda block: _accuracies(plan, block, mode))
+    for indices, _, (block_accuracies, detail) in blocks:
+        accuracies += block_accuracies.tolist()
         if fusion_dump is not None and detail is not None:
-            fusion_dump.append(_fusion_dump_entry(index, detail))
+            fusion_dump.extend(_fusion_dump_entry(index, detail, b)
+                               for b, index in enumerate(indices))
     return EvalReport(mode=mode, n_way=n_way, k_shot=k_shot, episodes=num_episodes,
                       seed=seed, per_episode=accuracies)
 
 
-def _gaussian_rows(stack: fusion.DiagonalGaussian) -> list:
+def _gaussian_rows(stack: fusion.DiagonalGaussian, b: int) -> list:
     return [{"mean": mean, "variance": variance}
-            for mean, variance in zip(stack.mean.tolist(), stack.variance.tolist())]
+            for mean, variance in zip(stack.mean[b].tolist(), stack.variance[b].tolist())]
 
 
-def _fusion_dump_entry(index: int, result: fusion.FusionResult) -> dict:
+def _fusion_dump_entry(index: int, result: fusion.FusionResult, b: int) -> dict:
+    """Diagnostics of episode ``index``, entry ``b`` of the block ``result``."""
     return {
         "episode": index,
-        "mean_based": _gaussian_rows(result.mean_based),
-        "completed": _gaussian_rows(result.completed),
-        "posterior": _gaussian_rows(result.posterior),
-        "responsibilities_mean": result.assignment_mean.matrix.tolist(),
-        "responsibilities_completed": result.assignment_completed.matrix.tolist(),
+        "mean_based": _gaussian_rows(result.mean_based, b),
+        "completed": _gaussian_rows(result.completed, b),
+        "posterior": _gaussian_rows(result.posterior, b),
+        "responsibilities_mean": result.assignment_mean.matrix[b].tolist(),
+        "responsibilities_completed": result.assignment_completed.matrix[b].tolist(),
     }
 
 
@@ -320,9 +397,9 @@ class SimilarityReport:
 
 
 def _row_cosines(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """cos(rows[i], targets[i]) for every row i."""
-    return (np.einsum("ij,ij->i", rows, targets)
-            / (np.linalg.norm(rows, axis=1) * np.linalg.norm(targets, axis=1)))
+    """cos(rows[..., i, :], targets[..., i, :]) for every row i."""
+    return (np.einsum("...ij,...ij->...i", rows, targets)
+            / (np.linalg.norm(rows, axis=-1) * np.linalg.norm(targets, axis=-1)))
 
 
 def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.ndarray,
@@ -338,18 +415,21 @@ def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.nda
     _check_episode_shape(n_way=n_way, k_shot=k_shot, m_query=m_query,
                          num_episodes=num_episodes)
     plan = cp.CompletionPlan.build(params, knowledge, stats)
+
+    def prototypes(block):
+        means = mean_prototypes(block)
+        completed = _completed_prototypes(plan, block, means)
+        x, labels = _transductive_pool(block)
+        return means, completed, fusion.fuse_prototypes(x, labels, means, completed).fused
+
     sums = np.zeros(3)
-    for index in range(num_episodes):
-        episode = sample_episode(dataset, n_way, k_shot, m_query, episode_rng(seed, index))
-        means = mean_prototypes(episode)
-        x, labels = _transductive_pool(episode)
-        try:
-            completed = plan.complete(episode.roster, means)
-            fused = fusion.fuse_prototypes(x, labels, means, completed).fused
-        except ValueError as exc:
-            raise ValueError(f"episode {index}: {exc}") from exc
-        truth = centers[episode.roster]
-        sums += [_row_cosines(p, truth).sum() for p in (means, completed, fused)]
+    blocks = _episode_blocks(dataset, n_way, k_shot, m_query, num_episodes, seed, prototypes)
+    for _, block, estimates in blocks:
+        truth = centers[block.roster]
+        per_episode = np.stack([_row_cosines(p, truth).sum(axis=-1) for p in estimates],
+                               axis=-1)
+        for episode_sums in per_episode:  # episode by episode, in index order
+            sums += episode_sums
     sums /= num_episodes * n_way
     return SimilarityReport(float(sums[0]), float(sums[1]), float(sums[2]), num_episodes)
 

@@ -4,11 +4,15 @@ their Bayesian fusion via the closed-form product of Gaussians.
 One pass, ``_fuse``, does the paper's four steps for a whole episode: it
 soft-assigns every sample against each prototype family, estimates a
 diagonal Gaussian per class from each assignment, floors the variances and
-multiplies the two Gaussians. It is generic over plain ndarrays and autodiff
-Nodes: ``fuse_prototypes`` (inference) runs it on arrays and wraps the
-result in validated ``FusionResult`` stacks, and ``fused_means`` (the
-episodic training loss) runs it with the completed prototypes traced, so the
-loss differentiates through the soft assignment, the class moments and the
+multiplies the two Gaussians. It takes one episode, a (samples, d) sample
+matrix with (classes, d) prototype families, or a block of episodes stacked
+along leading axes, (E, samples, d) with (E, classes, d); every step acts on
+the last two axes, so episode b of a block is computed as it would be alone.
+It is generic over plain ndarrays and autodiff Nodes: ``fuse_prototypes``
+(inference) runs it on arrays and wraps the result in validated
+``FusionResult`` stacks, and ``fused_means`` (the episodic training loss)
+runs it on one episode with the completed prototypes traced, so the loss
+differentiates through the soft assignment, the class moments and the
 product formula. ``soft_assign``, ``weighted_gaussian_estimate`` and
 ``gaussian_product`` expose single steps over the same helpers.
 
@@ -25,6 +29,7 @@ consumed downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +43,8 @@ DEFAULT_LAMBDA = 10.0  # softmax sharpness of the soft assignment
 
 @dataclass
 class DiagonalGaussian:
-    """Mean plus per-dimension variance: vectors for one Gaussian, or
-    (n, d) matrices for n Gaussians, one per row."""
+    """Mean plus per-dimension variance: vectors for one Gaussian, (n, d)
+    matrices for n Gaussians, one per row, or (E, n, d) stacks of those."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -47,8 +52,9 @@ class DiagonalGaussian:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.variance = np.asarray(self.variance, dtype=np.float64)
-        if self.mean.ndim not in (1, 2) or self.mean.shape != self.variance.shape:
-            raise ValueError("mean and variance must be matching vectors or matrices")
+        if self.mean.ndim not in (1, 2, 3) or self.mean.shape != self.variance.shape:
+            raise ValueError("mean and variance must be matching vectors, matrices "
+                             "or stacks of matrices")
         if not (np.isfinite(self.mean).all() and np.isfinite(self.variance).all()):
             raise ValueError("mean and variance must be finite")
         if (self.variance <= 0).any():
@@ -57,59 +63,72 @@ class DiagonalGaussian:
 
 @dataclass
 class SoftAssignment:
-    """Responsibilities P(class | sample) for every sample of an episode.
+    """Responsibilities P(class | sample) for every sample of an episode, or
+    of each episode of a block stacked along a leading axis.
 
     Labeled rows are exact one-hot vectors; unlabeled rows are softmax
-    distributions over classes.
+    distributions over classes. The episodes of a block share one layout of
+    labeled rows.
     """
 
-    matrix: np.ndarray   # (num_samples, num_classes)
+    matrix: np.ndarray   # ([E,] num_samples, num_classes)
     labeled: np.ndarray  # (num_samples,) bool
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         self.labeled = np.asarray(self.labeled, dtype=bool)
-        if self.matrix.ndim != 2 or self.labeled.shape != (self.matrix.shape[0],):
+        if self.matrix.ndim not in (2, 3) or self.labeled.shape != (self.matrix.shape[-2],):
             raise ValueError("matrix rows and labeled flags must align")
         if (self.matrix < 0).any():
             raise ValueError("responsibilities must be nonnegative")
-        sums = self.matrix.sum(axis=1)
+        sums = self.matrix.sum(axis=-1)
         if np.abs(sums - 1.0).max() > 1e-9:
             raise ValueError("every responsibility row must sum to 1")
-        lab = self.matrix[self.labeled]
+        lab = self.matrix[..., self.labeled, :]
         if lab.size and not np.isin(lab, (0.0, 1.0)).all():
             raise ValueError("labeled rows must be exact one-hot vectors")
+
+
+def _first_row(mask: np.ndarray):
+    """Row (index along the last axis) of the first set entry of ``mask`` in
+    C order, or None when no entry is set."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0] % mask.shape[-1]) if hits.size else None
 
 
 def cosine_matrix(embeddings, prototypes):
     """Pairwise cosine similarities, rows = embeddings, columns = prototypes.
 
+    Takes a (samples, d) and a (classes, d) matrix, or two stacks of them
+    with the same leading axes; the result is (..., samples, classes).
     ``prototypes`` may be a traced Node; embeddings are always constants.
-    Raises on any zero-norm row, naming the offending sample or prototype,
-    and on a prototype whose norm is not finite (a NaN or infinite entry, or
-    a squared norm that overflows), naming its position.
+    Raises on any zero-norm row, naming the offending sample or prototype by
+    its row within its matrix, and on a prototype whose norm is not finite (a
+    NaN or infinite entry, or a squared norm that overflows), naming its
+    position.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 2:
+    if x.ndim < 2:
         raise ValueError("embeddings must be a (samples x d) matrix")
     pv = ad.value_of(prototypes)
-    if pv.ndim != 2 or pv.shape[1] != x.shape[1]:
-        raise ValueError(f"prototype matrix shape {pv.shape} does not match d={x.shape[1]}")
-    x_norms = np.linalg.norm(x, axis=1)
-    zero = np.flatnonzero(x_norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm embedding at row {zero[0]}")
-    p_norms = ad.sqrt(ad.sum(ad.mul(prototypes, prototypes), axis=1))
+    if pv.shape[:-2] != x.shape[:-2] or pv.ndim != x.ndim or pv.shape[-1] != x.shape[-1]:
+        raise ValueError(f"prototype matrix shape {pv.shape} does not match "
+                         f"embeddings of shape {x.shape}")
+    x_norms = np.linalg.norm(x, axis=-1)
+    zero = _first_row(x_norms == 0.0)
+    if zero is not None:
+        raise ValueError(f"zero-norm embedding at row {zero}")
+    p_norms = ad.sqrt(ad.sum(ad.mul(prototypes, prototypes), axis=-1))
     norms = ad.value_of(p_norms)
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        raise ValueError(f"non-finite prototype at position {bad[0]}")
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm prototype at position {zero[0]}")
-    x_unit = x / x_norms[:, None]
+    bad = _first_row(~np.isfinite(norms))
+    if bad is not None:
+        raise ValueError(f"non-finite prototype at position {bad}")
+    zero = _first_row(norms == 0.0)
+    if zero is not None:
+        raise ValueError(f"zero-norm prototype at position {zero}")
+    x_unit = x / x_norms[..., None]
     raw = ad.matmul(x_unit, ad.transpose(prototypes))
-    return ad.div(raw, ad.reshape(p_norms, (1, pv.shape[0])))
+    return ad.div(raw, ad.reshape(p_norms, pv.shape[:-2] + (1, pv.shape[-2])))
 
 
 def _check_assignment_inputs(labels: np.ndarray, num_classes: int) -> None:
@@ -121,17 +140,19 @@ def _soft_assign_matrix(x: np.ndarray, labels: np.ndarray, prototypes):
     """Responsibility matrix for any label layout; traced when ``prototypes`` is a Node.
 
     ``hard`` holds the one-hot rows of the labeled samples and the constant
-    0/1 ``place`` matrix puts softmax row j at unlabeled sample j. The
-    placement adds only exact zeros, so every row equals its direct formula
-    bit for bit. With no unlabeled sample the (0, d) block flows through.
+    0/1 ``place`` matrix puts softmax row j at unlabeled sample j; a block's
+    episodes share both. The placement adds only exact zeros, so every row
+    equals its direct formula bit for bit. With no unlabeled sample the (0, d)
+    block flows through.
     """
     unlabeled = np.flatnonzero(labels < 0)
     labeled = np.flatnonzero(labels >= 0)
-    hard = np.zeros((labels.size, ad.value_of(prototypes).shape[0]))
+    hard = np.zeros((labels.size, ad.value_of(prototypes).shape[-2]))
     hard[labeled, labels[labeled]] = 1.0
     place = np.zeros((labels.size, unlabeled.size))
     place[unlabeled, np.arange(unlabeled.size)] = 1.0
-    soft = ad.softmax_rows(ad.mul(cosine_matrix(x[unlabeled], prototypes), DEFAULT_LAMBDA))
+    soft = ad.softmax_rows(ad.mul(cosine_matrix(x[..., unlabeled, :], prototypes),
+                                  DEFAULT_LAMBDA))
     return ad.add(hard, ad.matmul(place, soft))
 
 
@@ -144,7 +165,7 @@ def soft_assign(embeddings, labels, prototypes) -> SoftAssignment:
     """
     y = np.asarray(labels, dtype=np.int64)
     p = np.asarray(prototypes, dtype=np.float64)
-    _check_assignment_inputs(y, p.shape[0])
+    _check_assignment_inputs(y, p.shape[-2])
     matrix = _soft_assign_matrix(np.asarray(embeddings, dtype=np.float64), y, p)
     return SoftAssignment(matrix, y >= 0)
 
@@ -152,41 +173,56 @@ def soft_assign(embeddings, labels, prototypes) -> SoftAssignment:
 def _class_moments(embeddings: np.ndarray, responsibilities):
     """Responsibility-weighted means and population variances of every class.
 
-    ``responsibilities`` is (samples, classes) and may be a traced Node;
-    returns two (classes, d) matrices. Two passes: the variance is taken
-    around the finished mean.
+    ``responsibilities`` is ([E,] samples, classes) and may be a traced
+    Node; returns two ([E,] classes, d) stacks. Two passes: the variance is
+    taken around the finished mean.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    totals = ad.sum(responsibilities, axis=0)
-    empty = np.flatnonzero(ad.value_of(totals) <= 0.0)
-    if empty.size:
-        raise ValueError(f"zero total responsibility for class position {empty[0]}")
-    column = ad.reshape(totals, (ad.value_of(totals).shape[0], 1))
+    totals = ad.sum(responsibilities, axis=-2)
+    empty = _first_row(ad.value_of(totals) <= 0.0)
+    if empty is not None:
+        raise ValueError(f"zero total responsibility for class position {empty}")
+    column = ad.reshape(totals, ad.value_of(totals).shape + (1,))
     mean = ad.div(ad.matmul(ad.transpose(responsibilities), x), column)
     return mean, ad.div(_weighted_square_deviations(x, responsibilities, mean), column)
 
 
 def _weighted_square_deviations(x: np.ndarray, responsibilities, mean):
-    """``sum_s r[s, k] * (x[s] - mean[k])**2`` for every class k, (classes, d).
+    """``sum_s r[s, k] * (x[s] - mean[k])**2`` for every class k, ([E,] classes, d).
 
-    One (classes, samples, d) block of squared deviations, squared in place:
-    it is the largest temporary of an episode. Traced, it is one node whose
-    backward pass reuses the block and allocates nothing of its size.
+    The squared deviations, the largest temporaries of the fusion, are
+    formed in (..., classes, samples, d) blocks squared in place, as many
+    classes at a time as keep a block within one episode's all-class block
+    and never fewer than one: one block for a single episode, and class by
+    class for a block of at least as many episodes as classes. Each class's
+    sum is the same matrix product either way. Traced, it is one node whose
+    backward pass reuses the blocks and allocates nothing of their size.
     """
     r, m = ad.value_of(responsibilities), ad.value_of(mean)
-    squares = x[None, :, :] - m[:, None, :]
-    np.square(squares, out=squares)
-    out = np.matmul(r.T[:, None, :], squares)[:, 0, :]
+    r_t = np.swapaxes(r, -1, -2)
+    classes, episodes = m.shape[-2], math.prod(x.shape[:-2])
+    step = max(1, classes // episodes)
+    chunks = [slice(k, k + step) for k in range(0, classes, step)]
     parents = [p for p in (responsibilities, mean) if ad.is_node(p)]
+    out = np.empty(m.shape)
+    kept = []  # the blocks, for a traced backward pass
+    for chunk in chunks:
+        squares = x[..., None, :, :] - m[..., chunk, None, :]
+        np.square(squares, out=squares)
+        out[..., chunk, :] = np.matmul(r_t[..., chunk, None, :], squares)[..., 0, :]
+        if parents:
+            kept.append(squares)
     if not parents:
         return out
 
     def vjp(g):
         grads = []
         if ad.is_node(responsibilities):
-            grads.append(np.matmul(squares, g[:, :, None])[:, :, 0].T)
+            grads.append(np.concatenate(
+                [np.matmul(squares, g[..., chunk, :, None])[..., 0]
+                 for chunk, squares in zip(chunks, kept)], axis=-2).swapaxes(-1, -2))
         if ad.is_node(mean):
-            grads.append(-2.0 * g * (r.T @ x - m * r.sum(axis=0)[:, None]))
+            grads.append(-2.0 * g * (r_t @ x - m * r.sum(axis=-2)[..., None]))
         return grads
 
     return ad.Node(out, parents, vjp)
@@ -234,27 +270,32 @@ def mean_fuse(prototype, completed):
 
 @dataclass
 class FusionResult:
-    """One episode's fusion; row k of every Gaussian stack is class position k."""
+    """One episode's fusion, or a block's with a leading episode axis on
+    every stack; row k of every Gaussian stack is class position k."""
 
-    mean_based: DiagonalGaussian   # (num_classes, d), the likelihood side
-    completed: DiagonalGaussian    # (num_classes, d), the prior side
-    posterior: DiagonalGaussian    # (num_classes, d)
+    mean_based: DiagonalGaussian   # ([E,] num_classes, d), the likelihood side
+    completed: DiagonalGaussian    # ([E,] num_classes, d), the prior side
+    posterior: DiagonalGaussian    # ([E,] num_classes, d)
     assignment_mean: SoftAssignment
     assignment_completed: SoftAssignment
 
     @property
     def fused(self) -> np.ndarray:
-        """The fused prototypes: the posterior means, (num_classes, d)."""
+        """The fused prototypes: the posterior means, ([E,] num_classes, d)."""
         return self.posterior.mean
 
 
 def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
-    """The one fusion pass over an episode's samples, all classes at once.
+    """The one fusion pass over an episode's samples, all classes at once,
+    or over a block of episodes stacked along a leading axis.
 
-    Soft-assigns all samples twice (once per prototype family), estimates a
-    floored diagonal Gaussian per class from each assignment, and multiplies
-    them with the completed-prototype Gaussian as the prior and the
-    mean-based Gaussian as the likelihood. ``completed_prototypes`` may be a
+    ``embeddings`` is ([E,] samples, d), the prototype families are ([E,]
+    classes, d), and ``labels`` (samples,) is the layout every episode of a
+    block shares. Soft-assigns all samples twice (once per prototype
+    family), estimates a floored diagonal Gaussian per class from each
+    assignment, and multiplies them with the completed-prototype Gaussian as
+    the prior and the mean-based Gaussian as the likelihood.
+    ``completed_prototypes`` may be a
     traced Node; the mean side involves no trainable quantity and stays
     untraced. Returns the two responsibility matrices and the (mean,
     variance) pairs of the mean-based, completed and posterior stacks.
@@ -266,7 +307,7 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
     if completed_shape != means.shape:
         raise ValueError(f"completed prototypes of shape {completed_shape} do not match "
                          f"mean prototypes of shape {means.shape}")
-    _check_assignment_inputs(y, means.shape[0])
+    _check_assignment_inputs(y, means.shape[-2])
     assign_mean = _soft_assign_matrix(x, y, means)
     assign_comp = _soft_assign_matrix(x, y, completed_prototypes)
     mu_mean, var_mean = _class_moments(x, assign_mean)
@@ -279,9 +320,9 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
 
 def fuse_prototypes(embeddings, labels, mean_prototypes,
                     completed_prototypes) -> FusionResult:
-    """Full fusion pass over one episode's supports and queries (``_fuse``),
-    with every stack and assignment validated. The fused prototype is the
-    posterior mean."""
+    """Full fusion pass over one episode's supports and queries, or a
+    block's (``_fuse``), with every stack and assignment validated. The fused
+    prototype is the posterior mean."""
     assign_mean, assign_comp, mean_side, comp_side, posterior = _fuse(
         embeddings, labels, mean_prototypes, completed_prototypes)
     labeled = np.asarray(labels, dtype=np.int64) >= 0

@@ -56,6 +56,27 @@ def test_matmul_all_arrangements():
             ad.matmul(ad.Node(a), b)
 
 
+def test_matmul_and_transpose_act_on_stacks_of_matrices():
+    stack = RNG.standard_normal((2, 3, 4))
+    w = RNG.standard_normal((4, 2))
+    other = RNG.standard_normal((2, 4, 5))
+    probe = RNG.standard_normal((2, 3, 2))
+    probe_t = RNG.standard_normal((2, 4, 3))
+    check_op(lambda x: ad.sum(ad.mul(ad.matmul(x, w), probe)), stack)   # broadcast w
+    check_op(lambda x: ad.sum(ad.mul(ad.matmul(stack, x), probe)), w)   # grad summed over stack
+    check_op(lambda x: ad.sum(ad.matmul(x, other)), stack)
+    check_op(lambda x: ad.sum(ad.matmul(stack, x)), other)
+    check_op(lambda x: ad.sum(ad.mul(ad.transpose(x), probe_t)), stack)
+    for b in range(2):  # each product is the one numpy computes for the pair alone
+        assert (ad.matmul(stack, other)[b] == stack[b] @ other[b]).all()
+    assert (ad.transpose(stack) == np.swapaxes(stack, 1, 2)).all()
+    with pytest.raises(ValueError, match="mismatch"):
+        ad.matmul(stack, np.ones((2, 3, 5)))
+    with pytest.raises(ValueError, match="^transpose expects a matrix or a stack of them, "
+                                         "got 1-d$"):
+        ad.transpose(ad.Node(np.ones(3)))
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         ad.matmul(np.ones((2, 3)), np.ones((4, 2)))

@@ -1,6 +1,7 @@
 """Synthetic world generator properties and the manifest/payload formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -221,3 +222,62 @@ def test_world_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.knowledge.association, world.knowledge.association)
     np.testing.assert_allclose(loaded.centers, world.centers)
     assert loaded.spec == world.spec
+
+
+def _rewrite_payload_row_with_nan(directory, stem, dataset, row):
+    """Overwrite one value of ``row`` of a saved payload with NaN and fix the
+    manifest's checksum, so the finiteness check is what fires."""
+    from protofuse.fileio import sha256_file
+    embeddings = dataset.embeddings.copy()
+    embeddings[row, 1] = np.nan
+    payload = directory / f"{stem}.f64le"
+    payload.write_bytes(embeddings.astype("<f8").tobytes())
+    manifest = directory / f"{stem}.manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["checksum"] = sha256_file(payload)
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+def test_non_finite_embedding_is_rejected_naming_its_row(tmp_path):
+    world = datagen.generate_world(spec(seed=4))
+    for bad in (np.nan, np.inf, -np.inf):
+        embeddings = world.novel.embeddings.copy()
+        embeddings[5, 2] = bad
+        embeddings[9, 0] = bad
+        with pytest.raises(ValueError, match="^embedding row 5 is not finite$"):
+            datagen.FewShotDataset(embeddings, world.novel.labels, "novel-test")
+    datagen.save_dataset(world.novel, tmp_path, "novel")
+    manifest = _rewrite_payload_row_with_nan(tmp_path, "novel", world.novel, 7)
+    with pytest.raises(datagen.DatasetFormatError,
+                       match=f"^{re.escape(str(manifest))}: embedding row 7 is not finite$"):
+        datagen.load_embeddings(manifest)
+
+
+def _rewrite_centers(directory, change):
+    path = directory / "centers.json"
+    doc = json.loads(path.read_text())
+    centers = np.array(doc["centers"])
+    centers = change(centers)
+    doc.update(centers=centers.tolist(), num_classes=centers.shape[0], d=centers.shape[1])
+    path.write_text(json.dumps(doc))  # json writes NaN as a bare NaN token
+    return re.escape(str(path))
+
+
+def test_centers_must_fit_the_world(tmp_path):
+    world = datagen.generate_world(spec(seed=7))
+    cases = {
+        "wide": (lambda c: np.hstack([c, np.ones((c.shape[0], 1))]),
+                 "centers are 13-d, the base embeddings 12-d"),
+        "short": (lambda c: c[:-1], "no center row for class id 9 of the novel-test split"),
+        "nan": (lambda c: np.where(np.arange(c.shape[0])[:, None] == 4, np.nan, c),
+                "center row 4 is not finite"),
+        "inf": (lambda c: np.where(np.arange(c.shape[0])[:, None] >= 2, np.inf, c),
+                "center row 2 is not finite"),
+    }
+    for name, (change, message) in cases.items():
+        directory = tmp_path / name
+        datagen.save_world(world, directory)
+        path = _rewrite_centers(directory, change)
+        with pytest.raises(datagen.DatasetFormatError, match=f"^{path}: {message}$"):
+            datagen.load_world(directory)

@@ -190,6 +190,78 @@ def test_evaluate_per_episode_results_independent_of_episode_count():
         assert long.per_episode[:5] == short.per_episode
 
 
+@pytest.mark.parametrize("mode", ep.MODES)
+def test_episode_results_do_not_depend_on_episode_count_or_block_size(mode, monkeypatch):
+    # Episode i is the same whether it is alone, in a full block, in a short
+    # final block, or evaluated in blocks of another size.
+    world, stats, params = make_fixture(seed=4)
+    size = ep.BLOCK_EPISODES
+    counts = (1, size - 1, size, size + 1, 2 * size + 3)
+    runs = []
+    for block_size, block_counts in ((size, counts), (1, counts[-1:]), (3, counts[-1:])):
+        monkeypatch.setattr(ep, "BLOCK_EPISODES", block_size)
+        for count in block_counts:
+            dump = []
+            report = ep.evaluate(params, world.novel, world.knowledge, stats, mode,
+                                 n_way=3, k_shot=1, m_query=4, num_episodes=count, seed=9,
+                                 fusion_dump=dump)
+            runs.append((report.per_episode, dump))
+    longest, longest_dump = max(runs, key=lambda run: len(run[0]))
+    assert len(longest) == counts[-1]
+    for accuracies, dump in runs:
+        assert accuracies == longest[:len(accuracies)]
+        assert len(dump) == (len(accuracies) if mode == ep.MODE_GAUSS_FUSION else 0)
+        for entry, expected in zip(dump, longest_dump):
+            assert entry["episode"] == expected["episode"]
+            for key in ("mean_based", "completed", "posterior"):
+                for got, want in zip(entry[key], expected[key]):
+                    np.testing.assert_allclose(got["mean"], want["mean"], rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got["variance"], want["variance"], rtol=0,
+                                               atol=1e-12)
+
+
+def _zero_support_in_a_later_block(world, n_way, k_shot, m_query):
+    """(dataset, seed, episode index, roster position): one support row of
+    episode ``BLOCK_EPISODES + 2`` of ``seed`` is zeroed, and no earlier
+    episode of that seed uses the row; the first seed that has such a row."""
+    target = ep.BLOCK_EPISODES + 2
+    for seed in range(100):
+        used = set()
+        for index in range(target):
+            episode = ep.sample_episode(world.novel, n_way, k_shot, m_query,
+                                        ep.episode_rng(seed, index))
+            used.update(episode.support_indices.tolist() + episode.query_indices.tolist())
+        episode = ep.sample_episode(world.novel, n_way, k_shot, m_query,
+                                    ep.episode_rng(seed, target))
+        fresh = [p for p, row in enumerate(episode.support_indices) if row not in used]
+        if fresh:
+            embeddings = world.novel.embeddings.copy()
+            embeddings[episode.support_indices[fresh[0]]] = 0.0
+            dataset = datagen.FewShotDataset(embeddings, world.novel.labels,
+                                             world.novel.split)
+            return dataset, seed, target, fresh[0]
+    raise AssertionError("no seed below 100 has a fresh support row")
+
+
+@pytest.mark.parametrize("mode", [ep.MODE_MEAN_ONLY, ep.MODE_GAUSS_FUSION, "similarity"])
+def test_zero_norm_support_inside_a_block_names_its_episode(mode):
+    world, stats, params = make_fixture(seed=4, samples_per_class=60)
+    dataset, seed, index, position = _zero_support_in_a_later_block(world, 3, 1, 4)
+    message = f"^episode {index}: zero-norm prototype at position {position}$"
+    count = 2 * ep.BLOCK_EPISODES + 3
+    with pytest.raises(ValueError, match=message):
+        if mode == "similarity":
+            ep.prototype_similarity_report(params, dataset, world.centers, world.knowledge,
+                                           stats, num_episodes=count, n_way=3, k_shot=1,
+                                           m_query=4, seed=seed)
+        else:
+            ep.evaluate(params, dataset, world.knowledge, stats, mode, n_way=3, k_shot=1,
+                        m_query=4, num_episodes=count, seed=seed)
+    # the episodes before it are unaffected
+    ep.evaluate(params, dataset, world.knowledge, stats, ep.MODE_MEAN_ONLY, n_way=3,
+                k_shot=1, m_query=4, num_episodes=index, seed=seed)
+
+
 def test_evaluate_rejects_fewer_than_one_episode():
     world, stats, params = make_fixture()
     for count in (0, -3):

@@ -352,6 +352,25 @@ def test_weighted_square_deviations_gradients_match_finite_differences():
                                rtol=1e-12)
 
 
+def test_weighted_square_deviations_of_a_block_class_by_class():
+    # Three episodes of two classes are taken class by class; values and
+    # gradients equal those of each episode alone.
+    rng = np.random.default_rng(16)
+    x, r = rng.standard_normal((3, 7, 3)), rng.random((3, 7, 2))
+    mean = rng.standard_normal((3, 2, 3))
+    probe = rng.standard_normal((3, 2, 3))
+    r_node, mean_node = ad.Node(r), ad.Node(mean)
+    out = fusion._weighted_square_deviations(x, r_node, mean_node)
+    ad.backward(ad.sum(ad.mul(out, probe)))
+    for b in range(3):
+        rb, mb = ad.Node(r[b]), ad.Node(mean[b])
+        alone = fusion._weighted_square_deviations(x[b], rb, mb)
+        ad.backward(ad.sum(ad.mul(alone, probe[b])))
+        np.testing.assert_array_equal(out.value[b], alone.value)
+        np.testing.assert_allclose(r_node.grad[b], rb.grad, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(mean_node.grad[b], mb.grad, rtol=1e-14, atol=1e-14)
+
+
 # --- batched fusion properties ---------------------------------------------
 
 def random_episode(seed, n_way, k_shot, m_query, d):
@@ -434,3 +453,30 @@ def test_inference_and_training_fusion_agree_bitwise(seed, n_way, k_shot, m_quer
     np.testing.assert_array_equal(fusion.fused_means(x, labels, means, completed), fused)
     traced = fusion.fused_means(x, labels, means, ad.Node(completed))
     np.testing.assert_array_equal(traced.value, fused)
+
+
+@settings(deadline=None, max_examples=50)
+@given(episodes=st.integers(1, 5), **episode_shapes)
+def test_block_fusion_equals_each_episode_alone_bitwise(episodes, seed, n_way, k_shot,
+                                                        m_query, d):
+    # A block of episodes stacked on a leading axis is fused as each of its
+    # episodes would be alone, bit for bit, traced or not.
+    stacks = [random_episode(seed + b, n_way, k_shot, m_query, d) for b in range(episodes)]
+    labels = stacks[0][1]
+    x, means, completed = (np.stack([s[i] for s in stacks]) for i in (0, 2, 3))
+    block = fusion.fuse_prototypes(x, labels, means, completed)
+    traced = fusion.fused_means(x, labels, means, ad.Node(completed))
+    np.testing.assert_array_equal(traced.value, block.fused)
+    for b in range(episodes):
+        alone = fusion.fuse_prototypes(x[b], labels, means[b], completed[b])
+        for name in ("mean_based", "completed", "posterior"):
+            np.testing.assert_array_equal(getattr(block, name).mean[b],
+                                          getattr(alone, name).mean)
+            np.testing.assert_array_equal(getattr(block, name).variance[b],
+                                          getattr(alone, name).variance)
+        np.testing.assert_array_equal(block.assignment_mean.matrix[b],
+                                      alone.assignment_mean.matrix)
+        np.testing.assert_array_equal(block.assignment_completed.matrix[b],
+                                      alone.assignment_completed.matrix)
+        np.testing.assert_array_equal(fusion.cosine_matrix(x, block.fused)[b],
+                                      fusion.cosine_matrix(x[b], alone.fused))
