@@ -21,8 +21,8 @@ import numpy as np
 
 __all__ = [
     "Node", "is_node", "value_of", "backward",
-    "add", "sub", "mul", "div", "matmul", "linear", "transpose", "reshape",
-    "relu", "exp", "log", "sqrt", "maximum", "sum", "mean",
+    "add", "sub", "mul", "div", "matmul", "transpose", "reshape",
+    "exp", "log", "sqrt", "maximum", "sum", "mean",
     "softmax_rows", "logsumexp_rows",
 ]
 
@@ -135,31 +135,6 @@ def matmul(a, b):
     return _lift(av @ bv, entries)
 
 
-def linear(x, w, b):
-    """Dense layer ``x @ w.T + b`` as one node: x (n, in), w (out, in), b (out,).
-
-    The weight gradient ``g.T @ x`` comes out as a contiguous (out, in)
-    array, with no transpose node in between. It is taken with ``np.dot``:
-    for a one-row ``x`` (a completion training step) numpy's ``matmul``
-    computes the outer product outside BLAS, 2-4 times as slowly.
-    """
-    xv, wv, bv = value_of(x), value_of(w), value_of(b)
-    if xv.ndim != 2 or wv.ndim != 2 or bv.shape != (wv.shape[0],) \
-            or xv.shape[1] != wv.shape[1]:
-        raise ValueError(f"linear shape mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}")
-    out = xv @ wv.T + bv
-    if not (is_node(x) or is_node(w) or is_node(b)):
-        return out
-    entries = []
-    if is_node(x):
-        entries.append((x, lambda g: g @ wv))
-    if is_node(w):
-        entries.append((w, lambda g: np.dot(g.T, xv)))
-    if is_node(b):
-        entries.append((b, lambda g: g.sum(axis=0)))
-    return _lift(out, entries)
-
-
 def transpose(x):
     """Swap the last two axes: the transpose of a matrix or of each matrix
     of a stack."""
@@ -176,13 +151,6 @@ def reshape(x, shape):
         return np.asarray(x, np.float64).reshape(shape)
     old = x.value.shape
     return _lift(x.value.reshape(shape), [(x, lambda g: g.reshape(old))])
-
-
-def relu(x):
-    if not is_node(x):
-        return np.maximum(np.asarray(x, np.float64), 0.0)
-    mask = x.value > 0.0
-    return _lift(np.where(mask, x.value, 0.0), [(x, lambda g: g * mask)])
 
 
 def exp(x):

@@ -1,22 +1,30 @@
 """Encoder-aggregator-decoder network that completes class prototypes.
 
 A shared encoder embeds both the incomplete prototype and the attribute
-features; an attention MLP scores each associated attribute from the
-concatenation (prototype, class semantic, attribute semantic); the gated,
-weighted latents plus the prototype latent are decoded back to embedding
-space. Attributes the class is not associated with contribute exactly zero.
+features; an attention MLP scores each associated attribute from
+(prototype, class semantic, attribute semantic); the score-weighted latents
+plus the prototype latent are decoded back to embedding space. Attributes
+the class is not associated with contribute exactly zero.
 
 The attention score is a raw scalar (identity output activation) with no
 normalization across attributes. The classifier scale used downstream is
 kept here as ``log_scale`` so one checkpoint carries the whole trainable
 state; optimizing the log keeps the scale positive.
 
-Completing a (B, d) block as classes ``class_ids`` scores every associated
-(row, attribute) pair in one batch, in the order ``_pairs`` fixes. Training
-feeds ``_complete`` (generic over plain arrays and traced Nodes) one drawn
-feature per pair as a (pairs, d) matrix. ``CompletionPlan`` is the untraced
-inference path: it uses the attribute means, precomputes what depends only
-on the parameters and the knowledge, and has ``_complete`` as its oracle.
+The network is written once, in ``_forward``. Completing a (B, d) block as
+classes ``class_ids`` splits the aggregator's first layer into its
+prototype, class and attribute column blocks, scores only the associated
+(row, attribute) pairs in the order ``_pairs`` fixes, and multiplies the
+scores, as a (B, L) weight matrix, into an (L, E) matrix of latents. Two
+callers feed it:
+
+- ``complete``, the training path (``completion_loss`` and the episodic
+  loss): one autodiff node whose L latents are the encoded drawn features,
+  one per pair, and whose hand-written backward pass returns the gradients
+  of the ten network tensors;
+- ``CompletionPlan``, the inference path: its L latents are the encoded
+  attribute means, one per attribute, and it precomputes everything that
+  depends only on the parameters and the knowledge.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ TENSOR_NAMES = (
     "decoder.output.weight", "decoder.output.bias",
     "log_scale",
 )
+NETWORK_TENSORS = TENSOR_NAMES[:-1]  # what completion reads: all but log_scale
 
 
 @dataclass
@@ -131,68 +140,141 @@ def draw_attribute_features(stats: AttributeStats, knowledge: PrimitiveKnowledge
     return stats.mean[attrs] + stats.std[attrs] * rng.standard_normal((attrs.size, stats.dim))
 
 
-def _encode(tensors, x):
+def _encode(t, x):
     """Shared encoder on the rows of ``x``."""
-    return ad.relu(ad.linear(x, tensors["encoder.weight"], tensors["encoder.bias"]))
+    return np.maximum(x @ t["encoder.weight"].T + t["encoder.bias"], 0.0)
 
 
-def _attention_scores(tensors, knowledge: PrimitiveKnowledge, class_ids, prototypes, attrs):
-    """Raw attention scalar of every (class, prototype, attribute) pair, shape (pairs, 1).
-
-    Pair p scores attribute ``attrs[p]`` for class ``class_ids[p]`` whose
-    incomplete prototype is row p of ``prototypes``.
-    """
-    inputs = np.concatenate([prototypes, knowledge.class_semantics[class_ids],
-                             knowledge.attribute_semantics[attrs]], axis=1)
-    hidden = ad.relu(ad.linear(inputs, tensors["aggregator.hidden.weight"],
-                               tensors["aggregator.hidden.bias"]))
-    return ad.linear(hidden, tensors["aggregator.output.weight"],
-                     tensors["aggregator.output.bias"])
+def _input_dims(t, knowledge: PrimitiveKnowledge) -> tuple:
+    """(d, s): the prototype and semantic dimensions, checked against the
+    aggregator's input width."""
+    d, s = t["encoder.weight"].shape[1], knowledge.semantic_dim
+    width = t["aggregator.hidden.weight"].shape[1]
+    if width != d + 2 * s:
+        raise ValueError(f"aggregator takes {width} inputs, but {d}-d prototypes and "
+                         f"{s}-d knowledge semantics make {d + 2 * s}")
+    return d, s
 
 
-def _decode(tensors, combined):
-    hidden = ad.relu(ad.linear(combined, tensors["decoder.hidden.weight"],
-                               tensors["decoder.hidden.bias"]))
-    return ad.linear(hidden, tensors["decoder.output.weight"], tensors["decoder.output.bias"])
-
-
-def _complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete, features):
-    """Complete row i of the (B, d) ``incomplete`` as class ``class_ids[i]``.
-
-    Generic over plain arrays and traced Nodes. ``features`` is the constant
-    (pairs, d) matrix of attribute features, row p for pair p of ``_pairs``
-    (as ``draw_attribute_features`` returns it). All pairs go through one
-    encoder pass and one aggregator pass; a constant (B, pairs) 0/1 matrix
-    sums each row's score-weighted latents, so a row with no associated
-    attributes decodes its own encoded prototype.
-    """
+def _block(class_ids, incomplete, d: int) -> tuple:
+    """(B, d) prototypes and (B,) class ids of one completion call, checked."""
     x = np.asarray(incomplete, dtype=np.float64)
     ids = np.asarray(class_ids, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"prototypes must be {d}-vectors, got a block of shape {x.shape}")
     if ids.shape != (x.shape[0],):
         raise ValueError(f"{ids.size} class ids for {x.shape[0]} prototypes")
+    return x, ids
+
+
+def _forward(t, x, rows, columns, class_terms, attribute_terms, latents):
+    """The completion network on plain arrays, the one forward pass of both
+    the training node and the inference plan.
+
+    Row i of the (B, d) ``x`` is completed from the pairs p with
+    ``rows[p] == i``. The aggregator's first layer is split by column block:
+    the prototype term ``x @ W_proto.T`` and ``class_terms`` (B, H) act per
+    row, ``attribute_terms`` (P, H, hidden bias included) per pair. Only the
+    P associated pairs are scored; score p fills entry (rows[p], columns[p])
+    of a (B, L) weight matrix, whose other entries are exactly zero, and that
+    matrix times the (L, E) ``latents`` adds the score-weighted latents to the
+    encoded prototypes. Returns the (B, d) completion and the intermediates
+    the backward pass reads.
+    """
+    z_proto = _encode(t, x)
+    hidden = (x @ t["aggregator.hidden.weight"][:, :x.shape[1]].T + class_terms)[rows]
+    hidden += attribute_terms
+    np.maximum(hidden, 0.0, out=hidden)
+    weights = np.zeros((x.shape[0], latents.shape[0]))
+    weights[rows, columns] = (hidden @ t["aggregator.output.weight"][0]
+                              + t["aggregator.output.bias"])
+    combined = weights @ latents + z_proto
+    decoded = np.maximum(combined @ t["decoder.hidden.weight"].T + t["decoder.hidden.bias"],
+                         0.0)
+    out = decoded @ t["decoder.output.weight"].T + t["decoder.output.bias"]
+    return out, (z_proto, hidden, weights, combined, decoded)
+
+
+def _weight_grad(g, x):
+    """``g.T @ x``: a dense layer's (out, in) weight gradient from its (n, out)
+    output gradient and (n, in) input. For one row this is an outer product,
+    which ``einsum`` forms bit for bit as ``np.dot`` does (each entry is one
+    product) in about 60% of the time for a 512 x 256 weight; ``np.dot`` is
+    the faster from a few rows on."""
+    if g.shape[0] == 1:
+        return np.einsum("i,j->ij", g[0], x[0])
+    return np.dot(g.T, x)
+
+
+def complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete, features):
+    """Complete row i of the (B, d) ``incomplete`` as class ``class_ids[i]``
+    from the (pairs, d) ``features``, row p for pair p of ``_pairs`` (as
+    ``draw_attribute_features`` returns it): the latent of pair p is the
+    encoded feature p.
+
+    When any of the ten network tensors is a traced Node, the result is one
+    Node whose hand-written backward pass returns their gradients directly;
+    with plain arrays it is the (B, d) array and nothing is recorded. The
+    prototypes and the features are constants of both losses, so a Node for
+    either is rejected. A row with no associated attributes decodes its own
+    encoded prototype.
+    """
+    if ad.is_node(incomplete) or ad.is_node(features):
+        raise TypeError("completion takes constant prototypes and features, not Nodes")
+    t = {name: ad.value_of(tensors[name]) for name in NETWORK_TENSORS}
+    d, s = _input_dims(t, knowledge)
+    x, ids = _block(class_ids, incomplete, d)
     rows, attrs = _pairs(knowledge.association, ids)
-    if np.shape(features) != (rows.size, x.shape[1]):
-        raise ValueError(f"{rows.size} associated pairs of {x.shape[1]}-d prototypes need "
-                         f"a ({rows.size}, {x.shape[1]}) feature block, got {np.shape(features)}")
-    combined = _encode(tensors, x)
-    if rows.size:
-        latents = _encode(tensors, features)
-        scores = _attention_scores(tensors, knowledge, ids[rows], x[rows], attrs)
-        select = np.zeros((ids.size, rows.size))
-        select[rows, np.arange(rows.size)] = 1.0
-        combined = ad.add(ad.matmul(select, ad.mul(latents, scores)), combined)
-    return _decode(tensors, combined)
+    pairs = np.arange(rows.size)
+    f = np.asarray(features, dtype=np.float64)
+    if f.shape != (rows.size, d):
+        raise ValueError(f"{rows.size} associated pairs of {d}-d prototypes need "
+                         f"a ({rows.size}, {d}) feature block, got {f.shape}")
+    w_hidden = t["aggregator.hidden.weight"]
+    class_semantics = knowledge.class_semantics[ids]
+    attribute_semantics = knowledge.attribute_semantics[attrs]
+    latents = _encode(t, f)
+    out, (z_proto, hidden, weights, combined, decoded) = _forward(
+        t, x, rows, pairs, class_semantics @ w_hidden[:, d:d + s].T,
+        attribute_semantics @ w_hidden[:, d + s:].T + t["aggregator.hidden.bias"], latents)
+    names = [name for name in NETWORK_TENSORS if ad.is_node(tensors[name])]
+    if not names:
+        return out
+
+    def vjp(g):
+        d_decoded = (g @ t["decoder.output.weight"]) * (decoded > 0.0)
+        d_combined = d_decoded @ t["decoder.hidden.weight"]
+        d_scores = (d_combined @ latents.T)[rows, pairs]
+        d_hidden = np.multiply.outer(d_scores, t["aggregator.output.weight"][0]) * (hidden > 0.0)
+        d_encoded = np.concatenate([d_combined * (z_proto > 0.0),
+                                    (weights.T @ d_combined) * (latents > 0.0)])
+        grads = {
+            "encoder.weight": np.dot(d_encoded.T, np.concatenate([x, f])),
+            "encoder.bias": d_encoded.sum(axis=0),
+            "aggregator.hidden.weight": np.dot(d_hidden.T, np.concatenate(
+                [x[rows], class_semantics[rows], attribute_semantics], axis=1)),
+            "aggregator.hidden.bias": d_hidden.sum(axis=0),
+            "aggregator.output.weight": (d_scores @ hidden)[None],
+            "aggregator.output.bias": np.array([d_scores.sum()]),
+            "decoder.hidden.weight": _weight_grad(d_decoded, combined),
+            "decoder.hidden.bias": d_decoded.sum(axis=0),
+            "decoder.output.weight": _weight_grad(g, decoded),
+            "decoder.output.bias": g.sum(axis=0),
+        }
+        return tuple(grads[name] for name in names)
+
+    return ad.Node(out, [tensors[name] for name in names], vjp)
 
 
 @dataclass(frozen=True)
 class CompletionPlan:
     """Inference completion constants of one (params, knowledge, stats) triple.
 
-    The aggregator's first layer acts on (prototype, class semantic,
-    attribute semantic), so its pre-activation splits into one term per
-    column block. The class and attribute terms and the attribute latents
-    of the attribute means depend only on the triple; they are
-    computed once here, and completing B prototypes then costs a few
+    Its ``complete`` runs the same ``_forward`` as the training node
+    ``complete``, with the encoded attribute means as the latents (one per
+    attribute, not one per pair). The class and attribute terms of the
+    aggregator's first layer and those latents depend only on the triple, so
+    they are computed once here, and completing B prototypes then costs a few
     (B, ...) matmuls. SGD updates the parameters in place and a noisy
     knowledge copy changes the associations, so a plan is built for one
     call and never kept past it.
@@ -200,7 +282,6 @@ class CompletionPlan:
 
     tensors: dict                 # parameter arrays by name
     association: np.ndarray       # (C, A) bool
-    prototype_weight: np.ndarray  # (H, d) prototype block of aggregator.hidden.weight
     class_terms: np.ndarray       # (C, H) class_semantics @ W_class.T
     attribute_terms: np.ndarray   # (A, H) attribute_semantics @ W_attribute.T + hidden bias
     attribute_latents: np.ndarray  # (A, E) relu(W_enc mean_a + b_enc)
@@ -209,19 +290,14 @@ class CompletionPlan:
     def build(cls, params, knowledge: PrimitiveKnowledge,
               stats: AttributeStats) -> "CompletionPlan":
         t = _tensor_dict(params)
-        w_enc, w_hidden = t["encoder.weight"], t["aggregator.hidden.weight"]
-        d, s = w_enc.shape[1], knowledge.semantic_dim
-        if w_hidden.shape[1] != d + 2 * s:
-            raise ValueError(
-                f"aggregator takes {w_hidden.shape[1]} inputs, but {d}-d prototypes and "
-                f"{s}-d knowledge semantics make {d + 2 * s}")
+        d, s = _input_dims(t, knowledge)
         if stats.mean.shape != (knowledge.num_attributes, d):
             raise ValueError(f"attribute stats of shape {stats.mean.shape} do not match "
                              f"{knowledge.num_attributes} attributes of dimension {d}")
+        w_hidden = t["aggregator.hidden.weight"]
         return cls(
             tensors=t,
             association=knowledge.association.astype(bool),
-            prototype_weight=w_hidden[:, :d],
             class_terms=knowledge.class_semantics @ w_hidden[:, d:d + s].T,
             attribute_terms=(knowledge.attribute_semantics @ w_hidden[:, d + s:].T
                              + t["aggregator.hidden.bias"]),
@@ -231,30 +307,14 @@ class CompletionPlan:
     def complete(self, class_ids, incomplete) -> np.ndarray:
         """Complete row i of the (B, d) ``incomplete`` as class ``class_ids[i]``.
 
-        Only the (row, attribute) pairs the association rows allow are
-        scored, in one (pairs, H) hidden matrix that is summed and rectified
-        in place; their scores fill a (B, A) weight matrix whose other
-        entries are exactly zero. Against scoring every pair in a (B, A, H)
-        tensor this halves the scoring work and the largest temporary, about
-        96 KB per 5-way roster of the benchmark world.
+        Against scoring every (row, attribute) pair in a (B, A, H) tensor,
+        scoring only the associated ones halves the scoring work and the
+        largest temporary, about 96 KB per 5-way roster of the benchmark world.
         """
-        t = self.tensors
-        x = np.asarray(incomplete, dtype=np.float64)
-        ids = np.asarray(class_ids, dtype=np.int64)
-        d = self.prototype_weight.shape[1]
-        if x.ndim != 2 or x.shape[1] != d:
-            raise ValueError(f"prototypes must be {d}-vectors, got a block of shape {x.shape}")
-        if ids.shape != (x.shape[0],):
-            raise ValueError(f"{ids.size} class ids for {x.shape[0]} prototypes")
+        x, ids = _block(class_ids, incomplete, self.tensors["encoder.weight"].shape[1])
         rows, attrs = _pairs(self.association, ids)
-        z_proto = _encode(t, x)
-        hidden = (x @ self.prototype_weight.T + self.class_terms[ids])[rows]
-        hidden += self.attribute_terms[attrs]
-        np.maximum(hidden, 0.0, out=hidden)
-        alphas = np.zeros((ids.size, self.association.shape[1]))
-        alphas[rows, attrs] = (hidden @ t["aggregator.output.weight"][0]
-                               + t["aggregator.output.bias"])
-        return _decode(t, alphas @ self.attribute_latents + z_proto)
+        return _forward(self.tensors, x, rows, attrs, self.class_terms[ids],
+                        self.attribute_terms[attrs], self.attribute_latents)[0]
 
 
 def complete_prototype(params, knowledge: PrimitiveKnowledge, stats: AttributeStats,
@@ -316,9 +376,10 @@ def sample_completion_tasks(embeddings, labels, prototypes, k_shot: int, count: 
 
 def completion_loss(tensors, knowledge: PrimitiveKnowledge, task: CompletionTask,
                     features):
-    """Mean-over-dimensions squared error of the completed prototype (the
-    one-row case of ``_complete``, with the task class's (pairs, d) features)."""
-    predicted = _complete(tensors, knowledge, [task.class_id], task.incomplete[None],
+    """Mean-over-dimensions squared error of the completed prototype: one
+    ``complete`` node for the task's one row and its class's (pairs, d)
+    features, then the squared error through autodiff."""
+    predicted = complete(tensors, knowledge, [task.class_id], task.incomplete[None],
                           features)
     diff = ad.sub(predicted, task.target)
     return ad.mean(ad.mul(diff, diff))

@@ -330,7 +330,7 @@ def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode, 
     tensors.
     """
     means = mean_prototypes(episode)
-    completed = cp._complete(tensors, knowledge, episode.roster, means, features)
+    completed = cp.complete(tensors, knowledge, episode.roster, means, features)
     x, labels = _transductive_pool(episode)
     fused = fusion.fused_means(x, labels, means, completed)
     sims = fusion.cosine_matrix(episode.query_x, fused)

@@ -1,7 +1,8 @@
 """Training substrate: a registry of named parameters, SGD with momentum and
 weight decay, finite-difference gradient checking, and a versioned binary
-parameter checkpoint. Layers are ``autodiff.linear`` nodes over the
-registry's leaves.
+parameter checkpoint. The completion network reads the registry's leaves
+through one autodiff node with a hand-written backward pass
+(``completion.complete``).
 
 The registry keeps no gradient buffers. ``ParamStore.accumulate`` holds the
 backward pass's leaf gradients as pending gradients, and ``sgd_step`` reads
@@ -219,7 +220,9 @@ def save_checkpoint(tensors, path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Inverse of ``save_checkpoint``; round-trips bit-exactly."""
+    """Inverse of ``save_checkpoint``; round-trips bit-exactly. A corrupt
+    file (bad magic, truncation, a name that is not UTF-8, a repeated name)
+    raises a one-line ``CheckpointError`` that starts with the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -240,7 +243,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         (name_len,) = struct.unpack_from("<I", data, offset)
         offset += 4
         need(name_len, "name")
-        name = data[offset:offset + name_len].decode("utf-8")
+        try:
+            name = data[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{path}: tensor name at byte {offset} is not valid UTF-8: {exc.reason}"
+            ) from exc
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor '{name}' appears more than once")
         offset += name_len
         need(4, f"rank of '{name}'")
         (rank,) = struct.unpack_from("<I", data, offset)

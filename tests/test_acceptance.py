@@ -81,8 +81,10 @@ def test_criterion_01_gaussian_product_grid_oracle():
         log_p = -(xs - m1) ** 2 / (2 * v1) - (xs - m2) ** 2 / (2 * v2)
         w = np.exp(log_p - log_p.max())
         w /= w.sum()
-        grid_mean = float(w @ xs)
-        grid_var = float(w @ (xs - grid_mean) ** 2)
+        # elementwise sums, not BLAS dot products: a threaded dot slowed this
+        # loop to over 10 s of wall time when another process shared the cores
+        grid_mean = float((w * xs).sum())
+        grid_var = float((w * (xs - grid_mean) ** 2).sum())
         worst = max(worst, abs(post.mean[0] - grid_mean), abs(post.variance[0] - grid_var))
     elapsed = time.perf_counter() - started
     assert worst < 1e-6, f"worst grid deviation {worst:.3e}"

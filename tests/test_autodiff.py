@@ -82,38 +82,6 @@ def test_matmul_shape_mismatch():
         ad.matmul(np.ones((2, 3)), np.ones((4, 2)))
 
 
-def test_linear_gradients_match_finite_differences():
-    x = RNG.standard_normal((5, 4))
-    w = RNG.standard_normal((3, 4))
-    b = RNG.standard_normal(3)
-    probe = RNG.standard_normal((5, 3))
-    check_op(lambda t: ad.sum(ad.mul(ad.linear(t, w, b), probe)), x)
-    check_op(lambda t: ad.sum(ad.mul(ad.linear(x, t, b), probe)), w)
-    check_op(lambda t: ad.sum(ad.mul(ad.linear(x, w, t), probe)), b)
-    np.testing.assert_allclose(ad.linear(x, w, b), x @ w.T + b, rtol=1e-15)
-
-
-def test_linear_weight_gradient_is_contiguous_and_exact():
-    x, w, b = (ad.Node(RNG.standard_normal(shape)) for shape in ((6, 4), (3, 4), (3,)))
-    out = ad.linear(x, w, b)
-    g = RNG.standard_normal((6, 3))
-    ad.backward(out, g)
-    assert w.grad.flags.c_contiguous and w.grad.shape == (3, 4)
-    np.testing.assert_allclose(w.grad, g.T @ x.value, rtol=1e-15)
-    np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-15)
-    np.testing.assert_allclose(x.grad, g @ w.value, rtol=1e-15)
-    assert len(out._parents) == 3  # one node, no transpose node in between
-
-
-def test_linear_shape_mismatch():
-    with pytest.raises(ValueError, match="linear shape mismatch"):
-        ad.linear(np.ones((2, 3)), np.ones((4, 2)), np.ones(4))
-    with pytest.raises(ValueError, match="linear shape mismatch"):
-        ad.linear(np.ones((2, 3)), np.ones((4, 3)), np.ones(3))
-    with pytest.raises(ValueError, match="linear shape mismatch"):
-        ad.linear(np.ones(3), np.ones((4, 3)), np.ones(4))
-
-
 def test_transpose_reshape():
     m = RNG.standard_normal((2, 5))
     check_op(lambda x: ad.sum(ad.mul(ad.transpose(x), ad.transpose(x))), m)
@@ -128,11 +96,12 @@ def test_exp_log_sqrt():
 
 
 def test_relu_off_kink():
+    # relu as maximum(0, x), the form the reference networks use: a unit at
+    # or below zero is dead and passes exactly zero gradient
     v = np.array([-2.0, -0.5, 0.7, 3.0])
-    check_op(lambda x: ad.sum(ad.mul(ad.relu(x), v)), v)
-    # dead units pass exactly zero gradient
-    node = ad.Node(v)
-    out = ad.sum(ad.relu(node))
+    check_op(lambda x: ad.sum(ad.mul(ad.maximum(0.0, x), v)), v)
+    node = ad.Node(np.array([-2.0, 0.0, 0.7, 3.0]))
+    out = ad.sum(ad.maximum(0.0, node))
     ad.backward(out)
     np.testing.assert_array_equal(node.grad, [0.0, 0.0, 1.0, 1.0])
 
@@ -200,6 +169,6 @@ def test_node_defines_no_arithmetic_operators():
 
 def test_plain_arrays_stay_plain():
     a = np.ones((2, 2))
-    assert not ad.is_node(ad.relu(a))
+    assert not ad.is_node(ad.maximum(a, 0.0))
     assert not ad.is_node(ad.matmul(a, a))
     assert not ad.is_node(ad.softmax_rows(a))

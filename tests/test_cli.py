@@ -4,6 +4,7 @@ and overwrite contracts."""
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -312,6 +313,13 @@ def _flip_payload_byte(path):
     path.write_bytes(bytes(data))
 
 
+def _repeat_last_tensor(path):
+    """Append a second copy of the checkpoint's last tensor, a scalar."""
+    name = b"log_scale"
+    record = struct.pack("<I", len(name)) + name + struct.pack("<I", 0) + bytes(8)
+    path.write_bytes(path.read_bytes() + record)
+
+
 CORRUPTIONS = {
     "sidecar-json": ("model.pcn.json", "Expecting property name",
                      lambda p: p.write_text("{bad")),
@@ -321,6 +329,11 @@ CORRUPTIONS = {
                          lambda p: p.write_bytes(b"XXXX" + p.read_bytes()[4:])),
     "checkpoint-truncated": ("model.pcn", "truncated checkpoint while reading payload",
                              lambda p: p.write_bytes(p.read_bytes()[:-5])),
+    "checkpoint-name-not-utf8": ("model.pcn", "tensor name at byte 8 is not valid UTF-8",
+                                 lambda p: p.write_bytes(p.read_bytes()[:8] + b"\xff"
+                                                         + p.read_bytes()[9:])),
+    "checkpoint-repeated-name": ("model.pcn", "tensor 'log_scale' appears more than once",
+                                 _repeat_last_tensor),
     "knowledge-json": ("world/knowledge.json", "Expecting value",
                        lambda p: p.write_text("not json")),
     "knowledge-classes": ("world/knowledge.json", "classes: expected a list",

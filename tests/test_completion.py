@@ -1,5 +1,6 @@
-"""Completion network: feature draws, batched completion against scalar and
-traced oracles, task sampling, training, and checkpoints."""
+"""Completion network: feature draws, the completion node against scalar and
+traced references (values and gradients), task sampling, training, and
+checkpoints."""
 
 import re
 
@@ -93,6 +94,46 @@ def test_sample_unknown_attribute():
                                    np.random.default_rng(0))
 
 
+# --- traced reference ------------------------------------------------------
+#
+# The completion network as a composition of generic autodiff operations:
+# every pair's (prototype, class semantic, attribute semantic) row through one
+# dense aggregator layer, and a constant 0/1 matrix summing each row's
+# score-weighted latents. Its gradients come from autodiff's generic
+# operations, independently of the node's hand-written backward pass.
+
+def reference_dense(x, weight, bias, relu):
+    out = ad.add(ad.matmul(x, ad.transpose(weight)), bias)
+    return ad.maximum(0.0, out) if relu else out
+
+
+def reference_scores(t, know, class_ids, prototypes, attrs):
+    """Raw attention scalar of each pair (row p: class ``class_ids[p]`` with
+    incomplete prototype ``prototypes[p]``, attribute ``attrs[p]``), (pairs, 1)."""
+    inputs = np.concatenate([prototypes, know.class_semantics[class_ids],
+                             know.attribute_semantics[attrs]], axis=1)
+    hidden = reference_dense(inputs, t["aggregator.hidden.weight"],
+                             t["aggregator.hidden.bias"], True)
+    return reference_dense(hidden, t["aggregator.output.weight"],
+                           t["aggregator.output.bias"], False)
+
+
+def reference_complete(t, know, class_ids, incomplete, features):
+    x, ids = np.asarray(incomplete, dtype=np.float64), np.asarray(class_ids)
+    rows, attrs = np.nonzero(know.association[ids])
+    encode = lambda v: reference_dense(v, t["encoder.weight"], t["encoder.bias"], True)
+    combined = encode(x)
+    if rows.size:
+        latents = encode(features)
+        scores = reference_scores(t, know, ids[rows], x[rows], attrs)
+        select = np.zeros((ids.size, rows.size))
+        select[rows, np.arange(rows.size)] = 1.0
+        combined = ad.add(ad.matmul(select, ad.mul(latents, scores)), combined)
+    hidden = reference_dense(combined, t["decoder.hidden.weight"], t["decoder.hidden.bias"],
+                             True)
+    return reference_dense(hidden, t["decoder.output.weight"], t["decoder.output.bias"], False)
+
+
 # --- completion ------------------------------------------------------------
 
 def small_world():
@@ -125,10 +166,11 @@ def test_complete_traced_equals_plain_given_same_draws():
     params = small_params(seed=4)
     p = np.random.default_rng(2).standard_normal((1, 4))
     features = cp.draw_attribute_features(stats, know, [2], np.random.default_rng(3))
-    plain = cp._complete(params.tensors(), know, [2], p, features)
-    traced = cp._complete(params.leaves(), know, [2], p, features)
-    assert ad.is_node(traced) and not ad.is_node(plain)
-    np.testing.assert_allclose(ad.value_of(traced), plain, atol=1e-12)
+    plain = cp.complete(params.tensors(), know, [2], p, features)
+    traced = cp.complete(params.leaves(), know, [2], p, features)
+    assert type(plain) is np.ndarray and plain.shape == (1, 4)
+    assert ad.is_node(traced)
+    np.testing.assert_array_equal(ad.value_of(traced), plain)
 
 
 def test_complete_validates_inputs():
@@ -146,7 +188,9 @@ def test_complete_validates_inputs():
     with pytest.raises(ValueError, match="unknown class id -1"):
         plan.complete([0, -1], np.ones((2, 4)))
     with pytest.raises(ValueError, match="1 class ids for 3 prototypes"):
-        cp._complete(params.tensors(), know, [0], np.ones((3, 4)), np.ones((2, 4)))
+        cp.complete(params.tensors(), know, [0], np.ones((3, 4)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="aggregator takes 8 inputs"):
+        cp.complete(small_params(s=2).tensors(), know, [0], np.ones((1, 4)), np.ones((2, 4)))
 
 
 def test_complete_rejects_a_feature_block_of_the_wrong_shape():
@@ -154,10 +198,10 @@ def test_complete_rejects_a_feature_block_of_the_wrong_shape():
     params = small_params()
     features = cp.draw_attribute_features(stats, know, [1, 0], np.random.default_rng(0))
     for tensors in (params.tensors(), params.leaves()):
-        cp._complete(tensors, know, [1, 0], np.ones((2, 4)), features)
+        cp.complete(tensors, know, [1, 0], np.ones((2, 4)), features)
         for bad in (features[:3], features[:, :3], features[None]):
             with pytest.raises(ValueError) as err:
-                cp._complete(tensors, know, [1, 0], np.ones((2, 4)), bad)
+                cp.complete(tensors, know, [1, 0], np.ones((2, 4)), bad)
             assert "need a (4, 4) feature block" in str(err.value)
             assert "\n" not in str(err.value)
 
@@ -168,7 +212,7 @@ def test_complete_rejects_unknown_class_ids(bad_id):
     params = small_params()
     for tensors in (params.tensors(), params.leaves()):
         with pytest.raises(ValueError, match=f"unknown class id {bad_id}"):
-            cp._complete(tensors, know, [0, bad_id], np.ones((2, 4)), np.ones((4, 4)))
+            cp.complete(tensors, know, [0, bad_id], np.ones((2, 4)), np.ones((4, 4)))
 
 
 def test_plan_rejects_knowledge_of_another_semantic_dim():
@@ -233,8 +277,8 @@ def test_batched_complete_matches_scalar_loop_on_train_draws():
     ids = [2, 1, 0, 0]
     features = cp.draw_attribute_features(stats, know, ids, np.random.default_rng(12))
     assert features.shape == (2 + 0 + 3 + 3, 4)
-    plain = cp._complete(params.tensors(), know, ids, x, features)
-    traced = cp._complete(params.leaves(), know, ids, x, features)
+    plain = cp.complete(params.tensors(), know, ids, x, features)
+    traced = cp.complete(params.leaves(), know, ids, x, features)
     np.testing.assert_array_equal(ad.value_of(traced), plain)
     rows, attrs = np.nonzero(know.association[ids])
     for row, cid in enumerate(ids):
@@ -263,8 +307,8 @@ def test_aggregate_matches_scalar_reference():
     x = np.random.default_rng(11).standard_normal(4)
     for cid in range(2):
         attrs = np.flatnonzero(know.association[cid])
-        traced = cp._attention_scores(t, know, np.full(len(attrs), cid),
-                                      np.tile(x, (len(attrs), 1)), attrs)
+        traced = reference_scores(t, know, np.full(len(attrs), cid),
+                                  np.tile(x, (len(attrs), 1)), attrs)
         for k, a in enumerate(attrs):
             u = list(x) + list(know.class_semantics[cid]) + list(know.attribute_semantics[a])
             hidden = dense(t["aggregator.hidden.weight"], t["aggregator.hidden.bias"], u, True)
@@ -272,7 +316,8 @@ def test_aggregate_matches_scalar_reference():
                              hidden, False)
             assert traced[k, 0] == pytest.approx(alpha, rel=1e-12)
             # the plan's per-block split of the first layer gives the same score
-            pre = plan.prototype_weight @ x + plan.class_terms[cid] + plan.attribute_terms[a]
+            pre = (t["aggregator.hidden.weight"][:, :4] @ x + plan.class_terms[cid]
+                   + plan.attribute_terms[a])
             split = np.maximum(pre, 0.0) @ t["aggregator.output.weight"][0] \
                 + t["aggregator.output.bias"][0]
             assert split == pytest.approx(alpha, rel=1e-12)
@@ -337,7 +382,7 @@ def test_plan_matches_traced_completion_on_acceptance_world(noise):
     x = np.random.default_rng(1).standard_normal((ids.size, world.base.dim))
     out = cp.CompletionPlan.build(params, know, stats).complete(ids, x)
     means = stats.mean[np.nonzero(know.association[ids])[1]]
-    expected = cp._complete(params.tensors(), know, ids, x, means)
+    expected = reference_complete(params.tensors(), know, ids, x, means)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
@@ -352,6 +397,117 @@ def test_completion_gradient_check_full_pipeline():
                                lambda t: cp.completion_loss(t, know, task, features),
                                samples_per_tensor=10, rng=np.random.default_rng(7))
     assert report.max_relative_error < 1e-4
+
+
+# --- the completion node against the traced reference ----------------------
+
+def node_and_reference_gradients(params, know, ids, x, features, loss):
+    """Loss and leaf gradients of ``loss(completed)`` through the node and
+    through the traced reference, each from fresh leaves."""
+    out = []
+    for completion in (cp.complete, reference_complete):
+        leaves = params.leaves()
+        value = loss(completion(leaves, know, ids, x, features))
+        ad.backward(value)
+        out.append((float(value.value), {name: leaves[name].grad for name in leaves}))
+    return out
+
+
+def assert_node_matches_reference(params, know, ids, x, features, loss):
+    (node_loss, node_grads), (ref_loss, ref_grads) = node_and_reference_gradients(
+        params, know, ids, x, features, loss)
+    assert abs(node_loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+    assert [n for n in node_grads if node_grads[n] is not None] == list(cp.NETWORK_TENSORS)
+    assert node_grads["log_scale"] is None and ref_grads["log_scale"] is None
+    for name in cp.NETWORK_TENSORS:
+        assert node_grads[name].shape == params.store.value(name).shape, name
+        np.testing.assert_allclose(node_grads[name], ref_grads[name], rtol=1e-12, atol=1e-12,
+                                   err_msg=name)
+
+
+def acceptance_setup(seed):
+    world = datagen.generate_world(datagen.WorldSpec(seed=0))
+    stats = kn.compute_attribute_stats(world.base.embeddings, world.base.labels,
+                                       world.knowledge)
+    params = cp.CompletionNetParams.initialize(world.base.dim, world.knowledge.semantic_dim,
+                                               seed=seed)
+    return world, stats, params
+
+
+def test_node_matches_reference_on_one_train_step():
+    world, stats, params = acceptance_setup(100)
+    table = kn.compute_base_prototypes(world.base.embeddings, world.base.labels)
+    (task,) = cp.sample_completion_tasks(world.base.embeddings, world.base.labels, table,
+                                         k_shot=1, count=1, rng=np.random.default_rng(1))
+    features = cp.draw_attribute_features(stats, world.knowledge, [task.class_id],
+                                          np.random.default_rng(2))
+
+    def loss(completed):
+        diff = ad.sub(completed, task.target)
+        return ad.mean(ad.mul(diff, diff))
+
+    assert_node_matches_reference(params, world.knowledge, [task.class_id],
+                                  task.incomplete[None], features, loss)
+    # completion_loss is that loss on the node
+    value = cp.completion_loss(params.leaves(), world.knowledge, task, features)
+    plain = cp.complete(params.tensors(), world.knowledge, [task.class_id],
+                        task.incomplete[None], features)
+    assert float(value.value) == loss(plain)
+
+
+def test_node_matches_reference_on_a_roster_with_an_empty_and_a_repeated_class():
+    # class 1 has no associated attributes; class 0 appears twice
+    know = small_knowledge([[1, 1, 0, 1], [0, 0, 0, 0], [1, 0, 1, 0]], num_base=3, seed=4)
+    stats = constant_stats(np.random.default_rng(1).standard_normal((4, 4)),
+                           np.abs(np.random.default_rng(2).standard_normal((4, 4))))
+    params = small_params(seed=9)
+    ids = [0, 1, 2, 0, 2]
+    x = np.random.default_rng(11).standard_normal((5, 4))
+    features = cp.draw_attribute_features(stats, know, ids, np.random.default_rng(12))
+    probe = np.random.default_rng(13).standard_normal((5, 4))
+    assert_node_matches_reference(params, know, ids, x, features,
+                                  lambda completed: ad.sum(ad.mul(completed, probe)))
+
+
+def test_node_matches_reference_and_plan_on_an_evaluation_block():
+    # E * n_way rows, episode-major, as evaluation hands a block to the plan:
+    # classes repeat across episodes and the latents are the attribute means
+    world, stats, params = acceptance_setup(101)
+    rng = np.random.default_rng(3)
+    ids = np.concatenate([np.sort(rng.choice(world.novel.class_ids(), 5, replace=False))
+                          for _ in range(4)])
+    x = rng.standard_normal((ids.size, world.base.dim))
+    means = stats.mean[np.nonzero(world.knowledge.association[ids])[1]]
+    probe = rng.standard_normal(x.shape)
+    assert_node_matches_reference(params, world.knowledge, ids, x, means,
+                                  lambda completed: ad.sum(ad.mul(completed, probe)))
+    plan = cp.CompletionPlan.build(params, world.knowledge, stats)
+    np.testing.assert_allclose(cp.complete(params.tensors(), world.knowledge, ids, x, means),
+                               plan.complete(ids, x), rtol=0, atol=1e-12)
+
+
+def test_node_gradient_check_on_a_block():
+    know, stats = small_world()
+    params = small_params(seed=12)
+    ids = [2, 0, 0, 1]
+    x = np.random.default_rng(14).standard_normal((4, 4))
+    features = cp.draw_attribute_features(stats, know, ids, np.random.default_rng(15))
+    probe = np.random.default_rng(16).standard_normal((4, 4))
+    report = nn.gradient_check(
+        params.store, lambda t: ad.sum(ad.mul(cp.complete(t, know, ids, x, features), probe)),
+        samples_per_tensor=10, rng=np.random.default_rng(17))
+    assert report.max_relative_error < 1e-4
+    assert set(report.per_parameter) == set(cp.TENSOR_NAMES)
+
+
+def test_node_rejects_traced_prototypes_or_features():
+    know, stats = small_world()
+    params = small_params()
+    features = cp.draw_attribute_features(stats, know, [0], np.random.default_rng(0))
+    x = np.ones((1, 4))
+    for args in ((ad.Node(x), features), (x, ad.Node(features))):
+        with pytest.raises(TypeError, match="not Nodes"):
+            cp.complete(params.leaves(), know, [0], *args)
 
 
 # --- task sampling ----------------------------------------------------------

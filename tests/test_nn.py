@@ -1,5 +1,5 @@
-"""Stacks of ``autodiff.linear`` layers against scalar and finite-difference
-references, the SGD update rule, gradient checking, and checkpoint
+"""Stacks of dense layers traced through autodiff against scalar and
+finite-difference references, the SGD update rule, gradient checking, and checkpoint
 round-trips."""
 
 import tempfile
@@ -16,14 +16,14 @@ from protofuse import nn
 
 
 def linear_stack(x, layers):
-    """Stack of ``ad.linear`` layers, traced when the weights are Nodes, each
-    followed by relu unless marked identity; ``layers`` holds (weight, bias,
-    activation)."""
+    """Stack of dense layers ``h @ weight.T + bias``, traced when the weights
+    are Nodes, each followed by relu (``maximum(0, h)``) unless marked
+    identity; ``layers`` holds (weight, bias, activation)."""
     h = x
     for weight, bias, activation in layers:
-        h = ad.linear(h, weight, bias)
+        h = ad.add(ad.matmul(h, ad.transpose(weight)), bias)
         if activation == "relu":
-            h = ad.relu(h)
+            h = ad.maximum(0.0, h)
     return h
 
 
@@ -74,7 +74,7 @@ def test_forward_matches_scalar_reference():
 
 
 def test_forward_dimension_mismatch():
-    with pytest.raises(ValueError, match="linear shape mismatch"):
+    with pytest.raises(ValueError, match="matmul shape mismatch"):
         linear_stack(np.ones((1, 4)), [(np.ones((2, 3)), np.zeros(2), "identity")])
 
 
@@ -89,7 +89,7 @@ def test_backward_linear_outer_product():
 
 def test_backward_dead_relu_unit():
     weight, bias = ad.Node(np.array([[1.0], [-1.0]])), ad.Node(np.zeros(2))
-    out = ad.relu(ad.linear(np.array([[3.0]]), weight, bias))  # unit 1 is dead
+    out = linear_stack(np.array([[3.0]]), [(weight, bias, "relu")])  # unit 1 is dead
     ad.backward(out)
     np.testing.assert_array_equal(weight.grad, [[3.0], [0.0]])
     np.testing.assert_array_equal(bias.grad, [1.0, 0.0])
@@ -334,6 +334,30 @@ def test_checkpoint_truncation_reports_byte_counts(tmp_path):
     cut.write_bytes(data[:-9])
     with pytest.raises(nn.CheckpointError, match=r"expected \d+ bytes, file has \d+"):
         nn.load_checkpoint(cut)
+
+
+def test_checkpoint_name_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "params.pcn"
+    nn.save_checkpoint({"ab": np.ones(2)}, path)
+    data = bytearray(path.read_bytes())
+    data[8] = 0xFF  # first byte of the name, after the magic and its length
+    path.write_bytes(bytes(data))
+    with pytest.raises(nn.CheckpointError) as err:
+        nn.load_checkpoint(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: tensor name at byte 8 is not valid UTF-8")
+    assert "\n" not in message
+
+
+def test_checkpoint_repeated_name_names_the_file(tmp_path):
+    path = tmp_path / "params.pcn"
+    nn.save_checkpoint({"w": np.ones(2), "b": np.zeros(1)}, path)
+    data = path.read_bytes()
+    nn.save_checkpoint({"w": np.full(3, 2.0)}, tmp_path / "again.pcn")
+    path.write_bytes(data + (tmp_path / "again.pcn").read_bytes()[4:])
+    with pytest.raises(nn.CheckpointError) as err:
+        nn.load_checkpoint(path)
+    assert str(err.value) == f"{path}: tensor 'w' appears more than once"
 
 
 def test_param_store_register_and_leaves():
