@@ -76,18 +76,22 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _episodes_per_epoch(args, world: World) -> int:
+    """--episodes-per-epoch, by default 4x the number of base classes."""
+    return args.episodes_per_epoch or 4 * len(world.knowledge.base_class_ids)
+
+
 def _cmd_train_completion(args) -> int:
     _require_new(args.out, args.overwrite)
     world, prototypes, stats = _load_world_and_stats(args.world)
-    episodes_per_epoch = args.episodes_per_epoch or 4 * len(world.knowledge.base_class_ids)
+    episodes_per_epoch = _episodes_per_epoch(args, world)
     params = cp.CompletionNetParams.initialize(
         world.base.dim, world.knowledge.semantic_dim, seed=args.seed)
     tasks = cp.sample_completion_tasks(
         world.base.embeddings, world.base.labels, prototypes,
         k_shot=args.k_shot, count=args.epochs * episodes_per_epoch,
         rng=np.random.default_rng([args.seed, 1]))
-    config = nn.SgdConfig(learning_rate=args.learning_rate, momentum=args.momentum,
-                          weight_decay=args.weight_decay, epochs=args.epochs)
+    config = nn.SgdConfig(learning_rate=args.learning_rate, epochs=args.epochs)
     losses = cp.train_completion(params, world.knowledge, stats, tasks, config,
                                  rng=np.random.default_rng([args.seed, 2]))
     cp.save_model(params, args.out, metadata={
@@ -97,8 +101,8 @@ def _cmd_train_completion(args) -> int:
         "episodes_per_epoch": episodes_per_epoch,
         "k_shot": args.k_shot,
         "learning_rate": args.learning_rate,
-        "momentum": args.momentum,
-        "weight_decay": args.weight_decay,
+        "momentum": nn.MOMENTUM,
+        "weight_decay": nn.WEIGHT_DECAY,
         "losses": losses,
     })
     print(f"completion training: {args.epochs} epochs, "
@@ -109,10 +113,9 @@ def _cmd_train_completion(args) -> int:
 def _cmd_meta_train(args) -> int:
     _require_new(args.out, args.overwrite)
     world, stats, params, meta = _load_world_and_model(args)
-    episodes_per_epoch = args.episodes_per_epoch or 4 * len(world.knowledge.base_class_ids)
+    episodes_per_epoch = _episodes_per_epoch(args, world)
     config = ep.MetaTrainConfig(
-        optimizer=nn.SgdConfig(learning_rate=args.learning_rate, momentum=args.momentum,
-                               weight_decay=args.weight_decay, epochs=args.epochs),
+        optimizer=nn.SgdConfig(learning_rate=args.learning_rate, epochs=args.epochs),
         n_way=args.n_way, k_shot=args.k_shot, m_query=args.m_query,
         episodes_per_epoch=episodes_per_epoch, seed=args.seed)
     _, losses = ep.meta_train(params, world.base, world.knowledge, stats, config)
@@ -291,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes-per-epoch", type=_positive_int, default=None,
                    help="default: 4x the number of base classes")
     p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_train_completion)
@@ -305,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes-per-epoch", type=_positive_int, default=None,
                    help="default: 4x the number of base classes")
     p.add_argument("--learning-rate", type=float, default=1e-4)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
     _add_episode_shape(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--overwrite", action="store_true")

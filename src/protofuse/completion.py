@@ -91,10 +91,6 @@ class CompletionNetParams:
         """Live parameter arrays by name (the untraced fast path)."""
         return {name: self.store.value(name) for name in self.store.names()}
 
-    def leaves(self) -> dict:
-        """Fresh leaf Nodes for one traced forward/backward pass."""
-        return self.store.leaves()
-
     @property
     def scale_gamma(self) -> float:
         return float(np.exp(self.store.value("log_scale")))
@@ -112,10 +108,6 @@ class CompletionNetParams:
             "decoder.output.weight": (d, k), "decoder.output.bias": (d,),
             "log_scale": (),
         }
-
-
-def _tensor_dict(params) -> dict:
-    return params.tensors() if isinstance(params, CompletionNetParams) else params
 
 
 def _pairs(association: np.ndarray, class_ids) -> tuple:
@@ -287,9 +279,9 @@ class CompletionPlan:
     attribute_latents: np.ndarray  # (A, E) relu(W_enc mean_a + b_enc)
 
     @classmethod
-    def build(cls, params, knowledge: PrimitiveKnowledge,
+    def build(cls, params: CompletionNetParams, knowledge: PrimitiveKnowledge,
               stats: AttributeStats) -> "CompletionPlan":
-        t = _tensor_dict(params)
+        t = params.tensors()
         d, s = _input_dims(t, knowledge)
         if stats.mean.shape != (knowledge.num_attributes, d):
             raise ValueError(f"attribute stats of shape {stats.mean.shape} do not match "

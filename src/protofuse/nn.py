@@ -1,5 +1,6 @@
-"""Training substrate: a registry of named parameters, SGD with momentum and
-weight decay, finite-difference gradient checking, and a versioned binary
+"""Training substrate: a registry of named parameters, SGD with a fixed
+momentum (``MOMENTUM``) and L2 weight decay (``WEIGHT_DECAY``) folded into
+the gradient, finite-difference gradient checking, and a versioned binary
 parameter checkpoint. The completion network reads the registry's leaves
 through one autodiff node with a hand-written backward pass
 (``completion.complete``).
@@ -15,6 +16,7 @@ single-precision noise.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -24,6 +26,8 @@ from . import autodiff as ad
 from .fileio import atomic_write_bytes
 
 CHECKPOINT_MAGIC = b"PCN1"
+MOMENTUM = 0.9  # the SGD recipe both training phases share
+WEIGHT_DECAY = 0.0005
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -96,24 +100,19 @@ class ParamStore:
 @dataclass
 class SgdConfig:
     learning_rate: float
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
     epochs: int = 1
 
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
 
 
 def sgd_step(store: ParamStore, config: SgdConfig) -> None:
     """Momentum update with L2 decay folded into the gradient:
-    g <- g + wd*theta; v <- m*v + g; theta <- theta - lr*v.
+    g <- g + wd*theta; v <- m*v + g; theta <- theta - lr*v, with
+    m = ``MOMENTUM`` and wd = ``WEIGHT_DECAY``.
 
     ``g`` is the tensor's pending gradient, or zero when it has none (so a
     parameter off the loss's path still decays). Each tensor is updated
@@ -132,20 +131,19 @@ def sgd_step(store: ParamStore, config: SgdConfig) -> None:
             g = pending.get(name)
             if g is not None and not np.isfinite(g.sum()) and not np.isfinite(g).all():
                 raise NonFiniteGradientError(name)
-    lr, momentum, decay = config.learning_rate, config.momentum, config.weight_decay
     for name, theta in store._values.items():
         v = store._velocity.get(name)
         if v is None:
             v = store._velocity[name] = np.zeros_like(theta)
             store._scratch[name] = np.empty_like(theta)
         scratch = store._scratch[name]
-        np.multiply(decay, theta, out=scratch)
+        np.multiply(WEIGHT_DECAY, theta, out=scratch)
         g = pending.get(name)
         if g is not None:
             np.add(g, scratch, out=scratch)
-        v *= momentum
+        v *= MOMENTUM
         v += scratch
-        np.multiply(lr, v, out=scratch)
+        np.multiply(config.learning_rate, v, out=scratch)
         theta -= scratch
     pending.clear()
 
@@ -258,7 +256,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         need(4 * rank, f"dims of '{name}'")
         dims = struct.unpack_from(f"<{rank}I", data, offset)
         offset += 4 * rank
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        count = math.prod(dims)
         need(8 * count, f"payload of '{name}'")
         flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += 8 * count

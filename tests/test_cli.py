@@ -210,6 +210,20 @@ def test_episodes_per_epoch_below_one_is_a_usage_error(tmp_path, workspace, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["train-completion"],
+                                     ["meta-train", "--checkpoint", "model.pcn"]])
+@pytest.mark.parametrize("flag", ["--momentum", "--weight-decay"])
+def test_fixed_optimizer_settings_are_not_flags(tmp_path, workspace, capsys, command, flag):
+    _, world, model = workspace
+    flags = [str(model) if a == "model.pcn" else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(flags + ["--world", str(world), "--out", str(tmp_path / "out.pcn"),
+                      "--epochs", "1", flag, "0.5", "--seed", "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_window_zero_fails_before_writing(tmp_path, workspace, capsys):
     _, world, model = workspace
     with pytest.raises(SystemExit) as exc:

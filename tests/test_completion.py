@@ -167,7 +167,7 @@ def test_complete_traced_equals_plain_given_same_draws():
     p = np.random.default_rng(2).standard_normal((1, 4))
     features = cp.draw_attribute_features(stats, know, [2], np.random.default_rng(3))
     plain = cp.complete(params.tensors(), know, [2], p, features)
-    traced = cp.complete(params.leaves(), know, [2], p, features)
+    traced = cp.complete(params.store.leaves(), know, [2], p, features)
     assert type(plain) is np.ndarray and plain.shape == (1, 4)
     assert ad.is_node(traced)
     np.testing.assert_array_equal(ad.value_of(traced), plain)
@@ -197,7 +197,7 @@ def test_complete_rejects_a_feature_block_of_the_wrong_shape():
     know, stats = small_world()
     params = small_params()
     features = cp.draw_attribute_features(stats, know, [1, 0], np.random.default_rng(0))
-    for tensors in (params.tensors(), params.leaves()):
+    for tensors in (params.tensors(), params.store.leaves()):
         cp.complete(tensors, know, [1, 0], np.ones((2, 4)), features)
         for bad in (features[:3], features[:, :3], features[None]):
             with pytest.raises(ValueError) as err:
@@ -210,7 +210,7 @@ def test_complete_rejects_a_feature_block_of_the_wrong_shape():
 def test_complete_rejects_unknown_class_ids(bad_id):
     know, stats = small_world()
     params = small_params()
-    for tensors in (params.tensors(), params.leaves()):
+    for tensors in (params.tensors(), params.store.leaves()):
         with pytest.raises(ValueError, match=f"unknown class id {bad_id}"):
             cp.complete(tensors, know, [0, bad_id], np.ones((2, 4)), np.ones((4, 4)))
 
@@ -278,7 +278,7 @@ def test_batched_complete_matches_scalar_loop_on_train_draws():
     features = cp.draw_attribute_features(stats, know, ids, np.random.default_rng(12))
     assert features.shape == (2 + 0 + 3 + 3, 4)
     plain = cp.complete(params.tensors(), know, ids, x, features)
-    traced = cp.complete(params.leaves(), know, ids, x, features)
+    traced = cp.complete(params.store.leaves(), know, ids, x, features)
     np.testing.assert_array_equal(ad.value_of(traced), plain)
     rows, attrs = np.nonzero(know.association[ids])
     for row, cid in enumerate(ids):
@@ -406,7 +406,7 @@ def node_and_reference_gradients(params, know, ids, x, features, loss):
     through the traced reference, each from fresh leaves."""
     out = []
     for completion in (cp.complete, reference_complete):
-        leaves = params.leaves()
+        leaves = params.store.leaves()
         value = loss(completion(leaves, know, ids, x, features))
         ad.backward(value)
         out.append((float(value.value), {name: leaves[name].grad for name in leaves}))
@@ -449,7 +449,7 @@ def test_node_matches_reference_on_one_train_step():
     assert_node_matches_reference(params, world.knowledge, [task.class_id],
                                   task.incomplete[None], features, loss)
     # completion_loss is that loss on the node
-    value = cp.completion_loss(params.leaves(), world.knowledge, task, features)
+    value = cp.completion_loss(params.store.leaves(), world.knowledge, task, features)
     plain = cp.complete(params.tensors(), world.knowledge, [task.class_id],
                         task.incomplete[None], features)
     assert float(value.value) == loss(plain)
@@ -507,7 +507,7 @@ def test_node_rejects_traced_prototypes_or_features():
     x = np.ones((1, 4))
     for args in ((ad.Node(x), features), (x, ad.Node(features))):
         with pytest.raises(TypeError, match="not Nodes"):
-            cp.complete(params.leaves(), know, [0], *args)
+            cp.complete(params.store.leaves(), know, [0], *args)
 
 
 # --- task sampling ----------------------------------------------------------
@@ -580,8 +580,7 @@ def test_train_completion_drives_identity_loss_down():
         point = anchors[cid] + 0.02 * rng.standard_normal(4)
         tasks.append(cp.CompletionTask(cid, point[None, :], point, point))
     losses = cp.train_completion(params, know, stats, tasks,
-                                 nn.SgdConfig(learning_rate=3e-2, epochs=100,
-                                              weight_decay=0.0),
+                                 nn.SgdConfig(learning_rate=3e-2, epochs=100),
                                  np.random.default_rng(3))
     assert losses[-1] < 1e-3
 
