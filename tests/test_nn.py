@@ -253,9 +253,12 @@ def test_sgd_step_leaves_sharing_one_gradient_array():
         assert store.value(name).tobytes() == expected[name].tobytes(), name
 
 
+# Explicit ids keep each case's name stable: kwargs2 and kwargs3 were the
+# momentum and weight-decay cases, gone now that those are fixed constants.
 @pytest.mark.parametrize("kwargs", [
-    dict(learning_rate=0.0),
-    dict(learning_rate=1e-3, epochs=0),
+    pytest.param(dict(learning_rate=0.0), id="kwargs0"),
+    pytest.param(dict(learning_rate=float("nan")), id="kwargs1"),
+    pytest.param(dict(learning_rate=1e-3, epochs=0), id="kwargs4"),
 ])
 def test_sgd_config_validation(kwargs):
     with pytest.raises(ValueError):
