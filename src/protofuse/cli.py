@@ -3,13 +3,16 @@ evaluation, and the diagnostic reports.
 
 Every command takes an explicit --seed (no wall-clock seeding) and writes
 outputs atomically, so rerunning with identical flags produces byte-identical
-files. Existing outputs are refused unless --overwrite is given. Exit codes:
-0 success, 1 runtime error (single-line ``error: ...`` on stderr), 2 usage.
+files. Existing outputs are refused unless --overwrite is given. ``_command``
+adds these two flags, the output flag and --world/--checkpoint where a command
+reads them, so each subparser declares only its own. Exit codes: 0 success,
+1 runtime error (single-line ``error: ...`` on stderr), 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -31,15 +34,14 @@ def _require_new(path: str, overwrite: bool) -> None:
 
 def _load_world_and_stats(world_dir: str):
     world = load_world(world_dir)
-    prototypes = compute_base_prototypes(world.base.embeddings, world.base.labels)
-    stats = compute_attribute_stats(world.base.embeddings, world.base.labels, world.knowledge)
-    return world, prototypes, stats
+    return world, compute_attribute_stats(world.base.embeddings, world.base.labels,
+                                          world.knowledge)
 
 
 def _load_world_and_model(args):
     """World, attribute stats, and the checkpoint with its metadata, after
     checking that the checkpoint's dimensions fit the world."""
-    world, _, stats = _load_world_and_stats(args.world)
+    world, stats = _load_world_and_stats(args.world)
     params, metadata = cp.load_model(args.checkpoint)
     model_dims = (params.input_dim, params.semantic_dim)
     world_dims = (world.base.dim, world.knowledge.semantic_dim)
@@ -83,8 +85,9 @@ def _episodes_per_epoch(args, world: World) -> int:
 
 def _cmd_train_completion(args) -> int:
     _require_new(args.out, args.overwrite)
-    world, prototypes, stats = _load_world_and_stats(args.world)
+    world, stats = _load_world_and_stats(args.world)
     episodes_per_epoch = _episodes_per_epoch(args, world)
+    prototypes = compute_base_prototypes(world.base.embeddings, world.base.labels)
     params = cp.CompletionNetParams.initialize(
         world.base.dim, world.knowledge.semantic_dim, seed=args.seed)
     tasks = cp.sample_completion_tasks(
@@ -158,7 +161,6 @@ def _cmd_eval(args) -> int:
     report = _evaluate(args, world, world.knowledge, stats, params, args.mode, dump)
     atomic_write_json(args.out, report.to_json_dict())
     if args.dump_fusion:
-        import json
         atomic_write_text(args.dump_fusion,
                           "\n".join(json.dumps(e, sort_keys=True, allow_nan=False)
                                     for e in dump) + "\n")
@@ -249,6 +251,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_training(p: argparse.ArgumentParser, epochs: int, learning_rate: float) -> None:
+    p.add_argument("--epochs", type=int, default=epochs)
+    p.add_argument("--episodes-per-epoch", type=_positive_int, default=None,
+                   help="default: 4x the number of base classes")
+    p.add_argument("--learning-rate", type=float, default=learning_rate)
+
+
 def _add_episode_shape(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-way", type=int, default=5)
     p.add_argument("--k-shot", type=int, default=1)
@@ -261,6 +270,22 @@ def _add_eval_shape(p: argparse.ArgumentParser, episodes_default: int) -> None:
     p.add_argument("--split", choices=("base", "novel"), default="novel")
 
 
+def _command(sub, name: str, func, help: str, *, world: bool = True,
+             checkpoint: bool = True, out: str = "--out") -> argparse.ArgumentParser:
+    """Subcommand ``name`` running ``func``, with the shared flags: --world and
+    --checkpoint where it reads them, the output flag ``out``, --seed, --overwrite."""
+    p = sub.add_parser(name, help=help)
+    if world:
+        p.add_argument("--world", required=True)
+    if checkpoint:
+        p.add_argument("--checkpoint", required=True)
+    p.add_argument(out, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--overwrite", action="store_true")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protofuse",
@@ -268,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "few-shot classification over fixed embeddings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic embedding world")
-    p.add_argument("--out", required=True)
+    p = _command(sub, "gen", _cmd_gen, "generate a synthetic embedding world",
+                 world=False, checkpoint=False)
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--semantic-dim", type=int, default=32)
     p.add_argument("--base-classes", type=int, default=32)
@@ -282,79 +307,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--novel-noise-std", type=float, default=None)
     p.add_argument("--dropout", type=float, default=0.5)
     p.add_argument("--offset-std", type=float, default=0.3)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--overwrite", action="store_true")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("train-completion", help="train the prototype completion network")
-    p.add_argument("--world", required=True)
-    p.add_argument("--out", required=True)
+    p = _command(sub, "train-completion", _cmd_train_completion,
+                 "train the prototype completion network", checkpoint=False)
     p.add_argument("--k-shot", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--episodes-per-epoch", type=_positive_int, default=None,
-                   help="default: 4x the number of base classes")
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--overwrite", action="store_true")
-    p.set_defaults(func=_cmd_train_completion)
+    _add_training(p, epochs=100, learning_rate=1e-3)
 
-    p = sub.add_parser("meta-train", help="episodically fine-tune through the fused pipeline")
-    p.add_argument("--world", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--episodes-per-epoch", type=_positive_int, default=None,
-                   help="default: 4x the number of base classes")
-    p.add_argument("--learning-rate", type=float, default=1e-4)
+    p = _command(sub, "meta-train", _cmd_meta_train,
+                 "episodically fine-tune through the fused pipeline")
+    _add_training(p, epochs=40, learning_rate=1e-4)
     _add_episode_shape(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--overwrite", action="store_true")
-    p.set_defaults(func=_cmd_meta_train)
 
-    p = sub.add_parser("eval", help="evaluate one prototype mode over sampled episodes")
-    p.add_argument("--world", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
+    p = _command(sub, "eval", _cmd_eval, "evaluate one prototype mode over sampled episodes")
     p.add_argument("--mode", choices=ep.MODES, required=True)
     _add_eval_shape(p, episodes_default=600)
     p.add_argument("--dump-fusion", default=None,
                    help="optional JSONL path for per-episode fusion diagnostics; "
                         "needs --mode gauss-fusion")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--overwrite", action="store_true")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("ablate", help="run all four prototype modes on the same episodes")
-    p.add_argument("--world", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
+    p = _command(sub, "ablate", _cmd_ablate, "run all four prototype modes on the same episodes")
     _add_eval_shape(p, episodes_default=600)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--overwrite", action="store_true")
-    p.set_defaults(func=_cmd_ablate)
 
-    p = sub.add_parser("noise-sweep",
-                       help="evaluate under knowledge noise, with and without fusion")
-    p.add_argument("--world", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
+    p = _command(sub, "noise-sweep", _cmd_noise_sweep,
+                 "evaluate under knowledge noise, with and without fusion")
     p.add_argument("--gamma-noise", type=float, nargs="+", required=True,
                    help="flip probabilities for association entries")
     _add_eval_shape(p, episodes_default=600)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--overwrite", action="store_true")
-    p.set_defaults(func=_cmd_noise_sweep)
 
-    p = sub.add_parser("report",
-                       help="prototype-similarity table and rank-curve CSV")
-    p.add_argument("--world", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out-prefix", required=True)
+    p = _command(sub, "report", _cmd_report, "prototype-similarity table and rank-curve CSV",
+                 out="--out-prefix")
     _add_eval_shape(p, episodes_default=1000)
     p.add_argument("--window", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--overwrite", action="store_true")
-    p.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -52,6 +52,9 @@ TENSOR_NAMES = (
     "log_scale",
 )
 NETWORK_TENSORS = TENSOR_NAMES[:-1]  # what completion reads: all but log_scale
+# The dimensions a checkpoint's JSON sidecar records, as CompletionNetParams fields.
+SIDECAR_DIMS = ("input_dim", "semantic_dim", "encoder_dim", "aggregator_hidden",
+                "decoder_hidden")
 
 
 @dataclass
@@ -70,22 +73,21 @@ class CompletionNetParams:
                    encoder_dim: int = ENCODER_DIM,
                    aggregator_hidden: int = AGGREGATOR_HIDDEN,
                    decoder_hidden: int = DECODER_HIDDEN) -> "CompletionNetParams":
+        """Registers ``tensor_shapes`` in ``TENSOR_NAMES`` order, which fixes the glorot
+        draws: weights glorot-uniform, biases zero, ``log_scale`` at log(SCALE_INIT)."""
         rng = np.random.default_rng(seed)
-        aggregator_in = input_dim + 2 * semantic_dim
-        store = nn.ParamStore()
-        store.register("encoder.weight", nn.glorot_uniform(rng, encoder_dim, input_dim))
-        store.register("encoder.bias", np.zeros(encoder_dim))
-        store.register("aggregator.hidden.weight",
-                       nn.glorot_uniform(rng, aggregator_hidden, aggregator_in))
-        store.register("aggregator.hidden.bias", np.zeros(aggregator_hidden))
-        store.register("aggregator.output.weight", nn.glorot_uniform(rng, 1, aggregator_hidden))
-        store.register("aggregator.output.bias", np.zeros(1))
-        store.register("decoder.hidden.weight", nn.glorot_uniform(rng, decoder_hidden, encoder_dim))
-        store.register("decoder.hidden.bias", np.zeros(decoder_hidden))
-        store.register("decoder.output.weight", nn.glorot_uniform(rng, input_dim, decoder_hidden))
-        store.register("decoder.output.bias", np.zeros(input_dim))
-        store.register("log_scale", np.log(SCALE_INIT))
-        return cls(store, input_dim, semantic_dim, encoder_dim, aggregator_hidden, decoder_hidden)
+        params = cls(nn.ParamStore(), input_dim, semantic_dim, encoder_dim,
+                     aggregator_hidden, decoder_hidden)
+        shapes = params.tensor_shapes()
+        for name in TENSOR_NAMES:
+            if name.endswith(".weight"):
+                value = nn.glorot_uniform(rng, *shapes[name])
+            elif name == "log_scale":
+                value = np.log(SCALE_INIT)
+            else:
+                value = np.zeros(shapes[name])
+            params.store.register(name, value)
+        return params
 
     def tensors(self) -> dict:
         """Live parameter arrays by name (the untraced fast path)."""
@@ -413,15 +415,8 @@ def train_completion(params: CompletionNetParams, knowledge: PrimitiveKnowledge,
 def save_model(params: CompletionNetParams, path, metadata: dict | None = None) -> None:
     """Binary checkpoint plus a JSON sidecar (dims, scale, training metadata)."""
     nn.save_checkpoint(params.store, path)
-    sidecar = {
-        "input_dim": params.input_dim,
-        "semantic_dim": params.semantic_dim,
-        "encoder_dim": params.encoder_dim,
-        "aggregator_hidden": params.aggregator_hidden,
-        "decoder_hidden": params.decoder_hidden,
-        "scale_gamma": params.scale_gamma,
-        "metadata": metadata or {},
-    }
+    sidecar = {key: getattr(params, key) for key in SIDECAR_DIMS}
+    sidecar.update(scale_gamma=params.scale_gamma, metadata=metadata or {})
     atomic_write_json(str(path) + ".json", sidecar)
 
 
@@ -429,8 +424,7 @@ def load_model(path) -> tuple:
     """Load a checkpoint + sidecar pair; returns (params, metadata)."""
     sidecar_path = f"{path}.json"
     sidecar = read_json_object(sidecar_path)
-    dims = ("input_dim", "semantic_dim", "encoder_dim", "aggregator_hidden", "decoder_hidden")
-    absent = [key for key in dims if key not in sidecar]
+    absent = [key for key in SIDECAR_DIMS if key not in sidecar]
     if absent:
         raise nn.CheckpointError(f"{sidecar_path}: sidecar is missing {absent}")
     tensors = nn.load_checkpoint(path)
@@ -441,7 +435,7 @@ def load_model(path) -> tuple:
     for name in TENSOR_NAMES:
         store.register(name, tensors[name])
     try:
-        sizes = {key: int(sidecar[key]) for key in dims}
+        sizes = {key: int(sidecar[key]) for key in SIDECAR_DIMS}
     except (TypeError, ValueError) as exc:
         raise nn.CheckpointError(f"{sidecar_path}: dimensions must be integers: {exc}") from exc
     params = CompletionNetParams(store=store, **sizes)

@@ -350,8 +350,8 @@ class MetaTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_way, self.k_shot, self.m_query, self.episodes_per_epoch) < 1:
-            raise ValueError("episode shape fields must be at least 1")
+        _check_episode_shape(n_way=self.n_way, k_shot=self.k_shot, m_query=self.m_query,
+                             episodes_per_epoch=self.episodes_per_epoch)
 
 
 def meta_train(params: cp.CompletionNetParams, dataset: FewShotDataset,
@@ -365,16 +365,16 @@ def meta_train(params: cp.CompletionNetParams, dataset: FewShotDataset,
     """
     rng = np.random.default_rng(config.seed)
     losses = []
-    for _ in range(config.optimizer.epochs):
+    for epoch in range(config.optimizer.epochs):
         total = 0.0
-        for _ in range(config.episodes_per_epoch):
+        for index in range(config.episodes_per_epoch):
             episode = sample_episode(dataset, config.n_way, config.k_shot,
                                      config.m_query, rng)
             features = cp.draw_attribute_features(stats, knowledge, episode.roster, rng)
             leaves = params.store.leaves()
             loss = meta_episode_loss(leaves, knowledge, episode, features)
             if not np.isfinite(loss.value):
-                raise RuntimeError("non-finite episodic loss")
+                raise RuntimeError(f"non-finite episodic loss at epoch {epoch}, episode {index}")
             ad.backward(loss)
             params.store.accumulate(leaves)
             nn.sgd_step(params.store, config.optimizer)

@@ -303,7 +303,10 @@ def _semantic_vector(entry, context: str) -> np.ndarray:
         isinstance(v, (int, float)) for v in vec
     ):
         raise KnowledgeFormatError(f"{context}.semantic: expected a nonempty list of numbers")
-    return np.asarray(vec, dtype=np.float64)
+    vec = np.asarray(vec, dtype=np.float64)
+    if not np.isfinite(vec).all():
+        raise KnowledgeFormatError(f"{context}.semantic: values must be finite")
+    return vec
 
 
 def load_knowledge(path) -> PrimitiveKnowledge:

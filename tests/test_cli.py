@@ -185,6 +185,32 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+# The README's contract: every command requires --seed and its output flag,
+# --world and --checkpoint where it reads them, and takes --overwrite.
+SHARED_FLAGS = {
+    "gen": {"--out", "--seed"},
+    "train-completion": {"--world", "--out", "--seed"},
+    "meta-train": {"--world", "--checkpoint", "--out", "--seed"},
+    "eval": {"--world", "--checkpoint", "--out", "--seed"},
+    "ablate": {"--world", "--checkpoint", "--out", "--seed"},
+    "noise-sweep": {"--world", "--checkpoint", "--out", "--seed"},
+    "report": {"--world", "--checkpoint", "--out-prefix", "--seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHARED_FLAGS))
+def test_every_command_requires_its_shared_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: protofuse {command} ") and "[--overwrite]" in err
+    required = set(err.split("the following arguments are required: ")[1].strip().split(", "))
+    assert SHARED_FLAGS[command] <= required
+    for flag in {"--world", "--checkpoint"} - SHARED_FLAGS[command]:
+        assert flag not in err
+
+
 def test_meta_train_rejects_evaluation_flags(tmp_path, workspace):
     _, world, model = workspace
     with pytest.raises(SystemExit) as exc:
@@ -352,6 +378,11 @@ CORRUPTIONS = {
                        lambda p: p.write_text("not json")),
     "knowledge-classes": ("world/knowledge.json", "classes: expected a list",
                           lambda p: _rewrite_json(p, lambda d: d.update(classes=5))),
+    # Python's json parses NaN and Infinity; a semantic vector must be finite.
+    "knowledge-semantic-not-finite": (
+        "world/knowledge.json", "classes[0].semantic: values must be finite",
+        lambda p: _rewrite_json(
+            p, lambda d: d["classes"][0]["semantic"].__setitem__(0, float("nan")))),
     "payload-checksum": ("world/base.f64le", "payload checksum mismatch", _flip_payload_byte),
     "manifest-d": ("world/base.manifest.json", "manifest is missing 'd'",
                    lambda p: _rewrite_json(p, lambda d: d.pop("d"))),

@@ -565,6 +565,23 @@ def test_train_completion_rejects_empty_tasks():
         cp.train_completion(params, know, stats, [], nn.SgdConfig(1e-3), np.random.default_rng(0))
 
 
+def test_train_completion_stops_on_a_non_finite_loss_before_any_update():
+    # A finite output bias whose square overflows makes the first task's loss
+    # infinite; the step must stop before backward and the update.
+    know, stats = small_world()
+    params = small_params()
+    params.store.value("decoder.output.bias")[:] = 1e200
+    before = {name: params.store.value(name).copy() for name in params.store.names()}
+    point = np.ones(4)
+    tasks = [cp.CompletionTask(2, point[None, :], point, point)] * 3
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match="^non-finite completion loss on class 2$"):
+        cp.train_completion(params, know, stats, tasks, nn.SgdConfig(1e-3),
+                            np.random.default_rng(0))
+    for name, value in before.items():
+        assert params.store.value(name).tobytes() == value.tobytes(), name
+
+
 def test_train_completion_drives_identity_loss_down():
     # Targets equal the inputs on a 3-class toy world: the net only has to
     # learn a pass-through, so the loss must fall below 1e-3.

@@ -364,6 +364,27 @@ def test_meta_train_deterministic_per_seed():
         np.testing.assert_array_equal(params.store.value(name), params_b.store.value(name))
 
 
+@pytest.mark.parametrize("field", ["n_way", "k_shot", "m_query", "episodes_per_epoch"])
+def test_meta_train_config_names_a_degenerate_field(field):
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
+        ep.MetaTrainConfig(optimizer=nn.SgdConfig(learning_rate=1e-4), **{field: 0})
+
+
+def test_meta_train_stops_on_a_non_finite_loss_before_any_update():
+    # A finite log_scale whose exp overflows makes the first episode's logits
+    # infinite; the step must stop before backward and the update.
+    world, stats, params = make_fixture(seed=7)
+    params.store.value("log_scale")[...] = 1e3
+    before = {name: params.store.value(name).copy() for name in params.store.names()}
+    config = ep.MetaTrainConfig(optimizer=nn.SgdConfig(learning_rate=1e-4, epochs=2),
+                                n_way=3, k_shot=1, m_query=4, episodes_per_epoch=3, seed=13)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match="^non-finite episodic loss at epoch 0, episode 0$"):
+        ep.meta_train(params, world.base, world.knowledge, stats, config)
+    for name, value in before.items():
+        assert params.store.value(name).tobytes() == value.tobytes(), name
+
+
 def test_meta_train_improves_validation_accuracy():
     # From a deliberately half-trained completion net, episodic fine-tuning
     # must not hurt 1-shot accuracy on the held-out split (600 episodes).

@@ -237,6 +237,8 @@ def test_knowledge_load_prunes_unseen_attributes(tmp_path):
     (lambda d: d["associations"].append([9, 0]), "unknown class id"),
     (lambda d: d["associations"].append([0, 9]), "unknown attribute id"),
     (lambda d: d.pop("attributes"), "expected a list"),
+    (lambda d: d["classes"][1]["semantic"].__setitem__(0, float("inf")),
+     r"classes\[1\]\.semantic: values must be finite"),
 ])
 def test_knowledge_load_errors_carry_context(tmp_path, mutate, context):
     import json

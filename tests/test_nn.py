@@ -259,6 +259,7 @@ def test_sgd_step_leaves_sharing_one_gradient_array():
     pytest.param(dict(learning_rate=0.0), id="kwargs0"),
     pytest.param(dict(learning_rate=float("nan")), id="kwargs1"),
     pytest.param(dict(learning_rate=1e-3, epochs=0), id="kwargs4"),
+    pytest.param(dict(learning_rate=float("inf")), id="kwargs5"),
 ])
 def test_sgd_config_validation(kwargs):
     with pytest.raises(ValueError):
