@@ -5,9 +5,9 @@ from .knowledge import (AttributeStats, ClassPrototypeTable, PrimitiveKnowledge,
                         compute_attribute_stats, compute_base_prototypes,
                         cluster_variance_report, inject_knowledge_noise,
                         load_knowledge, save_knowledge)
-from .fusion import (DiagonalGaussian, SoftAssignment, fuse_prototypes,
-                     gaussian_product, mean_fuse, soft_assign,
-                     weighted_gaussian_estimate, EPSILON_VARIANCE, DEFAULT_LAMBDA)
+from .fusion import (DiagonalGaussian, fuse_prototypes, gaussian_product, mean_fuse,
+                     soft_assign, weighted_gaussian_estimate, EPSILON_VARIANCE,
+                     DEFAULT_LAMBDA)
 from .completion import (CompletionNetParams, CompletionPlan, CompletionTask,
                          complete_prototype, sample_completion_tasks,
                          train_completion, save_model, load_model)

@@ -22,9 +22,10 @@ callers feed it:
   loss): one autodiff node whose L latents are the encoded drawn features,
   one per pair, and whose hand-written backward pass returns the gradients
   of the ten network tensors;
-- ``CompletionPlan``, the inference path: its L latents are the encoded
-  attribute means, one per attribute, and it precomputes everything that
-  depends only on the parameters and the knowledge.
+- ``complete_prototype``, the inference path, with a ``CompletionPlan``:
+  its L latents are the encoded attribute means, one per attribute, and the
+  plan precomputes everything that depends only on the parameters and the
+  knowledge.
 """
 
 from __future__ import annotations
@@ -264,14 +265,14 @@ def complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete, feat
 class CompletionPlan:
     """Inference completion constants of one (params, knowledge, stats) triple.
 
-    Its ``complete`` runs the same ``_forward`` as the training node
-    ``complete``, with the encoded attribute means as the latents (one per
-    attribute, not one per pair). The class and attribute terms of the
-    aggregator's first layer and those latents depend only on the triple, so
-    they are computed once here, and completing B prototypes then costs a few
-    (B, ...) matmuls. SGD updates the parameters in place and a noisy
-    knowledge copy changes the associations, so a plan is built for one
-    call and never kept past it.
+    With it, ``complete_prototype`` runs the same ``_forward`` as the
+    training node ``complete``, with the encoded attribute means as the
+    latents (one per attribute, not one per pair). The class and attribute
+    terms of the aggregator's first layer and those latents depend only on
+    the triple, so they are computed once here, and completing B prototypes
+    then costs a few (B, ...) matmuls. SGD updates the parameters in place
+    and a noisy knowledge copy changes the associations, so a plan is built
+    for one call and never kept past it.
     """
 
     tensors: dict                 # parameter arrays by name
@@ -298,25 +299,20 @@ class CompletionPlan:
             attribute_latents=_encode(t, stats.mean),
         )
 
-    def complete(self, class_ids, incomplete) -> np.ndarray:
-        """Complete row i of the (B, d) ``incomplete`` as class ``class_ids[i]``.
 
-        Against scoring every (row, attribute) pair in a (B, A, H) tensor,
-        scoring only the associated ones halves the scoring work and the
-        largest temporary, about 96 KB per 5-way roster of the benchmark world.
-        """
-        x, ids = _block(class_ids, incomplete, self.tensors["encoder.weight"].shape[1])
-        rows, attrs = _pairs(self.association, ids)
-        return _forward(self.tensors, x, rows, attrs, self.class_terms[ids],
-                        self.attribute_terms[attrs], self.attribute_latents)[0]
+def complete_prototype(plan: CompletionPlan, class_ids, incomplete) -> np.ndarray:
+    """Complete row i of the (B, d) ``incomplete`` as class ``class_ids[i]``
+    from the attribute means, with the constants of ``plan``: every
+    inference completion goes through here.
 
-
-def complete_prototype(params, knowledge: PrimitiveKnowledge, stats: AttributeStats,
-                       class_id: int, incomplete) -> np.ndarray:
-    """Complete one prototype from the attribute means (the one-row case of
-    ``CompletionPlan``)."""
-    plan = CompletionPlan.build(params, knowledge, stats)
-    return plan.complete([class_id], np.asarray(incomplete, dtype=np.float64)[None])[0]
+    Against scoring every (row, attribute) pair in a (B, A, H) tensor,
+    scoring only the associated ones halves the scoring work and the
+    largest temporary, about 96 KB per 5-way roster of the benchmark world.
+    """
+    x, ids = _block(class_ids, incomplete, plan.tensors["encoder.weight"].shape[1])
+    rows, attrs = _pairs(plan.association, ids)
+    return _forward(plan.tensors, x, rows, attrs, plan.class_terms[ids],
+                    plan.attribute_terms[attrs], plan.attribute_latents)[0]
 
 
 @dataclass

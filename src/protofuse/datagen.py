@@ -301,7 +301,7 @@ def _load_centers(centers_path, splits) -> np.ndarray:
         raise DatasetFormatError(f"{centers_path}: missing {absent}")
     try:
         centers = np.asarray(doc["centers"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"{centers_path}: centers must be a matrix: {exc}") from exc
     if centers.shape != (doc["num_classes"], doc["d"]):
         raise DatasetFormatError(f"{centers_path}: shape fields disagree with the payload")

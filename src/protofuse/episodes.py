@@ -19,10 +19,12 @@ episode in index order, each from its own stream, and stack into one
 ``(E, n_way, k_shot + m_query)`` array that one gather turns into the
 block's supports and queries. Each call that completes prototypes builds
 one ``completion.CompletionPlan`` and completes a block's E * n_way classes
-in one call; soft assignment, class moments, Gaussian product and the
-cosine classifier then run as batched (E, ., .) operations, which compute
-each episode of a block bit for bit as they would compute it alone. Only
-the completion's matrix products over E * n_way rows may round the last bit
+in one ``completion.complete_prototype`` call; soft assignment
+(``fusion.soft_assign``), class moments
+(``fusion.weighted_gaussian_estimate``), Gaussian product and the cosine
+classifier then run as batched (E, ., .) operations, which compute each
+episode of a block bit for bit as they would compute it alone. Only the
+completion's matrix products over E * n_way rows may round the last bit
 differently for blocks of other lengths, so episode i's accuracy is the
 same, and its fused prototypes agree within 1e-12, whatever the number of
 episodes or the block size. A check that fails for a block is run again
@@ -183,9 +185,10 @@ def _transductive_pool(episode: Episode):
 
 def _completed_prototypes(plan, episode: Episode, means: np.ndarray) -> np.ndarray:
     """Completed prototypes of every class of an episode or block, shaped
-    like ``means``: one ``plan.complete`` call over all of its classes."""
+    like ``means``: one ``complete_prototype`` call over all of its classes."""
     d = means.shape[-1]
-    return plan.complete(episode.roster.ravel(), means.reshape(-1, d)).reshape(means.shape)
+    return cp.complete_prototype(plan, episode.roster.ravel(),
+                                 means.reshape(-1, d)).reshape(means.shape)
 
 
 def episode_prototypes(plan, episode: Episode, mode: str):
@@ -316,8 +319,8 @@ def _fusion_dump_entry(index: int, result: fusion.FusionResult, b: int) -> dict:
         "mean_based": _gaussian_rows(result.mean_based, b),
         "completed": _gaussian_rows(result.completed, b),
         "posterior": _gaussian_rows(result.posterior, b),
-        "responsibilities_mean": result.assignment_mean.matrix[b].tolist(),
-        "responsibilities_completed": result.assignment_completed.matrix[b].tolist(),
+        "responsibilities_mean": result.assignment_mean[b].tolist(),
+        "responsibilities_completed": result.assignment_completed[b].tolist(),
     }
 
 
@@ -478,7 +481,7 @@ def rank_curve_report(params, dataset: FewShotDataset, centers: np.ndarray,
         sims = _row_cosines(rows, center)
         order = np.argsort(-sims)
         raw[i, :rows.shape[0]] = sims[order]
-        completed = plan.complete(np.full(rows.shape[0], cid), rows[order])
+        completed = cp.complete_prototype(plan, np.full(rows.shape[0], cid), rows[order])
         if not np.isfinite(completed).all():
             raise ValueError(f"class {cid}: non-finite completed prototype")
         completed_sims[i, :rows.shape[0]] = _row_cosines(completed, center)

@@ -2,19 +2,21 @@
 their Bayesian fusion via the closed-form product of Gaussians.
 
 One pass, ``_fuse``, does the paper's four steps for a whole episode: it
-soft-assigns every sample against each prototype family, estimates a
-diagonal Gaussian per class from each assignment, floors the variances and
-multiplies the two Gaussians. It takes one episode, a (samples, d) sample
-matrix with (classes, d) prototype families, or a block of episodes stacked
-along leading axes, (E, samples, d) with (E, classes, d); every step acts on
-the last two axes, so episode b of a block is computed as it would be alone.
-It is generic over plain ndarrays and autodiff Nodes: ``fuse_prototypes``
-(inference) runs it on arrays and wraps the result in validated
-``FusionResult`` stacks, and ``fused_means`` (the episodic training loss)
-runs it on one episode with the completed prototypes traced, so the loss
-differentiates through the soft assignment, the class moments and the
-product formula. ``soft_assign``, ``weighted_gaussian_estimate`` and
-``gaussian_product`` expose single steps over the same helpers.
+soft-assigns every sample against each prototype family (``soft_assign``),
+estimates a floored diagonal Gaussian per class from each assignment
+(``weighted_gaussian_estimate``) and multiplies the two Gaussians. Each
+step is written once and ``_fuse`` calls the first two by their module
+names, so a wrapper installed on either sees every fusion. It takes one
+episode, a (samples, d) sample matrix with (classes, d) prototype families,
+or a block of episodes stacked along leading axes, (E, samples, d) with (E,
+classes, d); every step acts on the last two axes, so episode b of a block
+is computed as it would be alone. It is generic over plain ndarrays and
+autodiff Nodes: ``fuse_prototypes`` (inference) runs it on arrays and wraps
+the result in validated ``FusionResult`` stacks, and ``fused_means`` (the
+episodic training loss) runs it on one episode with the completed
+prototypes traced, so the loss differentiates through the soft assignment,
+the class moments and the product formula. ``gaussian_product`` is the
+product step on validated ``DiagonalGaussian`` arguments.
 
 The paper fixes the soft-assignment sharpness and the variance floor, and so
 does this module: ``DEFAULT_LAMBDA`` (the softmax sharpness) and
@@ -61,34 +63,6 @@ class DiagonalGaussian:
             raise ValueError("variance must be strictly positive (apply a floor first)")
 
 
-@dataclass
-class SoftAssignment:
-    """Responsibilities P(class | sample) for every sample of an episode, or
-    of each episode of a block stacked along a leading axis.
-
-    Labeled rows are exact one-hot vectors; unlabeled rows are softmax
-    distributions over classes. The episodes of a block share one layout of
-    labeled rows.
-    """
-
-    matrix: np.ndarray   # ([E,] num_samples, num_classes)
-    labeled: np.ndarray  # (num_samples,) bool
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.labeled = np.asarray(self.labeled, dtype=bool)
-        if self.matrix.ndim not in (2, 3) or self.labeled.shape != (self.matrix.shape[-2],):
-            raise ValueError("matrix rows and labeled flags must align")
-        if (self.matrix < 0).any():
-            raise ValueError("responsibilities must be nonnegative")
-        sums = self.matrix.sum(axis=-1)
-        if np.abs(sums - 1.0).max() > 1e-9:
-            raise ValueError("every responsibility row must sum to 1")
-        lab = self.matrix[..., self.labeled, :]
-        if lab.size and not np.isin(lab, (0.0, 1.0)).all():
-            raise ValueError("labeled rows must be exact one-hot vectors")
-
-
 def _first_row(mask: np.ndarray):
     """Row (index along the last axis) of the first set entry of ``mask`` in
     C order, or None when no entry is set."""
@@ -131,51 +105,42 @@ def cosine_matrix(embeddings, prototypes):
     return ad.div(raw, ad.reshape(p_norms, pv.shape[:-2] + (1, pv.shape[-2])))
 
 
-def _check_assignment_inputs(labels: np.ndarray, num_classes: int) -> None:
-    if labels.max(initial=-1) >= num_classes:
-        raise ValueError("label refers to a class position beyond the prototype count")
+def soft_assign(embeddings, labels, prototypes):
+    """Responsibilities P(class | sample) of every sample, ([E,] samples,
+    classes); traced when ``prototypes`` is a Node.
 
-
-def _soft_assign_matrix(x: np.ndarray, labels: np.ndarray, prototypes):
-    """Responsibility matrix for any label layout; traced when ``prototypes`` is a Node.
-
-    ``hard`` holds the one-hot rows of the labeled samples and the constant
-    0/1 ``place`` matrix puts softmax row j at unlabeled sample j; a block's
-    episodes share both. The placement adds only exact zeros, so every row
-    equals its direct formula bit for bit. With no unlabeled sample the (0, d)
-    block flows through.
+    ``labels`` (samples,) holds the class position (0..N-1) of each labeled
+    sample and -1 for an unlabeled one; a block's episodes share it. Labeled
+    rows are exact one-hot vectors (``hard``); unlabeled rows are
+    softmax(DEFAULT_LAMBDA * cosine) over the prototype rows, and the
+    constant 0/1 ``place`` matrix puts softmax row j at unlabeled sample j.
+    The placement adds only exact zeros, so every row equals its direct
+    formula bit for bit. With no unlabeled sample the (0, d) block flows
+    through.
     """
-    unlabeled = np.flatnonzero(labels < 0)
-    labeled = np.flatnonzero(labels >= 0)
-    hard = np.zeros((labels.size, ad.value_of(prototypes).shape[-2]))
-    hard[labeled, labels[labeled]] = 1.0
-    place = np.zeros((labels.size, unlabeled.size))
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    num_classes = ad.value_of(prototypes).shape[-2]
+    if y.max(initial=-1) >= num_classes:
+        raise ValueError("label refers to a class position beyond the prototype count")
+    unlabeled = np.flatnonzero(y < 0)
+    labeled = np.flatnonzero(y >= 0)
+    hard = np.zeros((y.size, num_classes))
+    hard[labeled, y[labeled]] = 1.0
+    place = np.zeros((y.size, unlabeled.size))
     place[unlabeled, np.arange(unlabeled.size)] = 1.0
     soft = ad.softmax_rows(ad.mul(cosine_matrix(x[..., unlabeled, :], prototypes),
                                   DEFAULT_LAMBDA))
     return ad.add(hard, ad.matmul(place, soft))
 
 
-def soft_assign(embeddings, labels, prototypes) -> SoftAssignment:
-    """Responsibilities over classes for every sample of an episode.
-
-    ``labels`` holds the class position (0..N-1) for labeled samples and -1
-    for unlabeled ones. Labeled rows become exact one-hot vectors; unlabeled
-    rows are softmax(DEFAULT_LAMBDA * cosine) over the prototype rows.
-    """
-    y = np.asarray(labels, dtype=np.int64)
-    p = np.asarray(prototypes, dtype=np.float64)
-    _check_assignment_inputs(y, p.shape[-2])
-    matrix = _soft_assign_matrix(np.asarray(embeddings, dtype=np.float64), y, p)
-    return SoftAssignment(matrix, y >= 0)
-
-
-def _class_moments(embeddings: np.ndarray, responsibilities):
-    """Responsibility-weighted means and population variances of every class.
+def weighted_gaussian_estimate(embeddings, responsibilities):
+    """Responsibility-weighted diagonal Gaussian of every class: the means
+    and the population variances floored at EPSILON_VARIANCE.
 
     ``responsibilities`` is ([E,] samples, classes) and may be a traced
-    Node; returns two ([E,] classes, d) stacks. Two passes: the variance is
-    taken around the finished mean.
+    Node; returns the two ([E,] classes, d) stacks (mean, variance). Two
+    passes: the variance is taken around the finished mean.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     totals = ad.sum(responsibilities, axis=-2)
@@ -184,7 +149,8 @@ def _class_moments(embeddings: np.ndarray, responsibilities):
         raise ValueError(f"zero total responsibility for class position {empty}")
     column = ad.reshape(totals, ad.value_of(totals).shape + (1,))
     mean = ad.div(ad.matmul(ad.transpose(responsibilities), x), column)
-    return mean, ad.div(_weighted_square_deviations(x, responsibilities, mean), column)
+    variance = ad.div(_weighted_square_deviations(x, responsibilities, mean), column)
+    return mean, ad.maximum(variance, EPSILON_VARIANCE)
 
 
 def _weighted_square_deviations(x: np.ndarray, responsibilities, mean):
@@ -228,16 +194,6 @@ def _weighted_square_deviations(x: np.ndarray, responsibilities, mean):
     return ad.Node(out, parents, vjp)
 
 
-def weighted_gaussian_estimate(embeddings, assignment: SoftAssignment,
-                               class_index: int) -> DiagonalGaussian:
-    """Responsibility-weighted mean and population variance for one class."""
-    w = assignment.matrix[:, [class_index]]
-    if not w.sum() > 0.0:
-        raise ValueError(f"zero total responsibility for class position {class_index}")
-    mean, var = _class_moments(np.asarray(embeddings, dtype=np.float64), w)
-    return DiagonalGaussian(mean[0], np.maximum(var[0], EPSILON_VARIANCE))
-
-
 def _product_moments(prior_mean, prior_var, lik_mean, lik_var):
     """Closed-form moments of the product of two diagonal Gaussians."""
     denom = ad.add(prior_var, lik_var)
@@ -276,8 +232,8 @@ class FusionResult:
     mean_based: DiagonalGaussian   # ([E,] num_classes, d), the likelihood side
     completed: DiagonalGaussian    # ([E,] num_classes, d), the prior side
     posterior: DiagonalGaussian    # ([E,] num_classes, d)
-    assignment_mean: SoftAssignment
-    assignment_completed: SoftAssignment
+    assignment_mean: np.ndarray       # ([E,] num_samples, num_classes) responsibilities
+    assignment_completed: np.ndarray  # ([E,] num_samples, num_classes) responsibilities
 
     @property
     def fused(self) -> np.ndarray:
@@ -291,29 +247,25 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
 
     ``embeddings`` is ([E,] samples, d), the prototype families are ([E,]
     classes, d), and ``labels`` (samples,) is the layout every episode of a
-    block shares. Soft-assigns all samples twice (once per prototype
-    family), estimates a floored diagonal Gaussian per class from each
-    assignment, and multiplies them with the completed-prototype Gaussian as
-    the prior and the mean-based Gaussian as the likelihood.
-    ``completed_prototypes`` may be a
-    traced Node; the mean side involves no trainable quantity and stays
-    untraced. Returns the two responsibility matrices and the (mean,
-    variance) pairs of the mean-based, completed and posterior stacks.
+    block shares. Soft-assigns all samples twice (``soft_assign``, once per
+    prototype family), estimates a floored diagonal Gaussian per class from
+    each assignment (``weighted_gaussian_estimate``), and multiplies them
+    with the completed-prototype Gaussian as the prior and the mean-based
+    Gaussian as the likelihood. ``completed_prototypes`` may be a traced
+    Node; the mean side involves no trainable quantity and stays untraced.
+    Returns the two responsibility matrices and the (mean, variance) pairs
+    of the mean-based, completed and posterior stacks.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
     means = np.asarray(mean_prototypes, dtype=np.float64)
     completed_shape = ad.value_of(completed_prototypes).shape
     if completed_shape != means.shape:
         raise ValueError(f"completed prototypes of shape {completed_shape} do not match "
                          f"mean prototypes of shape {means.shape}")
-    _check_assignment_inputs(y, means.shape[-2])
-    assign_mean = _soft_assign_matrix(x, y, means)
-    assign_comp = _soft_assign_matrix(x, y, completed_prototypes)
-    mu_mean, var_mean = _class_moments(x, assign_mean)
-    mu_comp, var_comp = _class_moments(x, assign_comp)
-    mean_side = (mu_mean, np.maximum(var_mean, EPSILON_VARIANCE))
-    comp_side = (mu_comp, ad.maximum(var_comp, EPSILON_VARIANCE))
+    assign_mean = soft_assign(x, labels, means)
+    assign_comp = soft_assign(x, labels, completed_prototypes)
+    mean_side = weighted_gaussian_estimate(x, assign_mean)
+    comp_side = weighted_gaussian_estimate(x, assign_comp)
     posterior = _product_moments(*comp_side, *mean_side)
     return assign_mean, assign_comp, mean_side, comp_side, posterior
 
@@ -321,14 +273,12 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
 def fuse_prototypes(embeddings, labels, mean_prototypes,
                     completed_prototypes) -> FusionResult:
     """Full fusion pass over one episode's supports and queries, or a
-    block's (``_fuse``), with every stack and assignment validated. The fused
+    block's (``_fuse``), with every Gaussian stack validated. The fused
     prototype is the posterior mean."""
     assign_mean, assign_comp, mean_side, comp_side, posterior = _fuse(
         embeddings, labels, mean_prototypes, completed_prototypes)
-    labeled = np.asarray(labels, dtype=np.int64) >= 0
     return FusionResult(DiagonalGaussian(*mean_side), DiagonalGaussian(*comp_side),
-                        DiagonalGaussian(*posterior), SoftAssignment(assign_mean, labeled),
-                        SoftAssignment(assign_comp, labeled))
+                        DiagonalGaussian(*posterior), assign_mean, assign_comp)
 
 
 def fused_means(embeddings, labels, mean_prototypes, completed_prototypes):

@@ -297,13 +297,22 @@ def save_knowledge(knowledge: PrimitiveKnowledge, path) -> None:
     atomic_write_json(path, doc)
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer; JSON's true and false parse to bools, which
+    Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _semantic_vector(entry, context: str) -> np.ndarray:
     vec = entry.get("semantic")
     if not isinstance(vec, list) or not vec or not all(
-        isinstance(v, (int, float)) for v in vec
+        _is_json_int(v) or isinstance(v, float) for v in vec
     ):
         raise KnowledgeFormatError(f"{context}.semantic: expected a nonempty list of numbers")
-    vec = np.asarray(vec, dtype=np.float64)
+    try:
+        vec = np.asarray(vec, dtype=np.float64)
+    except OverflowError as exc:  # a JSON integer past float64's range
+        raise KnowledgeFormatError(f"{context}.semantic: {exc}") from exc
     if not np.isfinite(vec).all():
         raise KnowledgeFormatError(f"{context}.semantic: values must be finite")
     return vec
@@ -347,7 +356,7 @@ def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
             if not isinstance(entry, dict):
                 raise KnowledgeFormatError(f"{context}: expected an object")
             cid = entry.get("id")
-            if not isinstance(cid, int):
+            if not _is_json_int(cid):
                 raise KnowledgeFormatError(f"{context}.id: expected an integer")
             if cid in seen:
                 raise KnowledgeFormatError(f"{context}.id: duplicate id {cid}")
@@ -403,7 +412,7 @@ def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
     for i, pair in enumerate(doc["associations"]):
         context = f"associations[{i}]"
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)):
+                or not all(_is_json_int(v) for v in pair)):
             raise KnowledgeFormatError(f"{context}: expected [class_id, attribute_id]")
         cid, aid = pair
         if not 0 <= cid < c:

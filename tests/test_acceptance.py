@@ -234,8 +234,8 @@ def test_criterion_04_scalar_pipeline_oracle(canonical):
     for index in range(100):
         episode = ep.sample_episode(world.novel, 3, 1, 8, ep.episode_rng(31, index))
         means = ep.mean_prototypes(episode)
-        completed = cp.CompletionPlan.build(params, world.knowledge, stats).complete(
-            episode.roster, means)
+        completed = cp.complete_prototype(cp.CompletionPlan.build(params, world.knowledge, stats),
+                                          episode.roster, means)
         x, labels = np.vstack([episode.support_x, episode.query_x]), None
         labels = np.concatenate([np.searchsorted(episode.roster, episode.support_y),
                                  np.full(episode.query_y.size, -1, dtype=np.int64)])
@@ -245,8 +245,8 @@ def test_criterion_04_scalar_pipeline_oracle(canonical):
             episode.support_x.tolist(), support_pos, episode.query_x.tolist(),
             means.tolist(), completed.tolist(), fusion.DEFAULT_LAMBDA,
             fusion.EPSILON_VARIANCE)
-        worst = max(worst, np.abs(result.assignment_mean.matrix - p_mean).max())
-        worst = max(worst, np.abs(result.assignment_completed.matrix - p_comp).max())
+        worst = max(worst, np.abs(result.assignment_mean - p_mean).max())
+        worst = max(worst, np.abs(result.assignment_completed - p_comp).max())
         worst = max(worst, np.abs(result.fused - fused).max())
         assert worst < 1e-9, f"episode {index}: deviation {worst:.2e}"
     announce(4, f"scalar-loop fusion oracle on 100 episodes (worst {worst:.2e})")

@@ -7,9 +7,13 @@ owner makes ``--trace 1`` crash in ``Tracer.install`` with a ``KeyError``.
 The train and meta phases of ``perfbench/workloads.py`` build an
 ``nn.SgdConfig`` and copy parameters with ``clone_params``; the probe builds
 both phases on a small untrained network, so a library signature they rely
-on cannot change without failing here. The check runs in a subprocess,
-because importing ``run.py`` sets the BLAS thread variables of the
-importing process.
+on cannot change without failing here. The probe then installs
+perfbench's own tracer on those targets and runs a small ``gauss-fusion``
+evaluation and a one-episode ``meta_train``: each fusion step and the
+inference completion must record spans under their traced names, or the
+per-layer metrics built from them would read 0. The check runs in a
+subprocess, because importing ``run.py`` sets the BLAS thread variables of
+the importing process.
 """
 
 import json
@@ -36,8 +40,35 @@ workloads.TrainPhase(workloads.clone_params(params), setup, workloads.Tally(), N
 meta = workloads.MetaPhase([setup], 0, workloads.Tally(), None)
 copied = all(copy.store.value(name).tobytes() == params.store.value(name).tobytes()
              for copy, _ in meta.copies for name in cp.TENSOR_NAMES)
-print(json.dumps({"targets": len(targets), "missing": missing, "copied": copied}))
+
+import tracer as tr
+from protofuse import datagen, episodes, knowledge, nn
+world = datagen.generate_world(datagen.WorldSpec(
+    dim=8, semantic_dim=4, num_base_classes=6, num_novel_classes=4, num_attributes=6,
+    attributes_per_class=(2, 4), samples_per_class=8, seed=0))
+stats = knowledge.compute_attribute_stats(world.base.embeddings, world.base.labels,
+                                          world.knowledge)
+params = cp.CompletionNetParams.initialize(8, 4, seed=0, encoder_dim=6, aggregator_hidden=5,
+                                           decoder_hidden=7)
+tracer = tr.Tracer()
+tracer.install(targets)
+spans = {}
+try:
+    episodes.evaluate(params, world.novel, world.knowledge, stats, "gauss-fusion", n_way=3,
+                      k_shot=1, m_query=2, num_episodes=2, seed=0)
+    spans["eval"] = sorted({span.name for span in tracer.spans})
+    tracer.spans.clear()
+    episodes.meta_train(params, world.base, world.knowledge, stats, episodes.MetaTrainConfig(
+        nn.SgdConfig(learning_rate=1e-4, epochs=1), n_way=3, k_shot=1, m_query=2,
+        episodes_per_epoch=1))
+    spans["meta"] = sorted({span.name for span in tracer.spans})
+finally:
+    tracer.uninstall()
+print(json.dumps({"targets": len(targets), "missing": missing, "copied": copied,
+                  "spans": spans}))
 """
+
+FUSION_STEPS = {"fusion.soft_assign", "fusion.weighted_gaussian_estimate"}
 
 
 def test_every_trace_target_is_defined_on_its_owner():
@@ -48,3 +79,5 @@ def test_every_trace_target_is_defined_on_its_owner():
     assert report["targets"] > 0
     assert report["missing"] == []
     assert report["copied"]
+    assert FUSION_STEPS | {"completion.complete_prototype"} <= set(report["spans"]["eval"])
+    assert FUSION_STEPS <= set(report["spans"]["meta"])

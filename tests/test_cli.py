@@ -383,6 +383,11 @@ CORRUPTIONS = {
         "world/knowledge.json", "classes[0].semantic: values must be finite",
         lambda p: _rewrite_json(
             p, lambda d: d["classes"][0]["semantic"].__setitem__(0, float("nan")))),
+    # A JSON integer past float64's range parses, but does not convert.
+    "knowledge-semantic-overflow": (
+        "world/knowledge.json", "classes[0].semantic: int too large to convert to float",
+        lambda p: _rewrite_json(
+            p, lambda d: d["classes"][0]["semantic"].__setitem__(0, 10**400))),
     "payload-checksum": ("world/base.f64le", "payload checksum mismatch", _flip_payload_byte),
     "manifest-d": ("world/base.manifest.json", "manifest is missing 'd'",
                    lambda p: _rewrite_json(p, lambda d: d.pop("d"))),
@@ -395,6 +400,10 @@ CORRUPTIONS = {
                 lambda p: _rewrite_json(p, lambda d: d.pop("centers"))),
     "centers-not-numbers": ("world/centers.json", "centers must be a matrix",
                             lambda p: _rewrite_json(p, lambda d: d.update(centers="abc"))),
+    "centers-overflow": ("world/centers.json",
+                         "centers must be a matrix: int too large to convert to float",
+                         lambda p: _rewrite_json(
+                             p, lambda d: d["centers"][0].__setitem__(0, 10**400))),
     "worldspec-unknown-field": ("world/worldspec.json", "unexpected keyword argument 'bogus'",
                                 lambda p: _rewrite_json(p, lambda d: d.update(bogus=1))),
 }

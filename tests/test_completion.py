@@ -148,16 +148,17 @@ def test_complete_zero_decoder_outputs_zero():
     params = small_params(seed=1)
     params.store.value("decoder.output.weight")[...] = 0.0
     params.store.value("decoder.output.bias")[...] = 0.0
-    out = cp.complete_prototype(params, know, stats, 0, np.ones(4))
-    np.testing.assert_array_equal(out, np.zeros(4))
+    out = cp.complete_prototype(cp.CompletionPlan.build(params, know, stats), [0],
+                                np.ones((1, 4)))
+    np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
 
 def test_complete_test_mode_deterministic():
     know, stats = small_world()
     params = small_params(seed=2)
-    p = np.random.default_rng(1).standard_normal(4)
-    a = cp.complete_prototype(params, know, stats, 1, p)
-    b = cp.complete_prototype(params, know, stats, 1, p)
+    p = np.random.default_rng(1).standard_normal((1, 4))
+    a = cp.complete_prototype(cp.CompletionPlan.build(params, know, stats), [1], p)
+    b = cp.complete_prototype(cp.CompletionPlan.build(params, know, stats), [1], p)
     np.testing.assert_array_equal(a, b)
 
 
@@ -176,17 +177,17 @@ def test_complete_traced_equals_plain_given_same_draws():
 def test_complete_validates_inputs():
     know, stats = small_world()
     params = small_params()
-    with pytest.raises(ValueError, match="4-vector"):
-        cp.complete_prototype(params, know, stats, 0, np.ones(3))
-    with pytest.raises(ValueError, match="unknown class"):
-        cp.complete_prototype(params, know, stats, 9, np.ones(4))
     plan = cp.CompletionPlan.build(params, know, stats)
     with pytest.raises(ValueError, match="4-vector"):
-        plan.complete([0, 1], np.ones((2, 5)))
+        cp.complete_prototype(plan, [0], np.ones((1, 3)))
+    with pytest.raises(ValueError, match="unknown class"):
+        cp.complete_prototype(plan, [9], np.ones((1, 4)))
+    with pytest.raises(ValueError, match="4-vector"):
+        cp.complete_prototype(plan, [0, 1], np.ones((2, 5)))
     with pytest.raises(ValueError, match="3 class ids for 2 prototypes"):
-        plan.complete([0, 1, 2], np.ones((2, 4)))
+        cp.complete_prototype(plan, [0, 1, 2], np.ones((2, 4)))
     with pytest.raises(ValueError, match="unknown class id -1"):
-        plan.complete([0, -1], np.ones((2, 4)))
+        cp.complete_prototype(plan, [0, -1], np.ones((2, 4)))
     with pytest.raises(ValueError, match="1 class ids for 3 prototypes"):
         cp.complete(params.tensors(), know, [0], np.ones((3, 4)), np.ones((2, 4)))
     with pytest.raises(ValueError, match="aggregator takes 8 inputs"):
@@ -261,7 +262,7 @@ def test_plan_matches_scalar_reference():
     params = small_params(seed=9)
     x = np.random.default_rng(11).standard_normal((5, 4))
     ids = [0, 1, 2, 0, 2]
-    out = cp.CompletionPlan.build(params, know, stats).complete(ids, x)
+    out = cp.complete_prototype(cp.CompletionPlan.build(params, know, stats), ids, x)
     for row, cid in enumerate(ids):
         expected = naive_completion(params, know, stats, cid, x[row])
         np.testing.assert_allclose(out[row], expected, rtol=1e-12, atol=1e-12)
@@ -328,12 +329,12 @@ def test_plan_unassociated_attributes_contribute_exactly_zero():
     stats = constant_stats(np.random.default_rng(3).standard_normal((4, 4)))
     params = small_params(seed=5)
     x = np.random.default_rng(4).standard_normal((2, 4))
-    out = cp.CompletionPlan.build(params, know, stats).complete([0, 1], x)
+    out = cp.complete_prototype(cp.CompletionPlan.build(params, know, stats), [0, 1], x)
 
     # attributes 2 and 3 belong to neither class: changing them changes nothing
     know.attribute_semantics[2:] = 1e3
     stats.mean[2:] = -1e3
-    again = cp.CompletionPlan.build(params, know, stats).complete([0, 1], x)
+    again = cp.complete_prototype(cp.CompletionPlan.build(params, know, stats), [0, 1], x)
     np.testing.assert_array_equal(again, out)
 
     # a class with no attributes decodes its own encoded prototype
@@ -350,20 +351,21 @@ def test_plan_attribute_order_invariant_and_cut_association_matters():
     stats = constant_stats(np.random.default_rng(3).standard_normal((4, 4)))
     params = small_params(seed=5)
     x = np.random.default_rng(6).standard_normal((2, 4))
-    out = cp.CompletionPlan.build(params, know, stats).complete([0, 1], x)
+    out = cp.complete_prototype(cp.CompletionPlan.build(params, know, stats), [0, 1], x)
 
     order = [2, 0, 3, 1]
     shuffled = kn.PrimitiveKnowledge(association[:, order], know.class_semantics,
                                      know.attribute_semantics[order], (0, 1), ())
     stats_shuffled = constant_stats(stats.mean[order])
-    again = cp.CompletionPlan.build(params, shuffled, stats_shuffled).complete([0, 1], x)
+    again = cp.complete_prototype(cp.CompletionPlan.build(params, shuffled, stats_shuffled),
+                                  [0, 1], x)
     np.testing.assert_allclose(again, out, rtol=1e-12, atol=1e-12)
 
     cut = association.copy()
     cut[0, 1] = 0
     know_cut = kn.PrimitiveKnowledge(cut, know.class_semantics, know.attribute_semantics,
                                      (0, 1), ())
-    out_cut = cp.CompletionPlan.build(params, know_cut, stats).complete([0, 1], x)
+    out_cut = cp.complete_prototype(cp.CompletionPlan.build(params, know_cut, stats), [0, 1], x)
     assert np.abs(out_cut[0] - out[0]).max() > 1e-6
     np.testing.assert_array_equal(out_cut[1], out[1])
 
@@ -380,7 +382,7 @@ def test_plan_matches_traced_completion_on_acceptance_world(noise):
     params = cp.CompletionNetParams.initialize(world.base.dim, know.semantic_dim, seed=100)
     ids = np.arange(know.num_classes)
     x = np.random.default_rng(1).standard_normal((ids.size, world.base.dim))
-    out = cp.CompletionPlan.build(params, know, stats).complete(ids, x)
+    out = cp.complete_prototype(cp.CompletionPlan.build(params, know, stats), ids, x)
     means = stats.mean[np.nonzero(know.association[ids])[1]]
     expected = reference_complete(params.tensors(), know, ids, x, means)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
@@ -483,7 +485,7 @@ def test_node_matches_reference_and_plan_on_an_evaluation_block():
                                   lambda completed: ad.sum(ad.mul(completed, probe)))
     plan = cp.CompletionPlan.build(params, world.knowledge, stats)
     np.testing.assert_allclose(cp.complete(params.tensors(), world.knowledge, ids, x, means),
-                               plan.complete(ids, x), rtol=0, atol=1e-12)
+                               cp.complete_prototype(plan, ids, x), rtol=0, atol=1e-12)
 
 
 def test_node_gradient_check_on_a_block():
@@ -647,10 +649,10 @@ def test_trained_completion_beats_incomplete_prototype():
     held_out = cp.sample_completion_tasks(world.base.embeddings, world.base.labels, table,
                                           k_shot=1, count=200,
                                           rng=np.random.default_rng(999))
+    plan = cp.CompletionPlan.build(params, world.knowledge, stats)
     raw_err, completed_err = 0.0, 0.0
     for task in held_out:
-        predicted = cp.complete_prototype(params, world.knowledge, stats,
-                                          task.class_id, task.incomplete)
+        predicted = cp.complete_prototype(plan, [task.class_id], task.incomplete[None])[0]
         raw_err += float(np.linalg.norm(task.incomplete - task.target))
         completed_err += float(np.linalg.norm(predicted - task.target))
     assert completed_err < raw_err

@@ -91,14 +91,14 @@ def test_diagonal_gaussian_flooring():
 def test_soft_assign_single_class_is_certain():
     x = np.array([[1.0, 0.0], [0.5, 0.5]])
     assign = fusion.soft_assign(x, [-1, -1], np.array([[2.0, 1.0]]))
-    np.testing.assert_allclose(assign.matrix, [[1.0], [1.0]])
+    np.testing.assert_allclose(assign, [[1.0], [1.0]])
 
 
 def test_soft_assign_equidistant_splits_evenly():
     prototypes = np.array([[1.0, 0.0], [0.0, 1.0]])
     x = np.array([[1.0, 1.0]])  # equal cosine to both
     assign = fusion.soft_assign(x, [-1], prototypes)
-    np.testing.assert_allclose(assign.matrix[0], [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(assign[0], [0.5, 0.5], atol=1e-12)
 
 
 def test_soft_assign_matches_direct_softmax_of_cosines():
@@ -114,7 +114,7 @@ def test_soft_assign_matches_direct_softmax_of_cosines():
         ]
         weights = [math.exp(lam * s) for s in sims]
         expected = [w / sum(weights) for w in weights]
-        np.testing.assert_allclose(assign.matrix[i], expected, rtol=1e-12)
+        np.testing.assert_allclose(assign[i], expected, rtol=1e-12)
 
 
 def test_soft_assign_two_known_cosines():
@@ -128,9 +128,9 @@ def test_soft_assign_labeled_rows_exact_one_hot():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     prototypes = np.array([[1.0, 0.0], [0.0, 1.0]])
     assign = fusion.soft_assign(x, [1, -1, 0], prototypes)
-    np.testing.assert_array_equal(assign.matrix[0], [0.0, 1.0])
-    np.testing.assert_array_equal(assign.matrix[2], [1.0, 0.0])
-    assert not assign.labeled[1]
+    np.testing.assert_array_equal(assign[0], [0.0, 1.0])
+    np.testing.assert_array_equal(assign[2], [1.0, 0.0])
+    assert 0.0 < assign[1, 0] < 1.0  # the unlabeled row is soft
 
 
 def test_soft_assign_rows_sum_to_one():
@@ -139,7 +139,7 @@ def test_soft_assign_rows_sum_to_one():
     prototypes = rng.standard_normal((4, 5))
     labels = np.array([0, 1, 2, 3] + [-1] * 16)
     assign = fusion.soft_assign(x, labels, prototypes)
-    np.testing.assert_allclose(assign.matrix.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(assign.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_soft_assign_argmax_invariant_to_prototype_scaling():
@@ -148,7 +148,7 @@ def test_soft_assign_argmax_invariant_to_prototype_scaling():
     prototypes = rng.standard_normal((3, 6))
     a = fusion.soft_assign(x, [-1] * 10, prototypes)
     b = fusion.soft_assign(x, [-1] * 10, prototypes * 37.5)
-    np.testing.assert_array_equal(np.argmax(a.matrix, axis=1), np.argmax(b.matrix, axis=1))
+    np.testing.assert_array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
 
 
 @pytest.mark.parametrize("labels", [[0, 2, 1, 0], [-1, -1, -1, -1], [-1, 2, -1, 0]],
@@ -158,8 +158,8 @@ def test_soft_assign_matches_per_row_reference(labels):
     x = rng.standard_normal((4, 5))
     prototypes = rng.standard_normal((3, 5))
     lam = fusion.DEFAULT_LAMBDA
-    matrix = fusion.soft_assign(x, labels, prototypes).matrix
-    traced = fusion._soft_assign_matrix(x, np.array(labels), ad.Node(prototypes))
+    matrix = fusion.soft_assign(x, labels, prototypes)
+    traced = fusion.soft_assign(x, labels, ad.Node(prototypes))
     np.testing.assert_array_equal(ad.value_of(traced), matrix)
     for i, label in enumerate(labels):
         if label >= 0:
@@ -206,21 +206,19 @@ def test_cosine_matrix_rejects_non_finite_prototype_by_position(bad):
 
 def test_weighted_estimate_degenerate_weight_hits_floor():
     x = np.array([[0.0], [2.0]])
-    assign = fusion.SoftAssignment(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([True, True]))
-    g = fusion.weighted_gaussian_estimate(x, assign, 0)
-    np.testing.assert_allclose(g.mean, [0.0])
-    np.testing.assert_allclose(g.variance, [fusion.EPSILON_VARIANCE])
-    two_point = fusion.SoftAssignment(np.full((2, 2), 0.5), np.array([False, False]))
-    g = fusion.weighted_gaussian_estimate(np.array([[0.0, 1.0], [0.0, 5.0]]), two_point, 0)
-    np.testing.assert_allclose(g.variance, [fusion.EPSILON_VARIANCE, 4.0])
+    mean, variance = fusion.weighted_gaussian_estimate(x, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    np.testing.assert_allclose(mean[0], [0.0])
+    np.testing.assert_allclose(variance[0], [fusion.EPSILON_VARIANCE])
+    _, variance = fusion.weighted_gaussian_estimate(np.array([[0.0, 1.0], [0.0, 5.0]]),
+                                                    np.full((2, 2), 0.5))
+    np.testing.assert_allclose(variance[0], [fusion.EPSILON_VARIANCE, 4.0])
 
 
 def test_weighted_estimate_two_point():
     x = np.array([[0.0], [2.0]])
-    assign = fusion.SoftAssignment(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([False, False]))
-    g = fusion.weighted_gaussian_estimate(x, assign, 0)
-    np.testing.assert_allclose(g.mean, [1.0])
-    np.testing.assert_allclose(g.variance, [1.0])
+    mean, variance = fusion.weighted_gaussian_estimate(x, np.full((2, 2), 0.5))
+    np.testing.assert_allclose(mean[0], [1.0])
+    np.testing.assert_allclose(variance[0], [1.0])
 
 
 def test_weighted_estimate_matches_scalar_loops():
@@ -228,22 +226,21 @@ def test_weighted_estimate_matches_scalar_loops():
     x = rng.standard_normal((12, 3))
     w = rng.random((12, 2))
     w /= w.sum(axis=1, keepdims=True)
-    assign = fusion.SoftAssignment(w, np.zeros(12, dtype=bool))
+    means, variances = fusion.weighted_gaussian_estimate(x, w)
     for k in range(2):
-        g = fusion.weighted_gaussian_estimate(x, assign, k)
         total = sum(w[i][k] for i in range(12))
         for dim in range(3):
             mean = sum(w[i][k] * x[i][dim] for i in range(12)) / total
             var = sum(w[i][k] * (x[i][dim] - mean) ** 2 for i in range(12)) / total
-            assert g.mean[dim] == pytest.approx(mean, abs=1e-12)
-            assert g.variance[dim] == pytest.approx(max(var, fusion.EPSILON_VARIANCE), abs=1e-9)
+            assert means[k, dim] == pytest.approx(mean, abs=1e-12)
+            assert variances[k, dim] == pytest.approx(max(var, fusion.EPSILON_VARIANCE),
+                                                      abs=1e-9)
 
 
 def test_weighted_estimate_zero_responsibility():
     x = np.array([[1.0]])
-    assign = fusion.SoftAssignment(np.array([[1.0, 0.0]]), np.array([True]))
-    with pytest.raises(ValueError, match="zero total responsibility"):
-        fusion.weighted_gaussian_estimate(x, assign, 1)
+    with pytest.raises(ValueError, match="zero total responsibility for class position 1"):
+        fusion.weighted_gaussian_estimate(x, np.array([[1.0, 0.0]]))
 
 
 # --- fusion ----------------------------------------------------------------
@@ -275,7 +272,7 @@ def test_fuse_single_class_uses_full_population():
     mean_p = x[:3].mean(axis=0, keepdims=True)
     comp_p = x[:5].mean(axis=0, keepdims=True)
     result = fusion.fuse_prototypes(x, labels, mean_p, comp_p)
-    np.testing.assert_allclose(result.assignment_mean.matrix, 1.0)
+    np.testing.assert_allclose(result.assignment_mean, 1.0)
     mu = x.mean(axis=0)
     var = np.maximum(x.var(axis=0), fusion.EPSILON_VARIANCE)
     expected = fusion.gaussian_product(
@@ -405,10 +402,14 @@ def test_fusion_posterior_is_tighter_and_between_per_dimension(seed, n_way, k_sh
     hi = np.maximum(prior.mean, likelihood.mean)
     slack = 1e-12 * (1.0 + np.abs(post.mean))
     assert ((lo - slack <= post.mean) & (post.mean <= hi + slack)).all()
-    # row k is the per-class estimate and product of class position k
+    # row k is the estimate from column k alone and the product of class position k
     for k in range(n_way):
-        g_mean = fusion.weighted_gaussian_estimate(x, result.assignment_mean, k)
-        g_comp = fusion.weighted_gaussian_estimate(x, result.assignment_completed, k)
+        g_mean = fusion.DiagonalGaussian(*(
+            stack[0] for stack in fusion.weighted_gaussian_estimate(
+                x, result.assignment_mean[:, [k]])))
+        g_comp = fusion.DiagonalGaussian(*(
+            stack[0] for stack in fusion.weighted_gaussian_estimate(
+                x, result.assignment_completed[:, [k]])))
         single = fusion.gaussian_product(g_comp, g_mean)
         np.testing.assert_allclose(post.mean[k], single.mean, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(post.variance[k], single.variance, rtol=1e-12)
@@ -436,13 +437,19 @@ def test_soft_assignment_rows_sum_to_one_and_ignore_prototype_scale(scale, which
                                                                     m_query, d):
     x, labels, means, completed = random_episode(seed, n_way, k_shot, m_query, d)
     result = fusion.fuse_prototypes(x, labels, means, completed)
-    for assignment in (result.assignment_mean, result.assignment_completed):
-        np.testing.assert_allclose(assignment.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    labeled = labels >= 0
+    one_hot = np.eye(n_way)[labels[labeled]]
+    for assignment in (result.assignment_mean, result.assignment_completed,
+                       fusion.soft_assign(x, labels, completed),
+                       fusion.soft_assign(x, labels, ad.Node(completed)).value):
+        assert (assignment >= 0.0).all()
+        np.testing.assert_allclose(assignment.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(assignment[labeled], one_hot)
     scaled = completed.copy()
     scaled[which % n_way] *= scale
     rescaled = fusion.fuse_prototypes(x, labels, means, scaled)
-    np.testing.assert_allclose(rescaled.assignment_completed.matrix,
-                               result.assignment_completed.matrix, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rescaled.assignment_completed,
+                               result.assignment_completed, rtol=0, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=100)
@@ -474,9 +481,8 @@ def test_block_fusion_equals_each_episode_alone_bitwise(episodes, seed, n_way, k
                                           getattr(alone, name).mean)
             np.testing.assert_array_equal(getattr(block, name).variance[b],
                                           getattr(alone, name).variance)
-        np.testing.assert_array_equal(block.assignment_mean.matrix[b],
-                                      alone.assignment_mean.matrix)
-        np.testing.assert_array_equal(block.assignment_completed.matrix[b],
-                                      alone.assignment_completed.matrix)
+        np.testing.assert_array_equal(block.assignment_mean[b], alone.assignment_mean)
+        np.testing.assert_array_equal(block.assignment_completed[b],
+                                      alone.assignment_completed)
         np.testing.assert_array_equal(fusion.cosine_matrix(x, block.fused)[b],
                                       fusion.cosine_matrix(x[b], alone.fused))

@@ -239,6 +239,14 @@ def test_knowledge_load_prunes_unseen_attributes(tmp_path):
     (lambda d: d.pop("attributes"), "expected a list"),
     (lambda d: d["classes"][1]["semantic"].__setitem__(0, float("inf")),
      r"classes\[1\]\.semantic: values must be finite"),
+    # JSON true and false are not integers or numbers, though Python's bool is an int
+    (lambda d: d["classes"][1].update(id=True), r"classes\[1\]\.id: expected an integer"),
+    (lambda d: d["associations"].append([True, False]),
+     r"associations\[3\]: expected \[class_id, attribute_id\]"),
+    (lambda d: d["attributes"][0]["semantic"].__setitem__(0, False),
+     r"attributes\[0\]\.semantic: expected a nonempty list of numbers"),
+    (lambda d: d["classes"][0]["semantic"].__setitem__(0, 10**400),
+     r"classes\[0\]\.semantic: int too large to convert to float"),
 ])
 def test_knowledge_load_errors_carry_context(tmp_path, mutate, context):
     import json
