@@ -224,21 +224,15 @@ def _topological_order(root: Node):
     return order
 
 
-def backward(root: Node, seed=None) -> None:
-    """Populate ``.grad`` on every node reachable from ``root``.
-
-    ``seed`` defaults to ones (the usual scalar-loss case) and must match the
-    root's shape.
-    """
+def backward(root: Node) -> None:
+    """Populate ``.grad`` on every node reachable from ``root``, seeding the
+    root with ones (a scalar loss's gradient with respect to itself)."""
     if not is_node(root):
         raise TypeError("backward requires a traced Node")
-    g0 = np.ones_like(root.value) if seed is None else np.asarray(seed, np.float64)
-    if g0.shape != root.value.shape:
-        raise ValueError(f"seed gradient shape {g0.shape} does not match output {root.value.shape}")
     order = _topological_order(root)
     for node in order:
         node.grad = None
-    root.grad = g0
+    root.grad = np.ones_like(root.value)
     for node in reversed(order):
         if node._vjp is None or node.grad is None:
             continue

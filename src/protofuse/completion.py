@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .fileio import atomic_write_json, read_json_object
+from .fileio import atomic_write_json, is_json_int, read_json_object
 from .knowledge import AttributeStats, PrimitiveKnowledge
 
 ENCODER_DIM = 256
@@ -395,22 +395,16 @@ def train_completion(params: CompletionNetParams, knowledge: PrimitiveKnowledge,
         for index in chunk:
             task = tasks[index]
             features = draw_attribute_features(stats, knowledge, [task.class_id], rng)
-            leaves = params.store.leaves()
-            loss = completion_loss(leaves, knowledge, task, features)
-            if not np.isfinite(loss.value):
-                raise RuntimeError(
-                    f"non-finite completion loss on class {task.class_id}")
-            ad.backward(loss)
-            params.store.accumulate(leaves)
-            nn.sgd_step(params.store, config)
-            total += float(loss.value)
+            total += nn.train_step(
+                params.store, lambda leaves: completion_loss(leaves, knowledge, task, features),
+                config, f"non-finite completion loss on class {task.class_id}")
         losses.append(total / len(chunk))
     return losses
 
 
 def save_model(params: CompletionNetParams, path, metadata: dict | None = None) -> None:
     """Binary checkpoint plus a JSON sidecar (dims, scale, training metadata)."""
-    nn.save_checkpoint(params.store, path)
+    nn.save_checkpoint(params.tensors(), path)
     sidecar = {key: getattr(params, key) for key in SIDECAR_DIMS}
     sidecar.update(scale_gamma=params.scale_gamma, metadata=metadata or {})
     atomic_write_json(str(path) + ".json", sidecar)
@@ -430,10 +424,10 @@ def load_model(path) -> tuple:
     store = nn.ParamStore()
     for name in TENSOR_NAMES:
         store.register(name, tensors[name])
-    try:
-        sizes = {key: int(sidecar[key]) for key in SIDECAR_DIMS}
-    except (TypeError, ValueError) as exc:
-        raise nn.CheckpointError(f"{sidecar_path}: dimensions must be integers: {exc}") from exc
+    sizes = {key: sidecar[key] for key in SIDECAR_DIMS}
+    bad = {key: value for key, value in sizes.items() if not is_json_int(value)}
+    if bad:
+        raise nn.CheckpointError(f"{sidecar_path}: dimensions must be integers, got {bad}")
     params = CompletionNetParams(store=store, **sizes)
     for name, shape in params.tensor_shapes().items():
         if store.value(name).shape != shape:

@@ -17,13 +17,14 @@ sample means when dropout_rate is 0.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .fileio import (atomic_write_bytes, atomic_write_json, atomic_write_text,
-                     read_json_object, sha256_file)
+                     is_json_int, read_json_object, sha256_file)
 from .knowledge import (PrimitiveKnowledge, load_knowledge, prune_unsupported_attributes,
                         save_knowledge)
 
@@ -118,10 +119,10 @@ class WorldSpec:
             raise ValueError("attributes_per_class range must fit the vocabulary")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.noise_std < 0 or (self.novel_noise_std is not None and self.novel_noise_std < 0):
-            raise ValueError("noise std must be nonnegative")
-        if self.offset_std < 0 or self.semantic_noise < 0:
-            raise ValueError("offset_std and semantic_noise must be nonnegative")
+        for name in ("noise_std", "novel_noise_std", "offset_std", "semantic_noise"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if int(self.seed) < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -228,10 +229,12 @@ def load_embeddings(manifest_path) -> FewShotDataset:
     for key in ("d", "n", "classes", "labels_file", "payload_file", "payload_dtype", "checksum"):
         if key not in manifest:
             raise DatasetFormatError(f"{manifest_path}: manifest is missing '{key}'")
-    try:
-        d, n = int(manifest["d"]), int(manifest["n"])
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{manifest_path}: d and n must be integers: {exc}") from exc
+    d, n, classes = manifest["d"], manifest["n"], manifest["classes"]
+    if not (is_json_int(d) and is_json_int(n)):
+        raise DatasetFormatError(
+            f"{manifest_path}: d and n must be integers, got d={d!r}, n={n!r}")
+    if not (isinstance(classes, list) and all(is_json_int(c) for c in classes)):
+        raise DatasetFormatError(f"{manifest_path}: classes must be a list of integers")
     dtype = PAYLOAD_DTYPES.get(manifest["payload_dtype"])
     if dtype is None:
         raise DatasetFormatError(
@@ -265,7 +268,7 @@ def load_embeddings(manifest_path) -> FewShotDataset:
     except ValueError as exc:
         raise DatasetFormatError(
             f"{labels_path}: labels file contains a non-integer entry: {exc}") from None
-    known = set(int(c) for c in manifest["classes"])
+    known = set(classes)
     unknown = sorted(set(labels.tolist()) - known)
     if unknown:
         raise DatasetFormatError(f"{labels_path}: labels reference unknown class ids: {unknown}")

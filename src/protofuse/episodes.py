@@ -374,14 +374,10 @@ def meta_train(params: cp.CompletionNetParams, dataset: FewShotDataset,
             episode = sample_episode(dataset, config.n_way, config.k_shot,
                                      config.m_query, rng)
             features = cp.draw_attribute_features(stats, knowledge, episode.roster, rng)
-            leaves = params.store.leaves()
-            loss = meta_episode_loss(leaves, knowledge, episode, features)
-            if not np.isfinite(loss.value):
-                raise RuntimeError(f"non-finite episodic loss at epoch {epoch}, episode {index}")
-            ad.backward(loss)
-            params.store.accumulate(leaves)
-            nn.sgd_step(params.store, config.optimizer)
-            total += float(loss.value)
+            total += nn.train_step(
+                params.store,
+                lambda leaves: meta_episode_loss(leaves, knowledge, episode, features),
+                config.optimizer, f"non-finite episodic loss at epoch {epoch}, episode {index}")
         losses.append(total / config.episodes_per_epoch)
     return params, losses
 

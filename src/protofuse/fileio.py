@@ -43,6 +43,12 @@ def read_json_object(path) -> dict:
     return doc
 
 
+def is_json_int(value) -> bool:
+    """True for a JSON integer; JSON's true and false parse to bools, which
+    Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

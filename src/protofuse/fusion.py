@@ -4,19 +4,19 @@ their Bayesian fusion via the closed-form product of Gaussians.
 One pass, ``_fuse``, does the paper's four steps for a whole episode: it
 soft-assigns every sample against each prototype family (``soft_assign``),
 estimates a floored diagonal Gaussian per class from each assignment
-(``weighted_gaussian_estimate``) and multiplies the two Gaussians. Each
-step is written once and ``_fuse`` calls the first two by their module
-names, so a wrapper installed on either sees every fusion. It takes one
-episode, a (samples, d) sample matrix with (classes, d) prototype families,
-or a block of episodes stacked along leading axes, (E, samples, d) with (E,
-classes, d); every step acts on the last two axes, so episode b of a block
-is computed as it would be alone. It is generic over plain ndarrays and
-autodiff Nodes: ``fuse_prototypes`` (inference) runs it on arrays and wraps
-the result in validated ``FusionResult`` stacks, and ``fused_means`` (the
-episodic training loss) runs it on one episode with the completed
-prototypes traced, so the loss differentiates through the soft assignment,
-the class moments and the product formula. ``gaussian_product`` is the
-product step on validated ``DiagonalGaussian`` arguments.
+(``weighted_gaussian_estimate``) and multiplies the two Gaussians
+(``gaussian_product``). Each step is written once and ``_fuse`` calls all
+three by their module names, so a wrapper installed on any of them sees
+every fusion. It takes one episode, a (samples, d) sample matrix with
+(classes, d) prototype families, or a block of episodes stacked along
+leading axes, (E, samples, d) with (E, classes, d); every step acts on the
+last two axes, so episode b of a block is computed as it would be alone. It
+is generic over plain ndarrays and autodiff Nodes: ``fuse_prototypes``
+(inference) runs it on arrays and wraps the result in validated
+``FusionResult`` stacks, and ``fused_means`` (the episodic training loss)
+runs it on one episode with the completed prototypes traced, so the loss
+differentiates through the soft assignment, the class moments and the
+product formula.
 
 The paper fixes the soft-assignment sharpness and the variance floor, and so
 does this module: ``DEFAULT_LAMBDA`` (the softmax sharpness) and
@@ -45,8 +45,8 @@ DEFAULT_LAMBDA = 10.0  # softmax sharpness of the soft assignment
 
 @dataclass
 class DiagonalGaussian:
-    """Mean plus per-dimension variance: vectors for one Gaussian, (n, d)
-    matrices for n Gaussians, one per row, or (E, n, d) stacks of those."""
+    """Mean plus per-dimension variance of n Gaussians, one per row of two
+    (n, d) matrices, or of (E, n, d) stacks of those."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -54,9 +54,8 @@ class DiagonalGaussian:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.variance = np.asarray(self.variance, dtype=np.float64)
-        if self.mean.ndim not in (1, 2, 3) or self.mean.shape != self.variance.shape:
-            raise ValueError("mean and variance must be matching vectors, matrices "
-                             "or stacks of matrices")
+        if self.mean.ndim not in (2, 3) or self.mean.shape != self.variance.shape:
+            raise ValueError("mean and variance must be matching matrices or stacks of matrices")
         if not (np.isfinite(self.mean).all() and np.isfinite(self.variance).all()):
             raise ValueError("mean and variance must be finite")
         if (self.variance <= 0).any():
@@ -194,25 +193,20 @@ def _weighted_square_deviations(x: np.ndarray, responsibilities, mean):
     return ad.Node(out, parents, vjp)
 
 
-def _product_moments(prior_mean, prior_var, lik_mean, lik_var):
-    """Closed-form moments of the product of two diagonal Gaussians."""
+def gaussian_product(prior, likelihood):
+    """Closed-form product of two diagonal Gaussians, each a (mean,
+    variance) pair of arrays or traced Nodes: vectors, (n, d) matrices or
+    (E, n, d) stacks. Returns the posterior (mean, variance) pair; the
+    scalar normalizer is irrelevant downstream and intentionally skipped.
+    """
+    (prior_mean, prior_var), (lik_mean, lik_var) = prior, likelihood
+    prior_shape, lik_shape = ad.value_of(prior_mean).shape, ad.value_of(lik_mean).shape
+    if prior_shape != lik_shape:
+        raise ValueError(f"shape mismatch: {prior_shape} vs {lik_shape}")
     denom = ad.add(prior_var, lik_var)
     mean = ad.div(ad.add(ad.mul(lik_var, prior_mean), ad.mul(prior_var, lik_mean)), denom)
     var = ad.div(ad.mul(prior_var, lik_var), denom)
     return mean, var
-
-
-def gaussian_product(prior: DiagonalGaussian, likelihood: DiagonalGaussian) -> DiagonalGaussian:
-    """Product of two diagonal Gaussians, as a (renormalized) Gaussian.
-
-    Only the posterior mean/variance are returned; the scalar normalizer is
-    irrelevant downstream and intentionally skipped.
-    """
-    if prior.mean.shape != likelihood.mean.shape:
-        raise ValueError(f"shape mismatch: {prior.mean.shape} vs {likelihood.mean.shape}")
-    mean, var = _product_moments(prior.mean, prior.variance,
-                                 likelihood.mean, likelihood.variance)
-    return DiagonalGaussian(mean, var)
 
 
 def mean_fuse(prototype, completed):
@@ -250,9 +244,10 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
     block shares. Soft-assigns all samples twice (``soft_assign``, once per
     prototype family), estimates a floored diagonal Gaussian per class from
     each assignment (``weighted_gaussian_estimate``), and multiplies them
-    with the completed-prototype Gaussian as the prior and the mean-based
-    Gaussian as the likelihood. ``completed_prototypes`` may be a traced
-    Node; the mean side involves no trainable quantity and stays untraced.
+    (``gaussian_product``) with the completed-prototype Gaussian as the
+    prior and the mean-based Gaussian as the likelihood.
+    ``completed_prototypes`` may be a traced Node; the mean side involves
+    no trainable quantity and stays untraced.
     Returns the two responsibility matrices and the (mean, variance) pairs
     of the mean-based, completed and posterior stacks.
     """
@@ -266,7 +261,7 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
     assign_comp = soft_assign(x, labels, completed_prototypes)
     mean_side = weighted_gaussian_estimate(x, assign_mean)
     comp_side = weighted_gaussian_estimate(x, assign_comp)
-    posterior = _product_moments(*comp_side, *mean_side)
+    posterior = gaussian_product(comp_side, mean_side)
     return assign_mean, assign_comp, mean_side, comp_side, posterior
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import atomic_write_json, read_json_object
+from .fileio import atomic_write_json, is_json_int, read_json_object
 
 SPLIT_BASE = "base"
 SPLIT_NOVEL = "novel"
@@ -297,16 +297,10 @@ def save_knowledge(knowledge: PrimitiveKnowledge, path) -> None:
     atomic_write_json(path, doc)
 
 
-def _is_json_int(value) -> bool:
-    """True for a JSON integer; JSON's true and false parse to bools, which
-    Python counts as ints."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _semantic_vector(entry, context: str) -> np.ndarray:
     vec = entry.get("semantic")
     if not isinstance(vec, list) or not vec or not all(
-        _is_json_int(v) or isinstance(v, float) for v in vec
+        is_json_int(v) or isinstance(v, float) for v in vec
     ):
         raise KnowledgeFormatError(f"{context}.semantic: expected a nonempty list of numbers")
     try:
@@ -356,7 +350,7 @@ def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
             if not isinstance(entry, dict):
                 raise KnowledgeFormatError(f"{context}: expected an object")
             cid = entry.get("id")
-            if not _is_json_int(cid):
+            if not is_json_int(cid):
                 raise KnowledgeFormatError(f"{context}.id: expected an integer")
             if cid in seen:
                 raise KnowledgeFormatError(f"{context}.id: duplicate id {cid}")
@@ -412,7 +406,7 @@ def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
     for i, pair in enumerate(doc["associations"]):
         context = f"associations[{i}]"
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(_is_json_int(v) for v in pair)):
+                or not all(is_json_int(v) for v in pair)):
             raise KnowledgeFormatError(f"{context}: expected [class_id, attribute_id]")
         cid, aid = pair
         if not 0 <= cid < c:

@@ -5,7 +5,9 @@ parameter checkpoint. The completion network reads the registry's leaves
 through one autodiff node with a hand-written backward pass
 (``completion.complete``).
 
-The registry keeps no gradient buffers. ``ParamStore.accumulate`` holds the
+``train_step`` is the one SGD step both trainings run (completion training
+and episodic meta-training): fresh leaves, the loss, backward, update. The
+registry keeps no gradient buffers. ``ParamStore.accumulate`` holds the
 backward pass's leaf gradients as pending gradients, and ``sgd_step`` reads
 them in place, updating each tensor through one scratch array of its own.
 
@@ -148,6 +150,20 @@ def sgd_step(store: ParamStore, config: SgdConfig) -> None:
     pending.clear()
 
 
+def train_step(store: ParamStore, loss_fn, config: SgdConfig, failure: str) -> float:
+    """One SGD step on ``loss_fn``, a map from fresh leaf Nodes (by name) to
+    a scalar loss Node; returns the loss. A non-finite loss raises
+    ``RuntimeError(failure)`` before any parameter changes."""
+    leaves = store.leaves()
+    loss = loss_fn(leaves)
+    if not np.isfinite(loss.value):
+        raise RuntimeError(failure)
+    ad.backward(loss)
+    store.accumulate(leaves)
+    sgd_step(store, config)
+    return float(loss.value)
+
+
 @dataclass
 class GradientCheckReport:
     max_relative_error: float
@@ -203,8 +219,6 @@ def save_checkpoint(tensors, path) -> None:
     """Write named tensors as: magic ``PCN1`` then, per tensor, u32 name
     length, UTF-8 name, u32 rank, u32 dims, float64 little-endian payload.
     """
-    if isinstance(tensors, ParamStore):
-        tensors = {name: tensors.value(name) for name in tensors.names()}
     buf = bytearray(CHECKPOINT_MAGIC)
     for name, tensor in tensors.items():
         tensor = np.asarray(tensor, dtype=np.float64)

@@ -73,9 +73,8 @@ def test_criterion_01_gaussian_product_grid_oracle():
         m1, m2 = rng.uniform(-5.0, 5.0, size=2)
         s1, s2 = rng.uniform(0.1, 3.0, size=2)
         v1, v2 = s1 * s1, s2 * s2
-        post = fusion.gaussian_product(
-            fusion.DiagonalGaussian(np.array([m1]), np.array([v1])),
-            fusion.DiagonalGaussian(np.array([m2]), np.array([v2])))
+        post_mean, post_var = fusion.gaussian_product((np.array([m1]), np.array([v1])),
+                                                      (np.array([m2]), np.array([v2])))
         spread = 10.0 * (s1 + s2)
         xs = np.linspace(min(m1, m2) - spread, max(m1, m2) + spread, 100_000)
         log_p = -(xs - m1) ** 2 / (2 * v1) - (xs - m2) ** 2 / (2 * v2)
@@ -85,7 +84,7 @@ def test_criterion_01_gaussian_product_grid_oracle():
         # loop to over 10 s of wall time when another process shared the cores
         grid_mean = float((w * xs).sum())
         grid_var = float((w * (xs - grid_mean) ** 2).sum())
-        worst = max(worst, abs(post.mean[0] - grid_mean), abs(post.variance[0] - grid_var))
+        worst = max(worst, abs(post_mean[0] - grid_mean), abs(post_var[0] - grid_var))
     elapsed = time.perf_counter() - started
     assert worst < 1e-6, f"worst grid deviation {worst:.3e}"
     assert elapsed < 10.0, f"grid oracle took {elapsed:.1f}s"

@@ -152,11 +152,12 @@ def test_gradient_accumulates_across_reuse():
     np.testing.assert_allclose(node.grad, 2 * v + 1)
 
 
-def test_backward_requires_matching_seed_shape():
+def test_backward_seeds_the_root_with_ones():
     node = ad.Node(np.ones(3))
     out = ad.mul(node, 2.0)
-    with pytest.raises(ValueError, match="seed gradient shape"):
-        ad.backward(out, np.ones(2))
+    ad.backward(out)
+    np.testing.assert_array_equal(out.grad, np.ones(3))
+    np.testing.assert_array_equal(node.grad, np.full(3, 2.0))
 
 
 def test_node_defines_no_arithmetic_operators():

@@ -68,7 +68,8 @@ print(json.dumps({"targets": len(targets), "missing": missing, "copied": copied,
                   "spans": spans}))
 """
 
-FUSION_STEPS = {"fusion.soft_assign", "fusion.weighted_gaussian_estimate"}
+FUSION_STEPS = {"fusion.soft_assign", "fusion.weighted_gaussian_estimate",
+                "fusion.gaussian_product"}
 
 
 def test_every_trace_target_is_defined_on_its_owner():

@@ -393,9 +393,32 @@ CORRUPTIONS = {
                    lambda p: _rewrite_json(p, lambda d: d.pop("d"))),
     "manifest-d-not-an-integer": ("world/base.manifest.json", "d and n must be integers",
                                   lambda p: _rewrite_json(p, lambda d: d.update(d="abc"))),
+    # int() would truncate a float, parse a numeric string and count a bool as 1.
+    "manifest-d-float": ("world/base.manifest.json", "d and n must be integers, got d=16.9",
+                         lambda p: _rewrite_json(p, lambda d: d.update(d=16.9))),
+    "manifest-n-string": ("world/base.manifest.json",
+                          "d and n must be integers, got d=12, n='120'",
+                          lambda p: _rewrite_json(p, lambda d: d.update(n=str(d["n"])))),
+    "manifest-d-bool": ("world/base.manifest.json", "d and n must be integers, got d=True",
+                        lambda p: _rewrite_json(p, lambda d: d.update(d=True))),
+    "manifest-class-float": ("world/base.manifest.json", "classes must be a list of integers",
+                             lambda p: _rewrite_json(
+                                 p, lambda d: d["classes"].__setitem__(0, 0.9))),
+    "manifest-class-bool": ("world/base.manifest.json", "classes must be a list of integers",
+                            lambda p: _rewrite_json(
+                                p, lambda d: d["classes"].__setitem__(0, True))),
     "sidecar-dimension-not-an-integer": (
         "model.pcn.json", "dimensions must be integers",
         lambda p: _rewrite_json(p, lambda d: d.update(input_dim=[12]))),
+    "sidecar-dimension-float": (
+        "model.pcn.json", "dimensions must be integers, got {'input_dim': 16.7}",
+        lambda p: _rewrite_json(p, lambda d: d.update(input_dim=16.7))),
+    "sidecar-dimension-string": (
+        "model.pcn.json", "dimensions must be integers, got {'input_dim': '16'}",
+        lambda p: _rewrite_json(p, lambda d: d.update(input_dim="16"))),
+    "sidecar-dimension-bool": (
+        "model.pcn.json", "dimensions must be integers, got {'input_dim': True}",
+        lambda p: _rewrite_json(p, lambda d: d.update(input_dim=True))),
     "centers": ("world/centers.json", "missing ['centers']",
                 lambda p: _rewrite_json(p, lambda d: d.pop("centers"))),
     "centers-not-numbers": ("world/centers.json", "centers must be a matrix",

@@ -151,6 +151,11 @@ def test_worldspec_validation():
         spec(attributes_per_class=(3, 99))
     with pytest.raises(ValueError, match="at least 1"):
         spec(num_base_classes=0)
+    for name in ("noise_std", "novel_noise_std", "offset_std", "semantic_noise"):
+        for value in (np.nan, np.inf, -np.inf, -0.1):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, "
+                                                 f"got {value}$"):
+                spec(**{name: value})
 
 
 # --- file formats ------------------------------------------------------------

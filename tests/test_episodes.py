@@ -385,6 +385,31 @@ def test_meta_train_stops_on_a_non_finite_loss_before_any_update():
         assert params.store.value(name).tobytes() == value.tobytes(), name
 
 
+def test_each_training_step_is_one_train_step(monkeypatch):
+    # Both trainings update only through nn.train_step: one call per
+    # completion task and per meta episode, and the loss curve is its losses.
+    world, stats, params = make_fixture(seed=7)
+    calls = []
+    step = nn.train_step
+
+    def counting(store, loss_fn, config, failure):
+        calls.append(step(store, loss_fn, config, failure))
+        return calls[-1]
+
+    monkeypatch.setattr(nn, "train_step", counting)
+    prototypes = kn.compute_base_prototypes(world.base.embeddings, world.base.labels)
+    tasks = cp.sample_completion_tasks(world.base.embeddings, world.base.labels, prototypes,
+                                       1, 1, np.random.default_rng(0))
+    losses = cp.train_completion(params, world.knowledge, stats, tasks,
+                                 nn.SgdConfig(learning_rate=1e-3), np.random.default_rng(1))
+    assert losses == calls and len(calls) == 1
+    calls.clear()
+    config = ep.MetaTrainConfig(optimizer=nn.SgdConfig(learning_rate=1e-4), n_way=3,
+                                k_shot=1, m_query=4, episodes_per_epoch=1, seed=13)
+    _, losses = ep.meta_train(params, world.base, world.knowledge, stats, config)
+    assert losses == calls and len(calls) == 1
+
+
 def test_meta_train_improves_validation_accuracy():
     # From a deliberately half-trained completion net, episodic fine-tuning
     # must not hurt 1-shot accuracy on the held-out split (600 episodes).

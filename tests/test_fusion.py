@@ -13,23 +13,23 @@ from protofuse import fusion
 
 
 def gauss(mean, var):
-    return fusion.DiagonalGaussian(np.atleast_1d(np.asarray(mean, float)),
-                                   np.atleast_1d(np.asarray(var, float)))
+    """A (mean, variance) pair of vectors, as ``gaussian_product`` takes it."""
+    return np.atleast_1d(np.asarray(mean, float)), np.atleast_1d(np.asarray(var, float))
 
 
 # --- gaussian product ------------------------------------------------------
 
 def test_product_equal_variances():
-    post = fusion.gaussian_product(gauss([0.0, 0.0], [1.0, 1.0]),
-                                   gauss([2.0, 2.0], [1.0, 1.0]))
-    np.testing.assert_allclose(post.mean, [1.0, 1.0])
-    np.testing.assert_allclose(post.variance, [0.5, 0.5])
+    mean, var = fusion.gaussian_product(gauss([0.0, 0.0], [1.0, 1.0]),
+                                        gauss([2.0, 2.0], [1.0, 1.0]))
+    np.testing.assert_allclose(mean, [1.0, 1.0])
+    np.testing.assert_allclose(var, [0.5, 0.5])
 
 
 def test_product_uninformative_prior_limit():
-    post = fusion.gaussian_product(gauss([3.0], [1e12]), gauss([-1.5], [0.4]))
-    assert post.mean[0] == pytest.approx(-1.5, rel=1e-6)
-    assert post.variance[0] == pytest.approx(0.4, rel=1e-6)
+    mean, var = fusion.gaussian_product(gauss([3.0], [1e12]), gauss([-1.5], [0.4]))
+    assert mean[0] == pytest.approx(-1.5, rel=1e-6)
+    assert var[0] == pytest.approx(0.4, rel=1e-6)
 
 
 def grid_product_moments(m1, v1, m2, v2, points=100_000):
@@ -50,10 +50,11 @@ def test_product_matches_grid_oracle_sample():
     for _ in range(50):
         m1, m2 = rng.uniform(-5, 5, size=2)
         s1, s2 = rng.uniform(0.1, 3.0, size=2)
-        post = fusion.gaussian_product(gauss([m1], [s1**2]), gauss([m2], [s2**2]))
+        post_mean, post_var = fusion.gaussian_product(gauss([m1], [s1**2]),
+                                                      gauss([m2], [s2**2]))
         mean, var = grid_product_moments(m1, s1**2, m2, s2**2)
-        assert post.mean[0] == pytest.approx(mean, abs=1e-6)
-        assert post.variance[0] == pytest.approx(var, abs=1e-6)
+        assert post_mean[0] == pytest.approx(mean, abs=1e-6)
+        assert post_var[0] == pytest.approx(var, abs=1e-6)
 
 
 finite_means = st.floats(min_value=-5, max_value=5, allow_nan=False)
@@ -64,16 +65,16 @@ finite_vars = st.floats(min_value=1e-4, max_value=9.0, allow_nan=False)
 @given(m1=finite_means, m2=finite_means, v1=finite_vars, v2=finite_vars)
 def test_product_symmetry_and_bounds(m1, m2, v1, v2):
     a, b = gauss([m1], [v1]), gauss([m2], [v2])
-    ab = fusion.gaussian_product(a, b)
-    ba = fusion.gaussian_product(b, a)
+    ab_mean, ab_var = fusion.gaussian_product(a, b)
+    ba_mean, ba_var = fusion.gaussian_product(b, a)
     # swapping prior and likelihood changes nothing
-    assert abs(ab.mean[0] - ba.mean[0]) < 1e-12
-    assert abs(ab.variance[0] - ba.variance[0]) < 1e-12
+    assert abs(ab_mean[0] - ba_mean[0]) < 1e-12
+    assert abs(ab_var[0] - ba_var[0]) < 1e-12
     # information never decreases
-    assert ab.variance[0] <= min(v1, v2) + 1e-15
+    assert ab_var[0] <= min(v1, v2) + 1e-15
     # posterior mean is a convex combination of the input means
     lo, hi = min(m1, m2), max(m1, m2)
-    assert lo - 1e-12 <= ab.mean[0] <= hi + 1e-12
+    assert lo - 1e-12 <= ab_mean[0] <= hi + 1e-12
 
 
 def test_product_dimension_mismatch():
@@ -83,7 +84,12 @@ def test_product_dimension_mismatch():
 
 def test_diagonal_gaussian_flooring():
     with pytest.raises(ValueError, match="strictly positive"):
-        fusion.DiagonalGaussian(np.zeros(2), np.array([0.0, 1.0]))
+        fusion.DiagonalGaussian(np.zeros((1, 2)), np.array([[0.0, 1.0]]))
+
+
+def test_diagonal_gaussian_holds_only_matrices_and_stacks():
+    with pytest.raises(ValueError, match="matching matrices"):
+        fusion.DiagonalGaussian(np.zeros(2), np.ones(2))
 
 
 # --- soft assignment -------------------------------------------------------
@@ -275,9 +281,8 @@ def test_fuse_single_class_uses_full_population():
     np.testing.assert_allclose(result.assignment_mean, 1.0)
     mu = x.mean(axis=0)
     var = np.maximum(x.var(axis=0), fusion.EPSILON_VARIANCE)
-    expected = fusion.gaussian_product(
-        fusion.DiagonalGaussian(mu, var), fusion.DiagonalGaussian(mu, var))
-    np.testing.assert_allclose(result.fused[0], expected.mean, atol=1e-12)
+    expected_mean, _ = fusion.gaussian_product((mu, var), (mu, var))
+    np.testing.assert_allclose(result.fused[0], expected_mean, atol=1e-12)
 
 
 def test_fused_means_traced_equals_plain():
@@ -404,15 +409,13 @@ def test_fusion_posterior_is_tighter_and_between_per_dimension(seed, n_way, k_sh
     assert ((lo - slack <= post.mean) & (post.mean <= hi + slack)).all()
     # row k is the estimate from column k alone and the product of class position k
     for k in range(n_way):
-        g_mean = fusion.DiagonalGaussian(*(
-            stack[0] for stack in fusion.weighted_gaussian_estimate(
-                x, result.assignment_mean[:, [k]])))
-        g_comp = fusion.DiagonalGaussian(*(
-            stack[0] for stack in fusion.weighted_gaussian_estimate(
-                x, result.assignment_completed[:, [k]])))
-        single = fusion.gaussian_product(g_comp, g_mean)
-        np.testing.assert_allclose(post.mean[k], single.mean, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(post.variance[k], single.variance, rtol=1e-12)
+        g_mean = [stack[0] for stack in fusion.weighted_gaussian_estimate(
+            x, result.assignment_mean[:, [k]])]
+        g_comp = [stack[0] for stack in fusion.weighted_gaussian_estimate(
+            x, result.assignment_completed[:, [k]])]
+        single_mean, single_var = fusion.gaussian_product(g_comp, g_mean)
+        np.testing.assert_allclose(post.mean[k], single_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(post.variance[k], single_var, rtol=1e-12)
     # the traced training-loss fusion computes the same posterior means
     traced = fusion.fused_means(x, labels, means, ad.Node(completed))
     np.testing.assert_allclose(ad.value_of(traced), post.mean, rtol=1e-12, atol=1e-12)

@@ -241,7 +241,7 @@ def test_sgd_step_leaves_sharing_one_gradient_array():
     velocity = {name: np.zeros(2) for name in store.names()}
     for _ in range(2):
         leaves = store.leaves()
-        ad.backward(ad.add(leaves["a"], leaves["b"]), seed=np.array([0.5, -0.25]))
+        ad.backward(ad.sum(ad.mul(ad.add(leaves["a"], leaves["b"]), np.array([0.5, -0.25]))))
         shared = leaves["a"].grad
         assert leaves["b"].grad is shared  # add's gradient is the output's, for both
         snapshot = shared.copy()
