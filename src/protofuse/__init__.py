@@ -1,10 +1,9 @@
 """Prototype completion with Bayesian Gaussian fusion for few-shot
 classification in a fixed embedding space."""
 
-from .knowledge import (AttributeStats, ClassPrototypeTable, PrimitiveKnowledge,
+from .knowledge import (AttributeStats, PrimitiveKnowledge, average_cluster_variance,
                         compute_attribute_stats, compute_base_prototypes,
-                        cluster_variance_report, inject_knowledge_noise,
-                        load_knowledge, save_knowledge)
+                        inject_knowledge_noise, load_knowledge, save_knowledge)
 from .fusion import (DiagonalGaussian, fuse_prototypes, gaussian_product, mean_fuse,
                      soft_assign, weighted_gaussian_estimate, EPSILON_VARIANCE,
                      DEFAULT_LAMBDA)

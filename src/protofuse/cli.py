@@ -23,8 +23,8 @@ from . import episodes as ep
 from . import nn
 from .datagen import World, WorldSpec, generate_world, load_world, save_world
 from .fileio import atomic_write_json, atomic_write_text
-from .knowledge import compute_attribute_stats, compute_base_prototypes, \
-    cluster_variance_report, inject_knowledge_noise
+from .knowledge import average_cluster_variance, compute_attribute_stats, \
+    compute_base_prototypes, inject_knowledge_noise
 
 
 def _require_new(path: str, overwrite: bool) -> None:
@@ -232,13 +232,13 @@ def _cmd_report(args) -> int:
         lines.append(f"{r},{curve.raw[r]!r},{curve.completed[r]!r}")
     atomic_write_text(curve_path, "\n".join(lines) + "\n")
 
-    base_var = cluster_variance_report(world.base.embeddings, world.base.labels)
-    novel_var = cluster_variance_report(world.novel.embeddings, world.novel.labels)
+    base_var = average_cluster_variance(world.base.embeddings, world.base.labels)
+    novel_var = average_cluster_variance(world.novel.embeddings, world.novel.labels)
     print(f"{'estimate':<14}{'cos(proto, center)':>20}")
     print(f"{'mean-based':<14}{similarity.mean_based:>20.4f}")
     print(f"{'completed':<14}{similarity.completed:>20.4f}")
     print(f"{'fused':<14}{similarity.fused:>20.4f}")
-    print(f"averaged variance: base {base_var.average:.4f} / novel {novel_var.average:.4f}")
+    print(f"averaged variance: base {base_var:.4f} / novel {novel_var:.4f}")
     print(f"rank curve written to {curve_path} (window {curve.window})")
     return 0
 
@@ -345,9 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval" and args.dump_fusion and args.mode != ep.MODE_GAUSS_FUSION:
-        parser.error(f"eval --dump-fusion needs --mode {ep.MODE_GAUSS_FUSION}, "
-                     f"the only mode that runs the fusion")
+    if args.command == "eval" and args.dump_fusion:
+        if args.mode != ep.MODE_GAUSS_FUSION:
+            parser.error(f"eval --dump-fusion needs --mode {ep.MODE_GAUSS_FUSION}, "
+                         f"the only mode that runs the fusion")
+        if os.path.realpath(args.dump_fusion) == os.path.realpath(args.out):
+            parser.error("eval --dump-fusion and --out name the same file")
+    if args.command == "noise-sweep":
+        keys = [str(gamma) for gamma in args.gamma_noise]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        if repeated:
+            parser.error(f"noise-sweep --gamma-noise repeats {', '.join(repeated)}; "
+                         f"each level is one entry of the JSON output")
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

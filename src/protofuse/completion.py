@@ -320,20 +320,14 @@ class CompletionTask:
     """One prototype-completion training episode for a base class."""
 
     class_id: int
-    support: np.ndarray     # (k_shot, d)
-    incomplete: np.ndarray  # (d,) mean of the support rows
+    incomplete: np.ndarray  # (d,) mean of the k_shot support rows
     target: np.ndarray      # (d,) the full-class prototype
 
     def __post_init__(self):
-        self.support = np.asarray(self.support, dtype=np.float64)
         self.incomplete = np.asarray(self.incomplete, dtype=np.float64)
         self.target = np.asarray(self.target, dtype=np.float64)
-        if self.support.ndim != 2 or self.support.shape[0] < 1:
-            raise ValueError("support must hold at least one embedding")
-        if self.incomplete.shape != (self.support.shape[1],):
-            raise ValueError("incomplete prototype dimension mismatch")
-        if self.target.shape != self.incomplete.shape:
-            raise ValueError("target dimension mismatch")
+        if self.incomplete.ndim != 1 or self.target.shape != self.incomplete.shape:
+            raise ValueError("incomplete and target must be vectors of one dimension")
 
 
 def sample_completion_tasks(embeddings, labels, prototypes, k_shot: int, count: int,
@@ -341,11 +335,12 @@ def sample_completion_tasks(embeddings, labels, prototypes, k_shot: int, count: 
     """Uniformly draw (class, k_shot support rows without replacement) tasks.
 
     The incomplete prototype is the support mean; the target is the class's
-    full prototype from ``prototypes``.
+    full prototype from ``prototypes``, the ``{class_id: prototype}`` dict of
+    ``knowledge.compute_base_prototypes``.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    class_ids = list(prototypes.class_ids)
+    class_ids = list(prototypes)
     by_class = {cid: np.flatnonzero(y == cid) for cid in class_ids}
     for cid, rows in by_class.items():
         if rows.size < k_shot:
@@ -354,13 +349,8 @@ def sample_completion_tasks(embeddings, labels, prototypes, k_shot: int, count: 
     for _ in range(count):
         cid = class_ids[rng.integers(len(class_ids))]
         chosen = rng.choice(by_class[cid], size=k_shot, replace=False)
-        support = x[chosen]
-        tasks.append(CompletionTask(
-            class_id=cid,
-            support=support,
-            incomplete=support.mean(axis=0),
-            target=prototypes.prototype(cid),
-        ))
+        tasks.append(CompletionTask(class_id=cid, incomplete=x[chosen].mean(axis=0),
+                                    target=prototypes[cid]))
     return tasks
 
 

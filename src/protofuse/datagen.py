@@ -190,7 +190,6 @@ def generate_world(spec: WorldSpec) -> World:
         class_semantics=class_semantics,
         attribute_semantics=attribute_semantics,
         base_class_ids=tuple(base_ids),
-        novel_class_ids=tuple(range(spec.num_base_classes, num_classes)),
     )
     # Attributes no base class carries cannot be estimated; the samples keep
     # their components but the knowledge drops the columns.
@@ -233,6 +232,8 @@ def load_embeddings(manifest_path) -> FewShotDataset:
     if not (is_json_int(d) and is_json_int(n)):
         raise DatasetFormatError(
             f"{manifest_path}: d and n must be integers, got d={d!r}, n={n!r}")
+    if d < 1 or n < 1:
+        raise DatasetFormatError(f"{manifest_path}: d and n must be at least 1, got d={d}, n={n}")
     if not (isinstance(classes, list) and all(is_json_int(c) for c in classes)):
         raise DatasetFormatError(f"{manifest_path}: classes must be a list of integers")
     dtype = PAYLOAD_DTYPES.get(manifest["payload_dtype"])
@@ -325,9 +326,19 @@ def _load_centers(centers_path, splits) -> np.ndarray:
 
 
 def load_world(directory) -> World:
-    base = load_embeddings(os.path.join(directory, "base.manifest.json"))
-    novel = load_embeddings(os.path.join(directory, "novel.manifest.json"))
-    knowledge = load_knowledge(os.path.join(directory, "knowledge.json"))
+    """Load a saved world. The base split may hold only the base classes of
+    its ``knowledge.json``, and the novel split only the other classes."""
+    manifests = [os.path.join(directory, f"{stem}.manifest.json") for stem in ("base", "novel")]
+    base, novel = (load_embeddings(path) for path in manifests)
+    knowledge_path = os.path.join(directory, "knowledge.json")
+    knowledge = load_knowledge(knowledge_path)
+    for path, dataset, want_base in zip(manifests, (base, novel), (True, False)):
+        ids = dataset.class_ids()
+        misplaced = ids[np.isin(ids, knowledge.base_class_ids) != want_base]
+        if misplaced.size:
+            raise DatasetFormatError(f"{path}: class {misplaced[0]} is "
+                                     f"{'not ' if want_base else ''}a base class in "
+                                     f"{knowledge_path}")
     centers = _load_centers(os.path.join(directory, "centers.json"), (base, novel))
     spec = None
     spec_path = os.path.join(directory, "worldspec.json")

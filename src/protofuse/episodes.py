@@ -87,8 +87,6 @@ class Episode:
     support_y: np.ndarray       # ([E,] n_way * k_shot)
     query_x: np.ndarray         # ([E,] n_way * m_query, d)
     query_y: np.ndarray         # ([E,] n_way * m_query)
-    support_indices: np.ndarray  # ([E,] n_way * k_shot)
-    query_indices: np.ndarray    # ([E,] n_way * m_query)
 
     @property
     def n_way(self) -> int:
@@ -146,16 +144,12 @@ def sample_episode(dataset: FewShotDataset, n_way: int, k_shot: int, m_query: in
         chosen = np.stack([roster for roster, _ in draws])
         picked = np.stack([matrix for _, matrix in draws])
     lead = chosen.shape[:-1]
-    support_indices = picked[..., :k_shot].reshape(lead + (n_way * k_shot,))
-    query_indices = picked[..., k_shot:].reshape(lead + (n_way * m_query,))
     return Episode(
         roster=chosen,
-        support_x=dataset.embeddings[support_indices],
+        support_x=dataset.embeddings[picked[..., :k_shot].reshape(lead + (n_way * k_shot,))],
         support_y=chosen[..., class_positions(n_way, k_shot)],
-        query_x=dataset.embeddings[query_indices],
+        query_x=dataset.embeddings[picked[..., k_shot:].reshape(lead + (n_way * m_query,))],
         query_y=chosen[..., class_positions(n_way, m_query)],
-        support_indices=support_indices,
-        query_indices=query_indices,
     )
 
 
@@ -449,8 +443,7 @@ class RankCurveReport:
 
     raw: np.ndarray        # smoothed cos(sample, center) per rank
     completed: np.ndarray  # smoothed cos(completed 1-shot prototype, center)
-    window: int
-    classes_below_window: int
+    window: int            # the window used: at most the smallest class size
 
     @property
     def ranks(self) -> np.ndarray:
@@ -463,9 +456,9 @@ def rank_curve_report(params, dataset: FewShotDataset, centers: np.ndarray,
     """Per-rank completion diagnostic, averaged over classes then smoothed.
 
     Every sample is treated as a 1-shot prototype; rank r holds the class's
-    r-th closest sample to its center. Classes shorter than the window shrink
-    it (with a count reported). A non-finite completion raises a one-line
-    ``ValueError("class <id>: ...")``.
+    r-th closest sample to its center. A class shorter than the window
+    shrinks it to that class's size, and the report holds the window used.
+    A non-finite completion raises a one-line ``ValueError("class <id>: ...")``.
     """
     plan = cp.CompletionPlan.build(params, knowledge, stats)
     class_ids, counts = np.unique(dataset.labels, return_counts=True)
@@ -486,5 +479,4 @@ def rank_curve_report(params, dataset: FewShotDataset, centers: np.ndarray,
         raw=moving_average(np.nanmean(raw, axis=0), effective),
         completed=moving_average(np.nanmean(completed_sims, axis=0), effective),
         window=effective,
-        classes_below_window=int((counts < window).sum()),
     )

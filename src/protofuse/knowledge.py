@@ -1,6 +1,8 @@
 """Primitive knowledge (class-attribute associations plus semantic
 embeddings) and the statistics derived from base-class embeddings: per-class
-prototypes and per-attribute feature distributions.
+prototypes, the completion targets, as a ``{class_id: prototype}`` dict in
+ascending id order, and per-attribute feature distributions, the completion
+prior. Every class not listed as base is novel.
 
 Attribute statistics use the population (1/N) standard deviation and a
 two-pass mean/variance computation. Attributes with no base-class support are
@@ -47,8 +49,7 @@ class PrimitiveKnowledge:
     association: np.ndarray          # (num_classes, num_attributes), entries 0/1
     class_semantics: np.ndarray      # (num_classes, s)
     attribute_semantics: np.ndarray  # (num_attributes, s)
-    base_class_ids: tuple
-    novel_class_ids: tuple
+    base_class_ids: tuple  # every other class id is novel
     class_names: tuple = ()
     attribute_names: tuple = ()
 
@@ -72,12 +73,8 @@ class PrimitiveKnowledge:
         if self.class_semantics.shape[1] < 1:
             raise ValueError("semantic dimension must be positive")
         self.base_class_ids = tuple(sorted(int(i) for i in self.base_class_ids))
-        self.novel_class_ids = tuple(sorted(int(i) for i in self.novel_class_ids))
-        base, novel = set(self.base_class_ids), set(self.novel_class_ids)
-        if base & novel:
-            raise ValueError("base and novel class ids overlap")
-        if base | novel != set(range(c)):
-            raise ValueError("base and novel ids must cover exactly 0..num_classes-1")
+        if not set(self.base_class_ids) <= set(range(c)):
+            raise ValueError("base class ids must lie in 0..num_classes-1")
         if not self.class_names:
             self.class_names = tuple(f"class_{i}" for i in range(c))
         if not self.attribute_names:
@@ -103,24 +100,18 @@ class PrimitiveKnowledge:
 
 @dataclass
 class AttributeStats:
-    """Per-attribute feature distribution: mean, population std, support size."""
+    """Per-attribute feature distribution: mean and population std."""
 
-    mean: np.ndarray           # (num_attributes, d)
-    std: np.ndarray            # (num_attributes, d), nonnegative
-    support_count: np.ndarray  # (num_attributes,)
+    mean: np.ndarray  # (num_attributes, d)
+    std: np.ndarray   # (num_attributes, d), nonnegative
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.std = np.asarray(self.std, dtype=np.float64)
-        self.support_count = np.asarray(self.support_count, dtype=np.int64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 2:
             raise ValueError("mean and std must be matching (attributes x d) matrices")
-        if self.support_count.shape != (self.mean.shape[0],):
-            raise ValueError("one support count per attribute is required")
         if (self.std < 0).any():
             raise ValueError("std must be nonnegative")
-        if (self.support_count < 1).any():
-            raise ValueError("every retained attribute needs support_count >= 1")
 
     @property
     def num_attributes(self) -> int:
@@ -129,30 +120,6 @@ class AttributeStats:
     @property
     def dim(self) -> int:
         return self.mean.shape[1]
-
-
-@dataclass
-class ClassPrototypeTable:
-    """Mean embedding per base class, with sample counts."""
-
-    class_ids: tuple
-    prototypes: np.ndarray     # (len(class_ids), d)
-    sample_counts: np.ndarray  # (len(class_ids),)
-
-    def __post_init__(self):
-        self.class_ids = tuple(int(i) for i in self.class_ids)
-        self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
-        self.sample_counts = np.asarray(self.sample_counts, dtype=np.int64)
-        if self.prototypes.ndim != 2 or self.prototypes.shape[0] != len(self.class_ids):
-            raise ValueError("one prototype row per class id is required")
-        if self.sample_counts.shape != (len(self.class_ids),):
-            raise ValueError("one sample count per class id is required")
-        if (self.sample_counts < 1).any():
-            raise ValueError("sample counts must be at least 1")
-        self._index = {cid: i for i, cid in enumerate(self.class_ids)}
-
-    def prototype(self, class_id: int) -> np.ndarray:
-        return self.prototypes[self._index[class_id]]
 
 
 def _check_labeled_embeddings(embeddings, labels):
@@ -167,17 +134,11 @@ def _check_labeled_embeddings(embeddings, labels):
     return x, y.astype(np.int64)
 
 
-def compute_base_prototypes(embeddings, labels) -> ClassPrototypeTable:
-    """Arithmetic mean of each class's embeddings, over the classes present."""
+def compute_base_prototypes(embeddings, labels) -> dict:
+    """Arithmetic mean of each class's embeddings, over the classes present:
+    ``{class_id: prototype}`` with int keys in ascending order."""
     x, y = _check_labeled_embeddings(embeddings, labels)
-    class_ids = np.unique(y)
-    prototypes = np.empty((class_ids.size, x.shape[1]))
-    counts = np.empty(class_ids.size, dtype=np.int64)
-    for i, cid in enumerate(class_ids):
-        rows = x[y == cid]
-        prototypes[i] = rows.mean(axis=0)
-        counts[i] = rows.shape[0]
-    return ClassPrototypeTable(tuple(class_ids.tolist()), prototypes, counts)
+    return {int(cid): x[y == cid].mean(axis=0) for cid in np.unique(y)}
 
 
 def compute_attribute_stats(embeddings, labels, knowledge: PrimitiveKnowledge) -> AttributeStats:
@@ -193,7 +154,6 @@ def compute_attribute_stats(embeddings, labels, knowledge: PrimitiveKnowledge) -
     f, d = knowledge.num_attributes, x.shape[1]
     mean = np.zeros((f, d))
     std = np.zeros((f, d))
-    support = np.zeros(f, dtype=np.int64)
     empty = []
     for a in range(f):
         classes_with_a = np.flatnonzero(knowledge.association[:, a])
@@ -205,10 +165,9 @@ def compute_attribute_stats(embeddings, labels, knowledge: PrimitiveKnowledge) -
         mu = rows.mean(axis=0)
         mean[a] = mu
         std[a] = np.sqrt(np.mean((rows - mu) ** 2, axis=0))
-        support[a] = rows.shape[0]
     if empty:
         raise AttributeSupportError(empty)
-    return AttributeStats(mean, std, support)
+    return AttributeStats(mean, std)
 
 
 def inject_knowledge_noise(knowledge: PrimitiveKnowledge, noise_level: float,
@@ -226,27 +185,19 @@ def inject_knowledge_noise(knowledge: PrimitiveKnowledge, noise_level: float,
     return replace(knowledge, association=flipped)
 
 
-@dataclass
-class ClusterVarianceReport:
-    per_class: dict          # class id -> mean over dimensions of per-dim variance
-    average: float           # mean of per_class values
-    skipped_classes: int     # classes with fewer than 2 samples
-
-
-def cluster_variance_report(embeddings, labels) -> ClusterVarianceReport:
-    """Per-class averaged variance (mean of per-dimension population variances)."""
+def average_cluster_variance(embeddings, labels) -> float:
+    """Mean over classes of each class's averaged variance (the mean of its
+    per-dimension population variances), skipping classes with fewer than
+    two samples."""
     x, y = _check_labeled_embeddings(embeddings, labels)
-    per_class = {}
-    skipped = 0
+    variances = []
     for cid in np.unique(y):
         rows = x[y == cid]
-        if rows.shape[0] < 2:
-            skipped += 1
-            continue
-        per_class[int(cid)] = float(rows.var(axis=0).mean())
-    if not per_class:
+        if rows.shape[0] >= 2:
+            variances.append(float(rows.var(axis=0).mean()))
+    if not variances:
         raise ValueError("no class has at least two samples")
-    return ClusterVarianceReport(per_class, float(np.mean(list(per_class.values()))), skipped)
+    return float(np.mean(variances))
 
 
 def prune_unsupported_attributes(knowledge: PrimitiveKnowledge):
@@ -364,7 +315,7 @@ def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
     c, f = len(classes), len(attributes)
     class_semantics = np.zeros((c, 0))
     class_names = [""] * c
-    base_ids, novel_ids = [], []
+    base_ids = []
     sem_dim = None
     for i, entry in enumerate(sorted(classes, key=lambda e: e["id"])):
         context = f"classes[{i}]"
@@ -381,9 +332,7 @@ def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
         split = entry.get("split")
         if split == SPLIT_BASE:
             base_ids.append(entry["id"])
-        elif split == SPLIT_NOVEL:
-            novel_ids.append(entry["id"])
-        else:
+        elif split != SPLIT_NOVEL:
             raise KnowledgeFormatError(
                 f"{context}.split: expected '{SPLIT_BASE}' or '{SPLIT_NOVEL}', got {split!r}"
             )
@@ -420,7 +369,6 @@ def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
         class_semantics=class_semantics,
         attribute_semantics=attribute_semantics,
         base_class_ids=tuple(base_ids),
-        novel_class_ids=tuple(novel_ids),
         class_names=tuple(class_names),
         attribute_names=tuple(attribute_names),
     )

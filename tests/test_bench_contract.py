@@ -11,8 +11,11 @@ on cannot change without failing here. The probe then installs
 perfbench's own tracer on those targets and runs a small ``gauss-fusion``
 evaluation and a one-episode ``meta_train``: each fusion step and the
 inference completion must record spans under their traced names, or the
-per-layer metrics built from them would read 0. The check runs in a
-subprocess, because importing ``run.py`` sets the BLAS thread variables of
+per-layer metrics built from them would read 0. Last it builds a
+``workloads.Setup`` on the same small world as ``build_setup`` builds one,
+with tasks from ``compute_base_prototypes`` and ``sample_completion_tasks``,
+and runs one traced ``TrainPhase.step``, which must record no failure. The
+check runs in a subprocess, because importing ``run.py`` sets the BLAS thread variables of
 the importing process.
 """
 
@@ -25,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PROBE = """
 import json, sys
+import numpy as np
 sys.path.insert(0, "perfbench")
 import run
 run.import_library()
@@ -62,10 +66,21 @@ try:
         nn.SgdConfig(learning_rate=1e-4, epochs=1), n_way=3, k_shot=1, m_query=2,
         episodes_per_epoch=1))
     spans["meta"] = sorted({span.name for span in tracer.spans})
+    tracer.spans.clear()
+    prototypes = knowledge.compute_base_prototypes(world.base.embeddings, world.base.labels)
+    tasks = cp.sample_completion_tasks(world.base.embeddings, world.base.labels, prototypes,
+                                       k_shot=1, count=4, rng=np.random.default_rng(0))
+    tally = workloads.Tally()
+    train = workloads.TrainPhase(workloads.clone_params(params),
+                                 workloads.Setup(world, stats, params, 0, tasks), tally, tracer)
+    train.step()
+    spans["setup+train"] = sorted({span.name for span in tracer.spans})
 finally:
     tracer.uninstall()
+step = {"attempted": tally.attempted, "failed": tally.failed, "problems": tally.problems,
+        "finite": bool(np.isfinite(train.losses).all())}
 print(json.dumps({"targets": len(targets), "missing": missing, "copied": copied,
-                  "spans": spans}))
+                  "spans": spans, "step": step}))
 """
 
 FUSION_STEPS = {"fusion.soft_assign", "fusion.weighted_gaussian_estimate",
@@ -82,3 +97,7 @@ def test_every_trace_target_is_defined_on_its_owner():
     assert report["copied"]
     assert FUSION_STEPS | {"completion.complete_prototype"} <= set(report["spans"]["eval"])
     assert FUSION_STEPS <= set(report["spans"]["meta"])
+    assert {"knowledge.compute_base_prototypes", "completion.sample_completion_tasks",
+            "completion.train_completion", "completion.completion_loss",
+            "nn.sgd_step"} <= set(report["spans"]["setup+train"])
+    assert report["step"] == {"attempted": 1, "failed": 0, "problems": [], "finite": True}

@@ -115,6 +115,49 @@ def test_fusion_dump_without_fusion_is_a_usage_error(tmp_path, workspace, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+def test_eval_dump_onto_its_report_is_a_usage_error(tmp_path, workspace, capsys):
+    _, world, model = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--world", str(world), "--checkpoint", str(model),
+              "--mode", "gauss-fusion", "--episodes", "2", "--seed", "2",
+              "--out", str(tmp_path / "r.json"), "--dump-fusion", f"{tmp_path}/./r.json"])
+    assert exc.value.code == 2
+    assert "--dump-fusion and --out name the same file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_noise_sweep_repeated_level_is_a_usage_error(tmp_path, workspace, capsys):
+    # 0.1 and 0.10 are one JSON key, so the second run would replace the first.
+    _, world, model = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["noise-sweep", "--world", str(world), "--checkpoint", str(model),
+              "--gamma-noise", "0.1", "0.0", "0.10", "--episodes", "2", "--seed", "2",
+              "--out", str(tmp_path / "sweep.json")])
+    assert exc.value.code == 2
+    assert "--gamma-noise repeats 0.1;" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("class_id,split,manifest,message", [
+    (0, "novel", "base.manifest.json", "class 0 is not a base class in"),
+    (7, "base", "novel.manifest.json", "class 7 is a base class in"),
+])
+def test_split_files_must_agree_with_the_knowledge(tmp_path, workspace, capsys,
+                                                   class_id, split, manifest, message):
+    _, world, model = workspace
+    shutil.copytree(world, tmp_path / "world")
+    knowledge = tmp_path / "world" / "knowledge.json"
+    _rewrite_json(knowledge, lambda d: d["classes"][class_id].update(split=split))
+    capsys.readouterr()
+    for command in (["train-completion", "--out", str(tmp_path / "m.pcn")],
+                    ["eval", "--checkpoint", str(model), "--mode", "mean-only",
+                     "--episodes", "2", "--out", str(tmp_path / "r.json")]):
+        assert main(command + ["--world", str(tmp_path / "world"), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'world' / manifest}: {message} {knowledge}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["world"]
+
+
 def test_meta_train_runs(tmp_path, workspace):
     _, world, model = workspace
     out = tmp_path / "meta.pcn"
@@ -401,6 +444,11 @@ CORRUPTIONS = {
                           lambda p: _rewrite_json(p, lambda d: d.update(n=str(d["n"])))),
     "manifest-d-bool": ("world/base.manifest.json", "d and n must be integers, got d=True",
                         lambda p: _rewrite_json(p, lambda d: d.update(d=True))),
+    # With both negated the byte count n * d still matches the payload.
+    "manifest-d-n-negative": ("world/base.manifest.json",
+                              "d and n must be at least 1, got d=-12, n=-120",
+                              lambda p: _rewrite_json(
+                                  p, lambda d: d.update(d=-d["d"], n=-d["n"]))),
     "manifest-class-float": ("world/base.manifest.json", "classes must be a list of integers",
                              lambda p: _rewrite_json(
                                  p, lambda d: d["classes"].__setitem__(0, 0.9))),

@@ -28,14 +28,13 @@ def small_knowledge(association, num_base, s=3, seed=0):
         class_semantics=rng.standard_normal((association.shape[0], s)),
         attribute_semantics=rng.standard_normal((association.shape[1], s)),
         base_class_ids=tuple(range(num_base)),
-        novel_class_ids=tuple(range(num_base, association.shape[0])),
     )
 
 
 def constant_stats(values, std=None):
     values = np.asarray(values, dtype=np.float64)
     std = np.zeros_like(values) if std is None else np.asarray(std, dtype=np.float64)
-    return kn.AttributeStats(values, std, np.ones(values.shape[0], dtype=int))
+    return kn.AttributeStats(values, std)
 
 
 # --- attribute feature sampling ---------------------------------------------
@@ -391,8 +390,7 @@ def test_plan_matches_traced_completion_on_acceptance_world(noise):
 def test_completion_gradient_check_full_pipeline():
     know, stats = small_world()
     params = small_params(seed=11)
-    task = cp.CompletionTask(class_id=0, support=np.ones((2, 4)),
-                             incomplete=np.full(4, 0.7),
+    task = cp.CompletionTask(class_id=0, incomplete=np.full(4, 0.7),
                              target=np.random.default_rng(5).standard_normal(4))
     features = cp.draw_attribute_features(stats, know, [0], np.random.default_rng(6))
     report = nn.gradient_check(params.store,
@@ -536,7 +534,14 @@ def test_tasks_one_shot_is_single_embedding():
     tasks = cp.sample_completion_tasks(x, y, table, k_shot=1, count=3,
                                        rng=np.random.default_rng(2))
     for task in tasks:
-        np.testing.assert_array_equal(task.incomplete, task.support[0])
+        assert (x[y == task.class_id] == task.incomplete).all(axis=1).any()
+
+
+def test_task_rejects_a_target_of_another_shape():
+    with pytest.raises(ValueError, match="vectors of one dimension"):
+        cp.CompletionTask(0, np.zeros(4), np.zeros(3))
+    with pytest.raises(ValueError, match="vectors of one dimension"):
+        cp.CompletionTask(0, np.zeros((1, 4)), np.zeros((1, 4)))
 
 
 def test_tasks_class_frequencies_uniform():
@@ -575,7 +580,7 @@ def test_train_completion_stops_on_a_non_finite_loss_before_any_update():
     params.store.value("decoder.output.bias")[:] = 1e200
     before = {name: params.store.value(name).copy() for name in params.store.names()}
     point = np.ones(4)
-    tasks = [cp.CompletionTask(2, point[None, :], point, point)] * 3
+    tasks = [cp.CompletionTask(2, point, point)] * 3
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(RuntimeError, match="^non-finite completion loss on class 2$"):
         cp.train_completion(params, know, stats, tasks, nn.SgdConfig(1e-3),
@@ -597,7 +602,7 @@ def test_train_completion_drives_identity_loss_down():
     for _ in range(100 * 20):
         cid = int(rng.integers(3))
         point = anchors[cid] + 0.02 * rng.standard_normal(4)
-        tasks.append(cp.CompletionTask(cid, point[None, :], point, point))
+        tasks.append(cp.CompletionTask(cid, point, point))
     losses = cp.train_completion(params, know, stats, tasks,
                                  nn.SgdConfig(learning_rate=3e-2, epochs=100),
                                  np.random.default_rng(3))

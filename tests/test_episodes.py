@@ -37,13 +37,22 @@ def make_fixture(seed=0, **kwargs):
 
 # --- sampling ----------------------------------------------------------------
 
+def drawn_indices(dataset, n_way, k_shot, m_query, rng):
+    """Class-major (support, query) dataset indices of the episode that
+    ``sample_episode`` draws from ``rng``."""
+    _, picked = ep._draw_indices(dataset, n_way, k_shot, m_query, rng)
+    return picked[:, :k_shot].ravel(), picked[:, k_shot:].ravel()
+
+
 def test_episode_structure_and_disjointness():
     world = make_world()
     episode = ep.sample_episode(world.novel, 5, 1, 15, np.random.default_rng(0))
     assert episode.support_x.shape == (5, 12)
     assert episode.query_x.shape == (75, 12)
     assert len(np.unique(episode.roster)) == 5
-    assert not set(episode.support_indices) & set(episode.query_indices)
+    support, query = drawn_indices(world.novel, 5, 1, 15, np.random.default_rng(0))
+    assert episode.support_x.tobytes() == world.novel.embeddings[support].tobytes()
+    assert not set(support) & set(query)
     for cid in episode.roster:
         assert (episode.support_y == cid).sum() == 1
         assert (episode.query_y == cid).sum() == 15
@@ -99,8 +108,10 @@ def test_episode_rows_are_class_major(seed, n_way, k_shot, m_query):
     for j, cid in enumerate(episode.query_y):
         assert cid == episode.roster[j // m_query]
     # every row is the dataset row its index names, with that row's label
-    for x, y, indices in ((episode.support_x, episode.support_y, episode.support_indices),
-                          (episode.query_x, episode.query_y, episode.query_indices)):
+    support, query = drawn_indices(dataset, n_way, k_shot, m_query,
+                                   np.random.default_rng(seed))
+    for x, y, indices in ((episode.support_x, episode.support_y, support),
+                          (episode.query_x, episode.query_y, query)):
         assert x.tobytes() == dataset.embeddings[indices].tobytes()
         assert y.tolist() == dataset.labels[indices].tolist()
     np.testing.assert_array_equal(ep.class_positions(n_way, k_shot),
@@ -120,8 +131,12 @@ def test_sample_episode_replays_one_choice_per_roster_class(n_way, k_shot, m_que
         picked = np.stack([replay.choice(dataset.indices_of(c), size=k_shot + m_query,
                                          replace=False) for c in roster])
         assert episode.roster.tolist() == roster.tolist()
-        assert episode.support_indices.tolist() == picked[:, :k_shot].ravel().tolist()
-        assert episode.query_indices.tolist() == picked[:, k_shot:].ravel().tolist()
+        support, query = drawn_indices(dataset, n_way, k_shot, m_query,
+                                       np.random.default_rng(seed))
+        assert support.tolist() == picked[:, :k_shot].ravel().tolist()
+        assert query.tolist() == picked[:, k_shot:].ravel().tolist()
+        assert episode.support_x.tobytes() == dataset.embeddings[support].tobytes()
+        assert episode.query_x.tobytes() == dataset.embeddings[query].tobytes()
         assert episode.query_x.shape == (n_way * m_query, dataset.dim)
         # the stream is left where the replay leaves it
         assert rng.random() == replay.random()
@@ -132,7 +147,10 @@ def test_episode_determinism_bit_for_bit():
     a = ep.sample_episode(world.novel, 3, 2, 4, ep.episode_rng(42, 7))
     b = ep.sample_episode(world.novel, 3, 2, 4, ep.episode_rng(42, 7))
     assert a.support_x.tobytes() == b.support_x.tobytes()
-    assert a.query_indices.tolist() == b.query_indices.tolist()
+    assert a.query_x.tobytes() == b.query_x.tobytes()
+    _, query_a = drawn_indices(world.novel, 3, 2, 4, ep.episode_rng(42, 7))
+    _, query_b = drawn_indices(world.novel, 3, 2, 4, ep.episode_rng(42, 7))
+    assert query_a.tolist() == query_b.tolist()
 
 
 # --- prototypes --------------------------------------------------------------
@@ -142,7 +160,7 @@ def test_mean_prototype_full_class_equals_table():
     episode = ep.sample_episode(world.novel, 1, 20, 0, np.random.default_rng(3))
     cid = int(episode.roster[0])
     table = kn.compute_base_prototypes(world.novel.embeddings, world.novel.labels)
-    np.testing.assert_allclose(ep.mean_prototypes(episode)[0], table.prototype(cid),
+    np.testing.assert_allclose(ep.mean_prototypes(episode)[0], table[cid],
                                atol=1e-12)
 
 
@@ -228,15 +246,15 @@ def _zero_support_in_a_later_block(world, n_way, k_shot, m_query):
     for seed in range(100):
         used = set()
         for index in range(target):
-            episode = ep.sample_episode(world.novel, n_way, k_shot, m_query,
-                                        ep.episode_rng(seed, index))
-            used.update(episode.support_indices.tolist() + episode.query_indices.tolist())
-        episode = ep.sample_episode(world.novel, n_way, k_shot, m_query,
-                                    ep.episode_rng(seed, target))
-        fresh = [p for p, row in enumerate(episode.support_indices) if row not in used]
+            support, query = drawn_indices(world.novel, n_way, k_shot, m_query,
+                                           ep.episode_rng(seed, index))
+            used.update(support.tolist() + query.tolist())
+        support, _ = drawn_indices(world.novel, n_way, k_shot, m_query,
+                                   ep.episode_rng(seed, target))
+        fresh = [p for p, row in enumerate(support) if row not in used]
         if fresh:
             embeddings = world.novel.embeddings.copy()
-            embeddings[episode.support_indices[fresh[0]]] = 0.0
+            embeddings[support[fresh[0]]] = 0.0
             dataset = datagen.FewShotDataset(embeddings, world.novel.labels,
                                              world.novel.split)
             return dataset, seed, target, fresh[0]
@@ -526,7 +544,6 @@ def test_rank_curve_shapes_and_window_shrink():
     report = ep.rank_curve_report(params, world.novel, world.centers, world.knowledge,
                                   stats, window=50)
     assert report.window == 20  # classes have 20 samples each
-    assert report.classes_below_window == 5
     assert report.raw.shape == report.completed.shape == (20,)
     assert report.ranks.tolist() == list(range(20))
     # raw similarities were sorted descending, so the smoothed curve cannot rise
