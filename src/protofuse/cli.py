@@ -15,13 +15,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import completion as cp
 from . import episodes as ep
 from . import nn
-from .datagen import World, WorldSpec, generate_world, load_world, save_world
+from .datagen import EMBEDDINGS_MANIFEST, World, WorldSpec, generate_world, load_world, \
+    save_world
 from .fileio import atomic_write_json, atomic_write_text
 from .knowledge import average_cluster_variance, compute_attribute_stats, \
     compute_base_prototypes, inject_knowledge_noise
@@ -70,9 +72,10 @@ def _cmd_gen(args) -> int:
         seed=args.seed, offset_std=args.offset_std,
         novel_noise_std=args.novel_noise_std,
     )
-    _require_new(os.path.join(args.out, "base.manifest.json"), args.overwrite)
+    _require_new(os.path.join(args.out, EMBEDDINGS_MANIFEST), args.overwrite)
     world = generate_world(spec)
     save_world(world, args.out)
+    atomic_write_json(os.path.join(args.out, "worldspec.json"), asdict(spec))
     print(f"world written to {args.out}: {world.base.n} base / {world.novel.n} novel samples, "
           f"{world.knowledge.num_attributes} attributes")
     return 0

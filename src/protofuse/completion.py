@@ -338,6 +338,8 @@ def sample_completion_tasks(embeddings, labels, prototypes, k_shot: int, count: 
     full prototype from ``prototypes``, the ``{class_id: prototype}`` dict of
     ``knowledge.compute_base_prototypes``.
     """
+    if k_shot < 1:
+        raise ValueError(f"k_shot must be at least 1, got {k_shot}")
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     class_ids = list(prototypes)

@@ -13,13 +13,18 @@ Returned class centers are the ideal pre-dropout centers (offset plus the
 sum of all possessed components): distance from a sample to its center grows
 with the number of dropped components, and the centers coincide with the
 sample means when dropout_rate is 0.
+
+On disk a world is one ``embeddings.*`` dataset of every class (manifest,
+little-endian float64 payload, labels), base rows first, plus
+``knowledge.json``, which alone says which classes are base, and
+``centers.json``. ``load_world`` splits the rows by the knowledge, in order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +33,9 @@ from .fileio import (atomic_write_bytes, atomic_write_json, atomic_write_text,
 from .knowledge import (PrimitiveKnowledge, load_knowledge, prune_unsupported_attributes,
                         save_knowledge)
 
-SPLITS = ("base", "novel-val", "novel-test")
+SEMANTIC_NOISE = 0.05  # std of the noise added to each class's semantic vector
 
-PAYLOAD_DTYPES = {"f64le": "<f8", "f32le": "<f4"}
+EMBEDDINGS_MANIFEST = "embeddings.manifest.json"
 
 
 class DatasetFormatError(ValueError):
@@ -39,7 +44,7 @@ class DatasetFormatError(ValueError):
 
 @dataclass
 class FewShotDataset:
-    """An embedding matrix with integer class labels and a split tag.
+    """An embedding matrix with integer class labels.
 
     Every embedding must be finite. The sorted class ids and each class's
     row indices are computed once, at construction, and handed out as
@@ -48,7 +53,6 @@ class FewShotDataset:
 
     embeddings: np.ndarray  # (n, d)
     labels: np.ndarray      # (n,)
-    split: str = "base"
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
@@ -60,8 +64,6 @@ class FewShotDataset:
         finite = np.isfinite(self.embeddings).all(axis=1)
         if not finite.all():
             raise ValueError(f"embedding row {np.flatnonzero(~finite)[0]} is not finite")
-        if self.split not in SPLITS:
-            raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
         order = np.argsort(self.labels, kind="stable")
         class_ids, starts = np.unique(self.labels[order], return_index=True)
         order.flags.writeable = False
@@ -107,7 +109,6 @@ class WorldSpec:
     seed: int = 0
     offset_std: float = 0.3
     novel_noise_std: float | None = None  # defaults to noise_std
-    semantic_noise: float = 0.05
 
     def __post_init__(self):
         lo, hi = self.attributes_per_class
@@ -119,7 +120,7 @@ class WorldSpec:
             raise ValueError("attributes_per_class range must fit the vocabulary")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        for name in ("noise_std", "novel_noise_std", "offset_std", "semantic_noise"):
+        for name in ("noise_std", "novel_noise_std", "offset_std"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
@@ -133,7 +134,6 @@ class World:
     novel: FewShotDataset
     knowledge: PrimitiveKnowledge
     centers: np.ndarray  # (num_classes, d) pre-dropout centers by class id
-    spec: WorldSpec | None = None
 
 
 def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -160,7 +160,7 @@ def generate_world(spec: WorldSpec) -> World:
     for k in range(num_classes):
         owned = np.flatnonzero(association[k])
         class_semantics[k] = (attribute_semantics[owned].mean(axis=0)
-                              + spec.semantic_noise * rng.standard_normal(spec.semantic_dim))
+                              + SEMANTIC_NOISE * rng.standard_normal(spec.semantic_dim))
 
     centers = np.empty((num_classes, spec.dim))
     blocks, labels = [], []
@@ -182,8 +182,8 @@ def generate_world(spec: WorldSpec) -> World:
     embeddings = np.vstack(blocks)
     labels = np.concatenate(labels)
     base_mask = labels < spec.num_base_classes
-    base = FewShotDataset(embeddings[base_mask], labels[base_mask], "base")
-    novel = FewShotDataset(embeddings[~base_mask], labels[~base_mask], "novel-test")
+    base = FewShotDataset(embeddings[base_mask], labels[base_mask])
+    novel = FewShotDataset(embeddings[~base_mask], labels[~base_mask])
 
     knowledge = PrimitiveKnowledge(
         association=association,
@@ -194,52 +194,52 @@ def generate_world(spec: WorldSpec) -> World:
     # Attributes no base class carries cannot be estimated; the samples keep
     # their components but the knowledge drops the columns.
     knowledge, _ = prune_unsupported_attributes(knowledge)
-    return World(base, novel, knowledge, centers, spec)
+    return World(base, novel, knowledge, centers)
 
 
-def save_dataset(dataset: FewShotDataset, directory, stem: str) -> str:
-    """Write payload/labels/manifest files; returns the manifest path."""
+def save_dataset(dataset: FewShotDataset, directory) -> str:
+    """Write the embeddings.* payload/labels/manifest files; returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
-    payload_name = f"{stem}.f64le"
-    labels_name = f"{stem}.labels.txt"
-    manifest_path = os.path.join(directory, f"{stem}.manifest.json")
+    payload_name = "embeddings.f64le"
+    labels_name = "embeddings.labels.txt"
     payload_path = os.path.join(directory, payload_name)
     atomic_write_bytes(payload_path,
                        np.ascontiguousarray(dataset.embeddings, dtype="<f8").tobytes())
     atomic_write_text(os.path.join(directory, labels_name),
                       "\n".join(str(int(v)) for v in dataset.labels) + "\n")
-    manifest = {
+    manifest_path = os.path.join(directory, EMBEDDINGS_MANIFEST)
+    atomic_write_json(manifest_path, {
         "d": dataset.dim,
         "n": dataset.n,
-        "classes": [int(c) for c in dataset.class_ids()],
         "labels_file": labels_name,
         "payload_file": payload_name,
         "payload_dtype": "f64le",
         "checksum": sha256_file(payload_path),
-        "split": dataset.split,
-    }
-    atomic_write_json(manifest_path, manifest)
+    })
     return manifest_path
 
 
 def load_embeddings(manifest_path) -> FewShotDataset:
-    """Load a dataset from its manifest, verifying checksum and consistency."""
+    """Load a dataset from its manifest, verifying checksum and consistency.
+    The payload and labels files must lie beside the manifest."""
     manifest = read_json_object(manifest_path)
-    for key in ("d", "n", "classes", "labels_file", "payload_file", "payload_dtype", "checksum"):
+    for key in ("d", "n", "labels_file", "payload_file", "payload_dtype", "checksum"):
         if key not in manifest:
             raise DatasetFormatError(f"{manifest_path}: manifest is missing '{key}'")
-    d, n, classes = manifest["d"], manifest["n"], manifest["classes"]
+    d, n = manifest["d"], manifest["n"]
     if not (is_json_int(d) and is_json_int(n)):
         raise DatasetFormatError(
             f"{manifest_path}: d and n must be integers, got d={d!r}, n={n!r}")
     if d < 1 or n < 1:
         raise DatasetFormatError(f"{manifest_path}: d and n must be at least 1, got d={d}, n={n}")
-    if not (isinstance(classes, list) and all(is_json_int(c) for c in classes)):
-        raise DatasetFormatError(f"{manifest_path}: classes must be a list of integers")
-    dtype = PAYLOAD_DTYPES.get(manifest["payload_dtype"])
-    if dtype is None:
+    if manifest["payload_dtype"] != "f64le":
         raise DatasetFormatError(
             f"{manifest_path}: unknown payload_dtype {manifest['payload_dtype']!r}")
+    for key in ("labels_file", "payload_file"):
+        name = manifest[key]
+        if not (isinstance(name, str) and name and name == os.path.basename(name)):
+            raise DatasetFormatError(
+                f"{manifest_path}: {key} must name a file beside the manifest, got {name!r}")
     directory = os.path.dirname(os.fspath(manifest_path))
     payload_path = os.path.join(directory, manifest["payload_file"])
     labels_path = os.path.join(directory, manifest["labels_file"])
@@ -249,15 +249,13 @@ def load_embeddings(manifest_path) -> FewShotDataset:
         raise DatasetFormatError(
             f"{payload_path}: payload checksum mismatch: manifest says "
             f"{manifest['checksum']}, file is {actual}")
-    itemsize = np.dtype(dtype).itemsize
-    expected_bytes = n * d * itemsize
+    expected_bytes = n * d * 8
     actual_bytes = os.path.getsize(payload_path)
     if actual_bytes != expected_bytes:
         raise DatasetFormatError(
             f"{payload_path}: payload size mismatch: expected {expected_bytes} bytes ({n}x{d}), "
             f"got {actual_bytes}")
-    flat = np.fromfile(payload_path, dtype=dtype)
-    embeddings = flat.astype(np.float64).reshape(n, d)
+    embeddings = np.fromfile(payload_path, dtype="<f8").reshape(n, d)
 
     with open(labels_path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
@@ -266,39 +264,33 @@ def load_embeddings(manifest_path) -> FewShotDataset:
             f"{labels_path}: labels file has {len(lines)} entries, expected {n}")
     try:
         labels = np.asarray([int(line) for line in lines], dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DatasetFormatError(
-            f"{labels_path}: labels file contains a non-integer entry: {exc}") from None
-    known = set(classes)
-    unknown = sorted(set(labels.tolist()) - known)
-    if unknown:
-        raise DatasetFormatError(f"{labels_path}: labels reference unknown class ids: {unknown}")
+            f"{labels_path}: labels file holds an entry that is not a 64-bit integer: {exc}"
+        ) from None
     try:
-        return FewShotDataset(embeddings, labels, manifest.get("split", "base"))
+        return FewShotDataset(embeddings, labels)
     except ValueError as exc:
         raise DatasetFormatError(f"{manifest_path}: {exc}") from exc
 
 
 def save_world(world: World, directory) -> None:
-    os.makedirs(directory, exist_ok=True)
-    save_dataset(world.base, directory, "base")
-    save_dataset(world.novel, directory, "novel")
+    """Write the world's files; the dataset holds the base rows, then the novel."""
+    save_dataset(FewShotDataset(np.vstack([world.base.embeddings, world.novel.embeddings]),
+                                np.concatenate([world.base.labels, world.novel.labels])),
+                 directory)
     save_knowledge(world.knowledge, os.path.join(directory, "knowledge.json"))
     atomic_write_json(os.path.join(directory, "centers.json"), {
         "d": int(world.centers.shape[1]),
         "num_classes": int(world.centers.shape[0]),
         "centers": world.centers.tolist(),
     })
-    if world.spec is not None:
-        spec_doc = asdict(world.spec)
-        spec_doc["attributes_per_class"] = list(world.spec.attributes_per_class)
-        atomic_write_json(os.path.join(directory, "worldspec.json"), spec_doc)
 
 
-def _load_centers(centers_path, splits) -> np.ndarray:
+def _load_centers(centers_path, dataset: FewShotDataset) -> np.ndarray:
     """The (num_classes, d) center matrix of ``centers.json``, checked against
-    its own shape fields and against the datasets in ``splits``: the same d,
-    a row for every class id, and finite values."""
+    its own shape fields and against ``dataset``: the same d, a row for every
+    class id, and finite values."""
     doc = read_json_object(centers_path)
     absent = [key for key in ("d", "num_classes", "centers") if key not in doc]
     if absent:
@@ -309,15 +301,13 @@ def _load_centers(centers_path, splits) -> np.ndarray:
         raise DatasetFormatError(f"{centers_path}: centers must be a matrix: {exc}") from exc
     if centers.shape != (doc["num_classes"], doc["d"]):
         raise DatasetFormatError(f"{centers_path}: shape fields disagree with the payload")
-    for dataset in splits:
-        if dataset.dim != centers.shape[1]:
-            raise DatasetFormatError(f"{centers_path}: centers are {centers.shape[1]}-d, "
-                                     f"the {dataset.split} embeddings {dataset.dim}-d")
-        ids = dataset.class_ids()
-        rowless = ids[(ids < 0) | (ids >= centers.shape[0])]
-        if rowless.size:
-            raise DatasetFormatError(f"{centers_path}: no center row for class id "
-                                     f"{rowless[0]} of the {dataset.split} split")
+    if dataset.dim != centers.shape[1]:
+        raise DatasetFormatError(f"{centers_path}: centers are {centers.shape[1]}-d, "
+                                 f"the embeddings {dataset.dim}-d")
+    ids = dataset.class_ids()
+    rowless = ids[ids >= centers.shape[0]]
+    if rowless.size:
+        raise DatasetFormatError(f"{centers_path}: no center row for class id {rowless[0]}")
     finite = np.isfinite(centers).all(axis=1)
     if not finite.all():
         raise DatasetFormatError(
@@ -326,27 +316,23 @@ def _load_centers(centers_path, splits) -> np.ndarray:
 
 
 def load_world(directory) -> World:
-    """Load a saved world. The base split may hold only the base classes of
-    its ``knowledge.json``, and the novel split only the other classes."""
-    manifests = [os.path.join(directory, f"{stem}.manifest.json") for stem in ("base", "novel")]
-    base, novel = (load_embeddings(path) for path in manifests)
+    """Load a saved world, splitting its dataset into the base classes of its
+    ``knowledge.json`` and the other classes, each in file row order."""
+    manifest_path = os.path.join(directory, EMBEDDINGS_MANIFEST)
+    dataset = load_embeddings(manifest_path)
     knowledge_path = os.path.join(directory, "knowledge.json")
     knowledge = load_knowledge(knowledge_path)
-    for path, dataset, want_base in zip(manifests, (base, novel), (True, False)):
-        ids = dataset.class_ids()
-        misplaced = ids[np.isin(ids, knowledge.base_class_ids) != want_base]
-        if misplaced.size:
-            raise DatasetFormatError(f"{path}: class {misplaced[0]} is "
-                                     f"{'not ' if want_base else ''}a base class in "
-                                     f"{knowledge_path}")
-    centers = _load_centers(os.path.join(directory, "centers.json"), (base, novel))
-    spec = None
-    spec_path = os.path.join(directory, "worldspec.json")
-    if os.path.exists(spec_path):
-        spec_doc = read_json_object(spec_path)
-        try:
-            spec_doc["attributes_per_class"] = tuple(spec_doc["attributes_per_class"])
-            spec = WorldSpec(**spec_doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"{spec_path}: {exc}") from exc
-    return World(base, novel, knowledge, centers, spec)
+    ids = dataset.class_ids()
+    unknown = ids[(ids < 0) | (ids >= knowledge.num_classes)]
+    if unknown.size:
+        raise DatasetFormatError(f"{manifest_path}: label {unknown[0]} is not a class id "
+                                 f"of {knowledge_path}")
+    is_base = np.isin(dataset.labels, knowledge.base_class_ids)
+    if is_base.all() or not is_base.any():
+        raise DatasetFormatError(f"{manifest_path}: no sample of a "
+                                 f"{'novel' if is_base.all() else 'base'} class of "
+                                 f"{knowledge_path}")
+    centers = _load_centers(os.path.join(directory, "centers.json"), dataset)
+    return World(FewShotDataset(dataset.embeddings[is_base], dataset.labels[is_base]),
+                 FewShotDataset(dataset.embeddings[~is_base], dataset.labels[~is_base]),
+                 knowledge, centers)

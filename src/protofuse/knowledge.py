@@ -4,6 +4,10 @@ prototypes, the completion targets, as a ``{class_id: prototype}`` dict in
 ascending id order, and per-attribute feature distributions, the completion
 prior. Every class not listed as base is novel.
 
+``knowledge.json`` lists the classes (id, semantic vector, ``split``), the
+attributes (id, semantic vector) and the ``[class_id, attribute_id]`` pairs.
+It alone marks a saved world's base classes; other keys are ignored.
+
 Attribute statistics use the population (1/N) standard deviation and a
 two-pass mean/variance computation. Attributes with no base-class support are
 rejected outright rather than silently zeroed; the JSON loader applies the
@@ -50,8 +54,6 @@ class PrimitiveKnowledge:
     class_semantics: np.ndarray      # (num_classes, s)
     attribute_semantics: np.ndarray  # (num_attributes, s)
     base_class_ids: tuple  # every other class id is novel
-    class_names: tuple = ()
-    attribute_names: tuple = ()
 
     def __post_init__(self):
         self.association = np.asarray(self.association, dtype=np.int8)
@@ -75,12 +77,6 @@ class PrimitiveKnowledge:
         self.base_class_ids = tuple(sorted(int(i) for i in self.base_class_ids))
         if not set(self.base_class_ids) <= set(range(c)):
             raise ValueError("base class ids must lie in 0..num_classes-1")
-        if not self.class_names:
-            self.class_names = tuple(f"class_{i}" for i in range(c))
-        if not self.attribute_names:
-            self.attribute_names = tuple(f"attribute_{i}" for i in range(f))
-        if len(self.class_names) != c or len(self.attribute_names) != f:
-            raise ValueError("name lists must match class/attribute counts")
 
     @property
     def num_classes(self) -> int:
@@ -93,9 +89,6 @@ class PrimitiveKnowledge:
     @property
     def semantic_dim(self) -> int:
         return self.class_semantics.shape[1]
-
-    def is_base(self, class_id: int) -> bool:
-        return class_id in set(self.base_class_ids)
 
 
 @dataclass
@@ -204,7 +197,7 @@ def prune_unsupported_attributes(knowledge: PrimitiveKnowledge):
     """Drop attributes no base class is associated with.
 
     Returns (pruned knowledge, removed attribute ids). Attribute ids are
-    re-indexed compactly; names and semantics follow.
+    re-indexed compactly; semantics follow.
     """
     base = np.asarray(knowledge.base_class_ids)
     supported = knowledge.association[base].any(axis=0)
@@ -216,7 +209,6 @@ def prune_unsupported_attributes(knowledge: PrimitiveKnowledge):
         knowledge,
         association=knowledge.association[:, keep],
         attribute_semantics=knowledge.attribute_semantics[keep],
-        attribute_names=tuple(knowledge.attribute_names[i] for i in keep),
     )
     return pruned, removed
 
@@ -226,16 +218,14 @@ def save_knowledge(knowledge: PrimitiveKnowledge, path) -> None:
         "classes": [
             {
                 "id": i,
-                "name": knowledge.class_names[i],
                 "semantic": knowledge.class_semantics[i].tolist(),
-                "split": SPLIT_BASE if knowledge.is_base(i) else SPLIT_NOVEL,
+                "split": SPLIT_BASE if i in knowledge.base_class_ids else SPLIT_NOVEL,
             }
             for i in range(knowledge.num_classes)
         ],
         "attributes": [
             {
                 "id": a,
-                "name": knowledge.attribute_names[a],
                 "semantic": knowledge.attribute_semantics[a].tolist(),
             }
             for a in range(knowledge.num_attributes)
@@ -312,45 +302,32 @@ def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
     check_ids(classes, "classes")
     check_ids(attributes, "attributes")
 
-    c, f = len(classes), len(attributes)
-    class_semantics = np.zeros((c, 0))
-    class_names = [""] * c
+    def semantics(entries, what, dim=None):
+        """The entries' semantic vectors in id order, all of one dimension:
+        ``dim``, or the first vector's."""
+        rows = []
+        for i, entry in enumerate(sorted(entries, key=lambda e: e["id"])):
+            vec = _semantic_vector(entry, f"{what}[{i}]")
+            dim = vec.size if dim is None else dim
+            if vec.size != dim:
+                raise KnowledgeFormatError(f"{what}[{i}].semantic: dimension {vec.size} != {dim}")
+            rows.append(vec)
+        return np.array(rows)
+
+    class_semantics = semantics(classes, "classes")
     base_ids = []
-    sem_dim = None
     for i, entry in enumerate(sorted(classes, key=lambda e: e["id"])):
-        context = f"classes[{i}]"
-        vec = _semantic_vector(entry, context)
-        if sem_dim is None:
-            sem_dim = vec.size
-            class_semantics = np.zeros((c, sem_dim))
-        elif vec.size != sem_dim:
-            raise KnowledgeFormatError(
-                f"{context}.semantic: dimension {vec.size} != {sem_dim}"
-            )
-        class_semantics[entry["id"]] = vec
-        class_names[entry["id"]] = str(entry.get("name", f"class_{entry['id']}"))
         split = entry.get("split")
         if split == SPLIT_BASE:
             base_ids.append(entry["id"])
         elif split != SPLIT_NOVEL:
             raise KnowledgeFormatError(
-                f"{context}.split: expected '{SPLIT_BASE}' or '{SPLIT_NOVEL}', got {split!r}"
-            )
+                f"classes[{i}].split: expected '{SPLIT_BASE}' or '{SPLIT_NOVEL}', got {split!r}")
     if not base_ids:
         raise KnowledgeFormatError("classes: at least one base class is required")
+    attribute_semantics = semantics(attributes, "attributes", class_semantics.shape[1])
 
-    attribute_semantics = np.zeros((f, sem_dim))
-    attribute_names = [""] * f
-    for i, entry in enumerate(sorted(attributes, key=lambda e: e["id"])):
-        context = f"attributes[{i}]"
-        vec = _semantic_vector(entry, context)
-        if vec.size != sem_dim:
-            raise KnowledgeFormatError(
-                f"{context}.semantic: dimension {vec.size} != {sem_dim}"
-            )
-        attribute_semantics[entry["id"]] = vec
-        attribute_names[entry["id"]] = str(entry.get("name", f"attribute_{entry['id']}"))
-
+    c, f = len(classes), len(attributes)
     association = np.zeros((c, f), dtype=np.int8)
     for i, pair in enumerate(doc["associations"]):
         context = f"associations[{i}]"
@@ -369,6 +346,4 @@ def _knowledge_from_doc(doc) -> PrimitiveKnowledge:
         class_semantics=class_semantics,
         attribute_semantics=attribute_semantics,
         base_class_ids=tuple(base_ids),
-        class_names=tuple(class_names),
-        attribute_names=tuple(attribute_names),
     )

@@ -354,8 +354,8 @@ def _run_cli_stack(root):
         outputs.extend(files)
 
     run(["gen", "--out", world] + CLI_WORLD_FLAGS,
-        world / "base.f64le", world / "novel.f64le", world / "knowledge.json",
-        world / "centers.json", world / "base.manifest.json")
+        world / "embeddings.f64le", world / "embeddings.labels.txt",
+        world / "embeddings.manifest.json", world / "knowledge.json", world / "centers.json")
     model = root / "model.pcn"
     run(["train-completion", "--world", world, "--out", model, "--epochs", "3",
          "--episodes-per-epoch", "8", "--learning-rate", "0.01", "--seed", "5"],

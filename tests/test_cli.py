@@ -7,12 +7,17 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import protofuse
 from protofuse.cli import main
+from protofuse.completion import sample_completion_tasks
+from protofuse.datagen import load_world
+from protofuse.knowledge import compute_base_prototypes
 
 GEN_FLAGS = ["--dim", "12", "--semantic-dim", "6", "--base-classes", "6",
              "--novel-classes", "4", "--attributes", "10", "--attrs-per-class", "3", "5",
@@ -32,19 +37,21 @@ def workspace(tmp_path_factory):
     return root, world, model
 
 
+WORLD_FILES = ("centers.json", "embeddings.f64le", "embeddings.labels.txt",
+               "embeddings.manifest.json", "knowledge.json", "worldspec.json")
+
+
 def test_gen_writes_expected_files(workspace):
     _, world, _ = workspace
-    for name in ("base.manifest.json", "base.labels.txt", "base.f64le",
-                 "novel.manifest.json", "knowledge.json", "centers.json",
-                 "worldspec.json"):
-        assert (world / name).exists()
+    assert tuple(sorted(p.name for p in world.iterdir())) == WORLD_FILES
+    assert json.loads((world / "worldspec.json").read_text())["num_base_classes"] == 6
 
 
 def test_gen_is_deterministic(tmp_path, workspace):
     _, world, _ = workspace
     again = tmp_path / "again"
     assert main(["gen", "--out", str(again)] + GEN_FLAGS) == 0
-    for name in ("base.f64le", "novel.f64le", "knowledge.json", "centers.json"):
+    for name in WORLD_FILES:
         assert (again / name).read_bytes() == (world / name).read_bytes()
 
 
@@ -138,24 +145,51 @@ def test_noise_sweep_repeated_level_is_a_usage_error(tmp_path, workspace, capsys
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("class_id,split,manifest,message", [
-    (0, "novel", "base.manifest.json", "class 0 is not a base class in"),
-    (7, "base", "novel.manifest.json", "class 7 is a base class in"),
-])
-def test_split_files_must_agree_with_the_knowledge(tmp_path, workspace, capsys,
-                                                   class_id, split, manifest, message):
+def test_knowledge_alone_marks_the_base_classes(tmp_path, workspace):
+    _, world, _ = workspace
+    shutil.copytree(world, tmp_path / "world")
+    _rewrite_json(tmp_path / "world" / "knowledge.json",
+                  lambda d: d["classes"][0].update(split="novel"))
+    before = load_world(world)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # attributes only class 0 carries
+        after = load_world(tmp_path / "world")
+    moved = before.base.labels == 0
+    assert after.base.embeddings.tobytes() == before.base.embeddings[~moved].tobytes()
+    assert 0 not in after.base.class_ids()
+    np.testing.assert_array_equal(after.novel.labels,
+                                  np.concatenate([[0] * moved.sum(), before.novel.labels]))
+    assert after.novel.embeddings.tobytes() == np.vstack(
+        [before.base.embeddings[moved], before.novel.embeddings]).tobytes()
+    prototypes = compute_base_prototypes(after.base.embeddings, after.base.labels)
+    tasks = sample_completion_tasks(after.base.embeddings, after.base.labels, prototypes,
+                                    k_shot=1, count=200, rng=np.random.default_rng(0))
+    assert {task.class_id for task in tasks} == {1, 2, 3, 4, 5}
+
+
+def test_world_without_its_worldspec_evaluates_the_same(tmp_path, workspace):
     _, world, model = workspace
     shutil.copytree(world, tmp_path / "world")
-    knowledge = tmp_path / "world" / "knowledge.json"
-    _rewrite_json(knowledge, lambda d: d["classes"][class_id].update(split=split))
+    (tmp_path / "world" / "worldspec.json").unlink()
+    shape = ["--checkpoint", str(model), "--mode", "gauss-fusion", "--n-way", "3",
+             "--m-query", "5", "--episodes", "6", "--seed", "13"]
+    assert main(["eval", "--world", str(world), "--out", str(tmp_path / "a.json")]
+                + shape) == 0
+    assert main(["eval", "--world", str(tmp_path / "world"),
+                 "--out", str(tmp_path / "b.json")] + shape) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("k_shot", ["0", "-1"])
+def test_train_completion_k_shot_below_one_is_an_error(tmp_path, workspace, capsys, k_shot):
+    _, world, _ = workspace
     capsys.readouterr()
-    for command in (["train-completion", "--out", str(tmp_path / "m.pcn")],
-                    ["eval", "--checkpoint", str(model), "--mode", "mean-only",
-                     "--episodes", "2", "--out", str(tmp_path / "r.json")]):
-        assert main(command + ["--world", str(tmp_path / "world"), "--seed", "1"]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {tmp_path / 'world' / manifest}: {message} {knowledge}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["world"]
+    code = main(["train-completion", "--world", str(world), "--out", str(tmp_path / "m.pcn"),
+                 "--epochs", "1", "--episodes-per-epoch", "4", "--k-shot", k_shot,
+                 "--seed", "5"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: k_shot must be at least 1, got {k_shot}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_meta_train_runs(tmp_path, workspace):
@@ -317,7 +351,7 @@ def test_module_entry_point(tmp_path):
          "--dim", "8", "--semantic-dim", "4", "--seed", "1"],
         capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert (tmp_path / "w" / "base.manifest.json").exists()
+    assert (tmp_path / "w" / "embeddings.manifest.json").exists()
 
 
 def test_eval_zero_episodes_is_an_error_and_writes_nothing(tmp_path, workspace, capsys):
@@ -390,6 +424,10 @@ def _rewrite_json(path, mutate):
     path.write_text(json.dumps(doc))
 
 
+def _replace_first_line(path, line):
+    path.write_text("\n".join([line] + path.read_text().splitlines()[1:]) + "\n")
+
+
 def _flip_payload_byte(path):
     data = bytearray(path.read_bytes())
     data[-1] ^= 0xFF
@@ -431,30 +469,48 @@ CORRUPTIONS = {
         "world/knowledge.json", "classes[0].semantic: int too large to convert to float",
         lambda p: _rewrite_json(
             p, lambda d: d["classes"][0]["semantic"].__setitem__(0, 10**400))),
-    "payload-checksum": ("world/base.f64le", "payload checksum mismatch", _flip_payload_byte),
-    "manifest-d": ("world/base.manifest.json", "manifest is missing 'd'",
+    "payload-checksum": ("world/embeddings.f64le", "payload checksum mismatch",
+                         _flip_payload_byte),
+    "manifest-d": ("world/embeddings.manifest.json", "manifest is missing 'd'",
                    lambda p: _rewrite_json(p, lambda d: d.pop("d"))),
-    "manifest-d-not-an-integer": ("world/base.manifest.json", "d and n must be integers",
+    "manifest-d-not-an-integer": ("world/embeddings.manifest.json", "d and n must be integers",
                                   lambda p: _rewrite_json(p, lambda d: d.update(d="abc"))),
     # int() would truncate a float, parse a numeric string and count a bool as 1.
-    "manifest-d-float": ("world/base.manifest.json", "d and n must be integers, got d=16.9",
+    "manifest-d-float": ("world/embeddings.manifest.json", "d and n must be integers, got d=16.9",
                          lambda p: _rewrite_json(p, lambda d: d.update(d=16.9))),
-    "manifest-n-string": ("world/base.manifest.json",
-                          "d and n must be integers, got d=12, n='120'",
+    "manifest-n-string": ("world/embeddings.manifest.json",
+                          "d and n must be integers, got d=12, n='200'",
                           lambda p: _rewrite_json(p, lambda d: d.update(n=str(d["n"])))),
-    "manifest-d-bool": ("world/base.manifest.json", "d and n must be integers, got d=True",
+    "manifest-d-bool": ("world/embeddings.manifest.json", "d and n must be integers, got d=True",
                         lambda p: _rewrite_json(p, lambda d: d.update(d=True))),
     # With both negated the byte count n * d still matches the payload.
-    "manifest-d-n-negative": ("world/base.manifest.json",
-                              "d and n must be at least 1, got d=-12, n=-120",
+    "manifest-d-n-negative": ("world/embeddings.manifest.json",
+                              "d and n must be at least 1, got d=-12, n=-200",
                               lambda p: _rewrite_json(
                                   p, lambda d: d.update(d=-d["d"], n=-d["n"]))),
-    "manifest-class-float": ("world/base.manifest.json", "classes must be a list of integers",
-                             lambda p: _rewrite_json(
-                                 p, lambda d: d["classes"].__setitem__(0, 0.9))),
-    "manifest-class-bool": ("world/base.manifest.json", "classes must be a list of integers",
-                            lambda p: _rewrite_json(
-                                p, lambda d: d["classes"].__setitem__(0, True))),
+    "labels-not-an-integer": ("world/embeddings.labels.txt",
+                              "holds an entry that is not a 64-bit integer: invalid literal",
+                              lambda p: _replace_first_line(p, "x")),
+    # Python's int parses it, but it does not fit the int64 label array.
+    "labels-past-int64": ("world/embeddings.labels.txt",
+                          "holds an entry that is not a 64-bit integer: Python int too large",
+                          lambda p: _replace_first_line(p, str(2**63))),
+    "manifest-labels-file-not-a-string": (
+        "world/embeddings.manifest.json",
+        "labels_file must name a file beside the manifest, got 5",
+        lambda p: _rewrite_json(p, lambda d: d.update(labels_file=5))),
+    # os.path.join drops the directory before an absolute name; both names
+    # below reach the world's own files, so only the check stops them.
+    "manifest-payload-file-absolute": (
+        "world/embeddings.manifest.json",
+        "payload_file must name a file beside the manifest, got '/",
+        lambda p: _rewrite_json(p, lambda d: d.update(
+            payload_file=str(p.with_name("embeddings.f64le"))))),
+    "manifest-labels-file-parent": (
+        "world/embeddings.manifest.json",
+        "labels_file must name a file beside the manifest, got '../world/",
+        lambda p: _rewrite_json(p, lambda d: d.update(
+            labels_file="../world/embeddings.labels.txt"))),
     "sidecar-dimension-not-an-integer": (
         "model.pcn.json", "dimensions must be integers",
         lambda p: _rewrite_json(p, lambda d: d.update(input_dim=[12]))),
@@ -475,8 +531,6 @@ CORRUPTIONS = {
                          "centers must be a matrix: int too large to convert to float",
                          lambda p: _rewrite_json(
                              p, lambda d: d["centers"][0].__setitem__(0, 10**400))),
-    "worldspec-unknown-field": ("world/worldspec.json", "unexpected keyword argument 'bogus'",
-                                lambda p: _rewrite_json(p, lambda d: d.update(bogus=1))),
 }
 
 

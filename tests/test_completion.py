@@ -354,7 +354,7 @@ def test_plan_attribute_order_invariant_and_cut_association_matters():
 
     order = [2, 0, 3, 1]
     shuffled = kn.PrimitiveKnowledge(association[:, order], know.class_semantics,
-                                     know.attribute_semantics[order], (0, 1), ())
+                                     know.attribute_semantics[order], (0, 1))
     stats_shuffled = constant_stats(stats.mean[order])
     again = cp.complete_prototype(cp.CompletionPlan.build(params, shuffled, stats_shuffled),
                                   [0, 1], x)
@@ -363,7 +363,7 @@ def test_plan_attribute_order_invariant_and_cut_association_matters():
     cut = association.copy()
     cut[0, 1] = 0
     know_cut = kn.PrimitiveKnowledge(cut, know.class_semantics, know.attribute_semantics,
-                                     (0, 1), ())
+                                     (0, 1))
     out_cut = cp.complete_prototype(cp.CompletionPlan.build(params, know_cut, stats), [0, 1], x)
     assert np.abs(out_cut[0] - out[0]).max() > 1e-6
     np.testing.assert_array_equal(out_cut[1], out[1])
@@ -562,6 +562,16 @@ def test_tasks_reject_oversized_k():
         cp.sample_completion_tasks(x, y, table, k_shot=5, count=1,
                                    rng=np.random.default_rng(0))
 
+
+
+@pytest.mark.parametrize("k_shot", [0, -1])
+def test_tasks_reject_k_below_one_before_drawing(k_shot):
+    x, y = labeled_toy()
+    table = kn.compute_base_prototypes(x, y)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^k_shot must be at least 1, got {k_shot}$"):
+        cp.sample_completion_tasks(x, y, table, k_shot=k_shot, count=1, rng=rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 # --- training ---------------------------------------------------------------
 

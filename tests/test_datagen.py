@@ -42,7 +42,7 @@ def test_class_index_matches_label_scans_and_is_read_only():
     rng = np.random.default_rng(3)
     shuffled = rng.permutation(world.novel.labels)  # classes interleaved
     datasets = (world.base, world.novel,
-                datagen.FewShotDataset(world.novel.embeddings, shuffled, "novel-test"))
+                datagen.FewShotDataset(world.novel.embeddings, shuffled))
     for dataset in datasets:
         ids = dataset.class_ids()
         np.testing.assert_array_equal(ids, np.unique(dataset.labels))
@@ -151,7 +151,7 @@ def test_worldspec_validation():
         spec(attributes_per_class=(3, 99))
     with pytest.raises(ValueError, match="at least 1"):
         spec(num_base_classes=0)
-    for name in ("noise_std", "novel_noise_std", "offset_std", "semantic_noise"):
+    for name in ("noise_std", "novel_noise_std", "offset_std"):
         for value in (np.nan, np.inf, -np.inf, -0.1):
             with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, "
                                                  f"got {value}$"):
@@ -162,24 +162,23 @@ def test_worldspec_validation():
 
 def test_dataset_roundtrip_bit_exact(tmp_path):
     world = datagen.generate_world(spec(seed=4))
-    manifest = datagen.save_dataset(world.base, tmp_path, "base")
+    manifest = datagen.save_dataset(world.base, tmp_path)
     loaded = datagen.load_embeddings(manifest)
     assert loaded.embeddings.tobytes() == world.base.embeddings.tobytes()
     np.testing.assert_array_equal(loaded.labels, world.base.labels)
-    assert loaded.split == "base"
 
 
 def test_truncated_payload_reports_byte_counts(tmp_path):
     world = datagen.generate_world(spec(seed=4))
-    manifest = datagen.save_dataset(world.base, tmp_path, "base")
-    payload = tmp_path / "base.f64le"
+    manifest = datagen.save_dataset(world.base, tmp_path)
+    payload = tmp_path / "embeddings.f64le"
     data = payload.read_bytes()
     payload.write_bytes(data[:-16])
     # fix the checksum so the size check is what fires
-    doc = json.loads((tmp_path / "base.manifest.json").read_text())
+    doc = json.loads((tmp_path / "embeddings.manifest.json").read_text())
     from protofuse.fileio import sha256_file
     doc["checksum"] = sha256_file(payload)
-    (tmp_path / "base.manifest.json").write_text(json.dumps(doc))
+    (tmp_path / "embeddings.manifest.json").write_text(json.dumps(doc))
     with pytest.raises(datagen.DatasetFormatError,
                        match=rf"expected {world.base.n * world.base.dim * 8} bytes.*got "
                              rf"{world.base.n * world.base.dim * 8 - 16}"):
@@ -188,8 +187,8 @@ def test_truncated_payload_reports_byte_counts(tmp_path):
 
 def test_checksum_mismatch_rejected(tmp_path):
     world = datagen.generate_world(spec(seed=4))
-    manifest = datagen.save_dataset(world.base, tmp_path, "base")
-    payload = tmp_path / "base.f64le"
+    manifest = datagen.save_dataset(world.base, tmp_path)
+    payload = tmp_path / "embeddings.f64le"
     data = bytearray(payload.read_bytes())
     data[0] ^= 0xFF
     payload.write_bytes(bytes(data))
@@ -199,45 +198,88 @@ def test_checksum_mismatch_rejected(tmp_path):
 
 def test_dimension_disagreement_rejected(tmp_path):
     world = datagen.generate_world(spec(seed=4))
-    manifest = datagen.save_dataset(world.base, tmp_path, "base")
-    doc = json.loads((tmp_path / "base.manifest.json").read_text())
+    manifest = datagen.save_dataset(world.base, tmp_path)
+    doc = json.loads((tmp_path / "embeddings.manifest.json").read_text())
     doc["d"] = doc["d"] + 1
-    (tmp_path / "base.manifest.json").write_text(json.dumps(doc))
+    (tmp_path / "embeddings.manifest.json").write_text(json.dumps(doc))
     with pytest.raises(datagen.DatasetFormatError, match="size mismatch"):
         datagen.load_embeddings(manifest)
 
 
 def test_unknown_label_rejected(tmp_path):
     world = datagen.generate_world(spec(seed=4))
-    manifest = datagen.save_dataset(world.base, tmp_path, "base")
-    labels_path = tmp_path / "base.labels.txt"
-    lines = labels_path.read_text().splitlines()
-    lines[0] = "999"
-    labels_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(datagen.DatasetFormatError, match="unknown class ids"):
-        datagen.load_embeddings(manifest)
+    for label in ("999", "-1"):
+        directory = tmp_path / label
+        datagen.save_world(world, directory)
+        labels_path = directory / "embeddings.labels.txt"
+        lines = labels_path.read_text().splitlines()
+        lines[3] = label
+        labels_path.write_text("\n".join(lines) + "\n")
+        manifest = re.escape(str(directory / "embeddings.manifest.json"))
+        knowledge = re.escape(str(directory / "knowledge.json"))
+        with pytest.raises(datagen.DatasetFormatError,
+                           match=f"^{manifest}: label {label} is not a class id of {knowledge}$"):
+            datagen.load_world(directory)
 
 
 def test_world_roundtrip(tmp_path):
     world = datagen.generate_world(spec(seed=7))
     datagen.save_world(world, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "centers.json", "embeddings.f64le", "embeddings.labels.txt",
+        "embeddings.manifest.json", "knowledge.json"]
     loaded = datagen.load_world(tmp_path)
-    assert loaded.base.embeddings.tobytes() == world.base.embeddings.tobytes()
-    assert loaded.novel.embeddings.tobytes() == world.novel.embeddings.tobytes()
+    for side in ("base", "novel"):
+        saved, again = getattr(world, side), getattr(loaded, side)
+        assert again.embeddings.tobytes() == saved.embeddings.tobytes()
+        np.testing.assert_array_equal(again.labels, saved.labels)
     np.testing.assert_array_equal(loaded.knowledge.association, world.knowledge.association)
     np.testing.assert_allclose(loaded.centers, world.centers)
-    assert loaded.spec == world.spec
 
 
-def _rewrite_payload_row_with_nan(directory, stem, dataset, row):
+@pytest.mark.parametrize("kept,missing", [("base", "novel"), ("novel", "base")])
+def test_world_without_base_or_novel_samples_is_rejected(tmp_path, kept, missing):
+    world = datagen.generate_world(spec(seed=4))
+    datagen.save_world(world, tmp_path)
+    datagen.save_dataset(getattr(world, kept), tmp_path)
+    manifest, knowledge = tmp_path / "embeddings.manifest.json", tmp_path / "knowledge.json"
+    with pytest.raises(datagen.DatasetFormatError,
+                       match=f"^{re.escape(str(manifest))}: no sample of a {missing} class "
+                             f"of {re.escape(str(knowledge))}$"):
+        datagen.load_world(tmp_path)
+
+
+def test_legacy_names_split_tags_and_class_lists_are_ignored(tmp_path):
+    world = datagen.generate_world(spec(seed=4))
+    datagen.save_world(world, tmp_path)
+    knowledge = tmp_path / "knowledge.json"
+    doc = json.loads(knowledge.read_text())
+    for what in ("classes", "attributes"):
+        for entry in doc[what]:
+            entry["name"] = f"{what}_{entry['id']}"
+    knowledge.write_text(json.dumps(doc))
+    manifest = tmp_path / "embeddings.manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc.update(split="novel-val", classes=[0])
+    manifest.write_text(json.dumps(doc))
+    loaded = datagen.load_world(tmp_path)
+    for side in ("base", "novel"):
+        saved, again = getattr(world, side), getattr(loaded, side)
+        assert again.embeddings.tobytes() == saved.embeddings.tobytes()
+        np.testing.assert_array_equal(again.labels, saved.labels)
+    assert loaded.knowledge.base_class_ids == world.knowledge.base_class_ids
+    np.testing.assert_array_equal(loaded.knowledge.association, world.knowledge.association)
+
+
+def _rewrite_payload_row_with_nan(directory, dataset, row):
     """Overwrite one value of ``row`` of a saved payload with NaN and fix the
     manifest's checksum, so the finiteness check is what fires."""
     from protofuse.fileio import sha256_file
     embeddings = dataset.embeddings.copy()
     embeddings[row, 1] = np.nan
-    payload = directory / f"{stem}.f64le"
+    payload = directory / "embeddings.f64le"
     payload.write_bytes(embeddings.astype("<f8").tobytes())
-    manifest = directory / f"{stem}.manifest.json"
+    manifest = directory / "embeddings.manifest.json"
     doc = json.loads(manifest.read_text())
     doc["checksum"] = sha256_file(payload)
     manifest.write_text(json.dumps(doc))
@@ -251,9 +293,9 @@ def test_non_finite_embedding_is_rejected_naming_its_row(tmp_path):
         embeddings[5, 2] = bad
         embeddings[9, 0] = bad
         with pytest.raises(ValueError, match="^embedding row 5 is not finite$"):
-            datagen.FewShotDataset(embeddings, world.novel.labels, "novel-test")
-    datagen.save_dataset(world.novel, tmp_path, "novel")
-    manifest = _rewrite_payload_row_with_nan(tmp_path, "novel", world.novel, 7)
+            datagen.FewShotDataset(embeddings, world.novel.labels)
+    datagen.save_dataset(world.novel, tmp_path)
+    manifest = _rewrite_payload_row_with_nan(tmp_path, world.novel, 7)
     with pytest.raises(datagen.DatasetFormatError,
                        match=f"^{re.escape(str(manifest))}: embedding row 7 is not finite$"):
         datagen.load_embeddings(manifest)
@@ -273,8 +315,8 @@ def test_centers_must_fit_the_world(tmp_path):
     world = datagen.generate_world(spec(seed=7))
     cases = {
         "wide": (lambda c: np.hstack([c, np.ones((c.shape[0], 1))]),
-                 "centers are 13-d, the base embeddings 12-d"),
-        "short": (lambda c: c[:-1], "no center row for class id 9 of the novel-test split"),
+                 "centers are 13-d, the embeddings 12-d"),
+        "short": (lambda c: c[:-1], "no center row for class id 9"),
         "nan": (lambda c: np.where(np.arange(c.shape[0])[:, None] == 4, np.nan, c),
                 "center row 4 is not finite"),
         "inf": (lambda c: np.where(np.arange(c.shape[0])[:, None] >= 2, np.inf, c),

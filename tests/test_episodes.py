@@ -255,8 +255,7 @@ def _zero_support_in_a_later_block(world, n_way, k_shot, m_query):
         if fresh:
             embeddings = world.novel.embeddings.copy()
             embeddings[support[fresh[0]]] = 0.0
-            dataset = datagen.FewShotDataset(embeddings, world.novel.labels,
-                                             world.novel.split)
+            dataset = datagen.FewShotDataset(embeddings, world.novel.labels)
             return dataset, seed, target, fresh[0]
     raise AssertionError("no seed below 100 has a fresh support row")
 
