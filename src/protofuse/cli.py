@@ -3,7 +3,8 @@ evaluation, and the diagnostic reports.
 
 Every command takes an explicit --seed (no wall-clock seeding) and writes
 outputs atomically, so rerunning with identical flags produces byte-identical
-files. Existing outputs are refused unless --overwrite is given. ``_command``
+files. A command checks every file it writes before writing any, and refuses
+existing ones unless --overwrite is given. ``_command``
 adds these two flags, the output flag and --world/--checkpoint where a command
 reads them, so each subparser declares only its own. Exit codes: 0 success,
 1 runtime error (single-line ``error: ...`` on stderr), 2 usage.
@@ -22,16 +23,19 @@ import numpy as np
 from . import completion as cp
 from . import episodes as ep
 from . import nn
-from .datagen import EMBEDDINGS_MANIFEST, World, WorldSpec, generate_world, load_world, \
+from .datagen import WORLD_FILES, WORLDSPEC, World, WorldSpec, generate_world, load_world, \
     save_world
 from .fileio import atomic_write_json, atomic_write_text
 from .knowledge import average_cluster_variance, compute_attribute_stats, \
     compute_base_prototypes, inject_knowledge_noise
 
 
-def _require_new(path: str, overwrite: bool) -> None:
-    if os.path.exists(path) and not overwrite:
-        raise FileExistsError(f"{path} exists; pass --overwrite to replace it")
+def _require_new(overwrite: bool, *paths) -> None:
+    """Refuse, unless ``overwrite``, if any of a command's outputs exists;
+    None stands for an optional output this run does not write."""
+    for path in paths:
+        if path is not None and os.path.exists(path) and not overwrite:
+            raise FileExistsError(f"{path} exists; pass --overwrite to replace it")
 
 
 def _load_world_and_stats(world_dir: str):
@@ -72,10 +76,11 @@ def _cmd_gen(args) -> int:
         seed=args.seed, offset_std=args.offset_std,
         novel_noise_std=args.novel_noise_std,
     )
-    _require_new(os.path.join(args.out, EMBEDDINGS_MANIFEST), args.overwrite)
+    _require_new(args.overwrite,
+                 *(os.path.join(args.out, name) for name in WORLD_FILES + (WORLDSPEC,)))
     world = generate_world(spec)
     save_world(world, args.out)
-    atomic_write_json(os.path.join(args.out, "worldspec.json"), asdict(spec))
+    atomic_write_json(os.path.join(args.out, WORLDSPEC), asdict(spec))
     print(f"world written to {args.out}: {world.base.n} base / {world.novel.n} novel samples, "
           f"{world.knowledge.num_attributes} attributes")
     return 0
@@ -87,7 +92,7 @@ def _episodes_per_epoch(args, world: World) -> int:
 
 
 def _cmd_train_completion(args) -> int:
-    _require_new(args.out, args.overwrite)
+    _require_new(args.overwrite, args.out, cp.sidecar_path(args.out))
     world, stats = _load_world_and_stats(args.world)
     episodes_per_epoch = _episodes_per_epoch(args, world)
     prototypes = compute_base_prototypes(world.base.embeddings, world.base.labels)
@@ -117,7 +122,7 @@ def _cmd_train_completion(args) -> int:
 
 
 def _cmd_meta_train(args) -> int:
-    _require_new(args.out, args.overwrite)
+    _require_new(args.overwrite, args.out, cp.sidecar_path(args.out))
     world, stats, params, meta = _load_world_and_model(args)
     episodes_per_epoch = _episodes_per_epoch(args, world)
     config = ep.MetaTrainConfig(
@@ -156,9 +161,7 @@ def _evaluate(args, world: World, knowledge, stats, params, mode: str,
 
 
 def _cmd_eval(args) -> int:
-    _require_new(args.out, args.overwrite)
-    if args.dump_fusion:
-        _require_new(args.dump_fusion, args.overwrite)
+    _require_new(args.overwrite, args.out, args.dump_fusion)
     world, stats, params, _ = _load_world_and_model(args)
     dump = [] if args.dump_fusion else None
     report = _evaluate(args, world, world.knowledge, stats, params, args.mode, dump)
@@ -180,7 +183,7 @@ ABLATION_ROWS = (
 
 
 def _cmd_ablate(args) -> int:
-    _require_new(args.out, args.overwrite)
+    _require_new(args.overwrite, args.out)
     world, stats, params, _ = _load_world_and_model(args)
     reports = {}
     print(f"{'row':<6}{'mode':<18}{'accuracy':>12}{'95% CI':>10}")
@@ -194,7 +197,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_noise_sweep(args) -> int:
-    _require_new(args.out, args.overwrite)
+    _require_new(args.overwrite, args.out)
     world, stats, params, _ = _load_world_and_model(args)
     sweep_modes = (ep.MODE_COMPLETED_ONLY, ep.MODE_GAUSS_FUSION)
     results = {mode: {} for mode in sweep_modes}
@@ -217,22 +220,22 @@ def _cmd_noise_sweep(args) -> int:
 def _cmd_report(args) -> int:
     similarity_path = args.out_prefix + "-similarity.json"
     curve_path = args.out_prefix + "-rank-curve.csv"
-    _require_new(similarity_path, args.overwrite)
-    _require_new(curve_path, args.overwrite)
+    _require_new(args.overwrite, similarity_path, curve_path)
     world, stats, params, _ = _load_world_and_model(args)
     dataset = _split_dataset(world, args.split)
 
+    # Both reports are computed before either file is written, so a failure
+    # leaves nothing behind.
     similarity = ep.prototype_similarity_report(
         params, dataset, world.centers, world.knowledge, stats,
         num_episodes=args.episodes, n_way=args.n_way, k_shot=args.k_shot,
         m_query=args.m_query, seed=args.seed)
-    atomic_write_json(similarity_path, similarity.to_json_dict())
-
     curve = ep.rank_curve_report(params, dataset, world.centers, world.knowledge,
                                  stats, window=args.window)
     lines = ["rank,mean_based,completed"]
     for r in curve.ranks:
         lines.append(f"{r},{curve.raw[r]!r},{curve.completed[r]!r}")
+    atomic_write_json(similarity_path, similarity.to_json_dict())
     atomic_write_text(curve_path, "\n".join(lines) + "\n")
 
     base_var = average_cluster_variance(world.base.embeddings, world.base.labels)

@@ -9,7 +9,9 @@ the class is not associated with contribute exactly zero.
 The attention score is a raw scalar (identity output activation) with no
 normalization across attributes. The classifier scale used downstream is
 kept here as ``log_scale`` so one checkpoint carries the whole trainable
-state; optimizing the log keeps the scale positive.
+state; optimizing the log keeps the scale positive. The tensors' shapes are
+the network's dimensions, so a checkpoint's JSON sidecar holds only the
+scale as a number and the training metadata.
 
 The network is written once, in ``_forward``. Completing a (B, d) block as
 classes ``class_ids`` splits the aggregator's first layer into its
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .fileio import atomic_write_json, is_json_int, read_json_object
+from .fileio import atomic_write_json, read_json_object
 from .knowledge import AttributeStats, PrimitiveKnowledge
 
 ENCODER_DIM = 256
@@ -53,9 +55,6 @@ TENSOR_NAMES = (
     "log_scale",
 )
 NETWORK_TENSORS = TENSOR_NAMES[:-1]  # what completion reads: all but log_scale
-# The dimensions a checkpoint's JSON sidecar records, as CompletionNetParams fields.
-SIDECAR_DIMS = ("input_dim", "semantic_dim", "encoder_dim", "aggregator_hidden",
-                "decoder_hidden")
 
 
 @dataclass
@@ -394,21 +393,41 @@ def train_completion(params: CompletionNetParams, knowledge: PrimitiveKnowledge,
     return losses
 
 
+def sidecar_path(path) -> str:
+    """The JSON sidecar written beside the checkpoint at ``path``."""
+    return f"{path}.json"
+
+
 def save_model(params: CompletionNetParams, path, metadata: dict | None = None) -> None:
-    """Binary checkpoint plus a JSON sidecar (dims, scale, training metadata)."""
+    """Binary checkpoint plus a JSON sidecar holding what the tensors cannot
+    say: the classifier scale as a number, and the training metadata."""
     nn.save_checkpoint(params.tensors(), path)
-    sidecar = {key: getattr(params, key) for key in SIDECAR_DIMS}
-    sidecar.update(scale_gamma=params.scale_gamma, metadata=metadata or {})
-    atomic_write_json(str(path) + ".json", sidecar)
+    atomic_write_json(sidecar_path(path),
+                      {"scale_gamma": params.scale_gamma, "metadata": metadata or {}})
+
+
+def _dims(path, tensors) -> tuple:
+    """(d, s, E, H, K) from the shapes of ``encoder.weight`` (E, d),
+    ``aggregator.hidden.weight`` (H, d + 2s) and ``decoder.hidden.weight`` (K, E)."""
+    for name in ("encoder.weight", "aggregator.hidden.weight", "decoder.hidden.weight"):
+        if tensors[name].ndim != 2:
+            raise nn.CheckpointError(
+                f"{path}: tensor '{name}' has shape {tensors[name].shape}, not a matrix")
+    e, d = tensors["encoder.weight"].shape
+    h, width = tensors["aggregator.hidden.weight"].shape
+    s, odd = divmod(width - d, 2)
+    if odd or s < 1:
+        raise nn.CheckpointError(
+            f"{path}: tensor 'aggregator.hidden.weight' takes {width} inputs, which do not "
+            f"split as d + 2s with s >= 1 for the d = {d} of 'encoder.weight'")
+    return d, s, e, h, tensors["decoder.hidden.weight"].shape[0]
 
 
 def load_model(path) -> tuple:
-    """Load a checkpoint + sidecar pair; returns (params, metadata)."""
-    sidecar_path = f"{path}.json"
-    sidecar = read_json_object(sidecar_path)
-    absent = [key for key in SIDECAR_DIMS if key not in sidecar]
-    if absent:
-        raise nn.CheckpointError(f"{sidecar_path}: sidecar is missing {absent}")
+    """Load a checkpoint + sidecar pair; returns (params, metadata). The tensors'
+    shapes give the dimensions, and every tensor must chain with them and be
+    finite. Sidecar keys other than ``metadata`` are ignored."""
+    sidecar = read_json_object(sidecar_path(path))
     tensors = nn.load_checkpoint(path)
     missing = [name for name in TENSOR_NAMES if name not in tensors]
     if missing:
@@ -416,16 +435,12 @@ def load_model(path) -> tuple:
     store = nn.ParamStore()
     for name in TENSOR_NAMES:
         store.register(name, tensors[name])
-    sizes = {key: sidecar[key] for key in SIDECAR_DIMS}
-    bad = {key: value for key, value in sizes.items() if not is_json_int(value)}
-    if bad:
-        raise nn.CheckpointError(f"{sidecar_path}: dimensions must be integers, got {bad}")
-    params = CompletionNetParams(store=store, **sizes)
+    params = CompletionNetParams(store, *_dims(path, tensors))
     for name, shape in params.tensor_shapes().items():
         if store.value(name).shape != shape:
             raise nn.CheckpointError(
                 f"{path}: tensor '{name}' has shape {store.value(name).shape}, "
-                f"expected {shape} from the sidecar dimensions")
+                f"expected {shape} to chain with the other tensors")
         if not np.isfinite(store.value(name)).all():
             raise nn.CheckpointError(f"{path}: tensor '{name}' holds non-finite values")
     return params, sidecar.get("metadata", {})

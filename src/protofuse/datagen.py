@@ -18,6 +18,9 @@ On disk a world is one ``embeddings.*`` dataset of every class (manifest,
 little-endian float64 payload, labels), base rows first, plus
 ``knowledge.json``, which alone says which classes are base, and
 ``centers.json``. ``load_world`` splits the rows by the knowledge, in order.
+The file names are the constants below; no file names another. The manifest
+holds the payload's shape (``d``, ``n``) and SHA-256, and ``centers.json``
+the center matrix alone. Loaders ignore any other key.
 """
 
 from __future__ import annotations
@@ -35,7 +38,12 @@ from .knowledge import (PrimitiveKnowledge, load_knowledge, prune_unsupported_at
 
 SEMANTIC_NOISE = 0.05  # std of the noise added to each class's semantic vector
 
-EMBEDDINGS_MANIFEST = "embeddings.manifest.json"
+# The files of a world directory: save_world writes WORLD_FILES, and cli gen
+# adds WORLDSPEC, a record of its flags that nothing loads.
+WORLD_FILES = (EMBEDDINGS_MANIFEST, EMBEDDINGS_PAYLOAD, EMBEDDINGS_LABELS, KNOWLEDGE, CENTERS) = (
+    "embeddings.manifest.json", "embeddings.f64le", "embeddings.labels.txt", "knowledge.json",
+    "centers.json")
+WORLDSPEC = "worldspec.json"
 
 
 class DatasetFormatError(ValueError):
@@ -200,30 +208,22 @@ def generate_world(spec: WorldSpec) -> World:
 def save_dataset(dataset: FewShotDataset, directory) -> str:
     """Write the embeddings.* payload/labels/manifest files; returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
-    payload_name = "embeddings.f64le"
-    labels_name = "embeddings.labels.txt"
-    payload_path = os.path.join(directory, payload_name)
+    payload_path = os.path.join(directory, EMBEDDINGS_PAYLOAD)
     atomic_write_bytes(payload_path,
                        np.ascontiguousarray(dataset.embeddings, dtype="<f8").tobytes())
-    atomic_write_text(os.path.join(directory, labels_name),
+    atomic_write_text(os.path.join(directory, EMBEDDINGS_LABELS),
                       "\n".join(str(int(v)) for v in dataset.labels) + "\n")
     manifest_path = os.path.join(directory, EMBEDDINGS_MANIFEST)
-    atomic_write_json(manifest_path, {
-        "d": dataset.dim,
-        "n": dataset.n,
-        "labels_file": labels_name,
-        "payload_file": payload_name,
-        "payload_dtype": "f64le",
-        "checksum": sha256_file(payload_path),
-    })
+    atomic_write_json(manifest_path, {"d": dataset.dim, "n": dataset.n,
+                                      "checksum": sha256_file(payload_path)})
     return manifest_path
 
 
 def load_embeddings(manifest_path) -> FewShotDataset:
-    """Load a dataset from its manifest, verifying checksum and consistency.
-    The payload and labels files must lie beside the manifest."""
+    """Load a dataset from its manifest and the payload and labels files
+    beside it, verifying the checksum and the shapes."""
     manifest = read_json_object(manifest_path)
-    for key in ("d", "n", "labels_file", "payload_file", "payload_dtype", "checksum"):
+    for key in ("d", "n", "checksum"):
         if key not in manifest:
             raise DatasetFormatError(f"{manifest_path}: manifest is missing '{key}'")
     d, n = manifest["d"], manifest["n"]
@@ -232,17 +232,9 @@ def load_embeddings(manifest_path) -> FewShotDataset:
             f"{manifest_path}: d and n must be integers, got d={d!r}, n={n!r}")
     if d < 1 or n < 1:
         raise DatasetFormatError(f"{manifest_path}: d and n must be at least 1, got d={d}, n={n}")
-    if manifest["payload_dtype"] != "f64le":
-        raise DatasetFormatError(
-            f"{manifest_path}: unknown payload_dtype {manifest['payload_dtype']!r}")
-    for key in ("labels_file", "payload_file"):
-        name = manifest[key]
-        if not (isinstance(name, str) and name and name == os.path.basename(name)):
-            raise DatasetFormatError(
-                f"{manifest_path}: {key} must name a file beside the manifest, got {name!r}")
     directory = os.path.dirname(os.fspath(manifest_path))
-    payload_path = os.path.join(directory, manifest["payload_file"])
-    labels_path = os.path.join(directory, manifest["labels_file"])
+    payload_path = os.path.join(directory, EMBEDDINGS_PAYLOAD)
+    labels_path = os.path.join(directory, EMBEDDINGS_LABELS)
 
     actual = sha256_file(payload_path)
     if actual != manifest["checksum"]:
@@ -279,31 +271,23 @@ def save_world(world: World, directory) -> None:
     save_dataset(FewShotDataset(np.vstack([world.base.embeddings, world.novel.embeddings]),
                                 np.concatenate([world.base.labels, world.novel.labels])),
                  directory)
-    save_knowledge(world.knowledge, os.path.join(directory, "knowledge.json"))
-    atomic_write_json(os.path.join(directory, "centers.json"), {
-        "d": int(world.centers.shape[1]),
-        "num_classes": int(world.centers.shape[0]),
-        "centers": world.centers.tolist(),
-    })
+    save_knowledge(world.knowledge, os.path.join(directory, KNOWLEDGE))
+    atomic_write_json(os.path.join(directory, CENTERS), {"centers": world.centers.tolist()})
 
 
 def _load_centers(centers_path, dataset: FewShotDataset) -> np.ndarray:
     """The (num_classes, d) center matrix of ``centers.json``, checked against
-    its own shape fields and against ``dataset``: the same d, a row for every
-    class id, and finite values."""
+    ``dataset``: finite, d columns, and a row for every class id."""
     doc = read_json_object(centers_path)
-    absent = [key for key in ("d", "num_classes", "centers") if key not in doc]
-    if absent:
-        raise DatasetFormatError(f"{centers_path}: missing {absent}")
+    if "centers" not in doc:
+        raise DatasetFormatError(f"{centers_path}: missing ['centers']")
     try:
         centers = np.asarray(doc["centers"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"{centers_path}: centers must be a matrix: {exc}") from exc
-    if centers.shape != (doc["num_classes"], doc["d"]):
-        raise DatasetFormatError(f"{centers_path}: shape fields disagree with the payload")
-    if dataset.dim != centers.shape[1]:
-        raise DatasetFormatError(f"{centers_path}: centers are {centers.shape[1]}-d, "
-                                 f"the embeddings {dataset.dim}-d")
+    if centers.ndim != 2 or centers.shape[1] != dataset.dim:
+        raise DatasetFormatError(f"{centers_path}: centers must be a matrix of "
+                                 f"{dataset.dim}-d rows like the embeddings, got {centers.shape}")
     ids = dataset.class_ids()
     rowless = ids[ids >= centers.shape[0]]
     if rowless.size:
@@ -320,7 +304,7 @@ def load_world(directory) -> World:
     ``knowledge.json`` and the other classes, each in file row order."""
     manifest_path = os.path.join(directory, EMBEDDINGS_MANIFEST)
     dataset = load_embeddings(manifest_path)
-    knowledge_path = os.path.join(directory, "knowledge.json")
+    knowledge_path = os.path.join(directory, KNOWLEDGE)
     knowledge = load_knowledge(knowledge_path)
     ids = dataset.class_ids()
     unknown = ids[(ids < 0) | (ids >= knowledge.num_classes)]
@@ -332,7 +316,7 @@ def load_world(directory) -> World:
         raise DatasetFormatError(f"{manifest_path}: no sample of a "
                                  f"{'novel' if is_base.all() else 'base'} class of "
                                  f"{knowledge_path}")
-    centers = _load_centers(os.path.join(directory, "centers.json"), dataset)
+    centers = _load_centers(os.path.join(directory, CENTERS), dataset)
     return World(FewShotDataset(dataset.embeddings[is_base], dataset.labels[is_base]),
                  FewShotDataset(dataset.embeddings[~is_base], dataset.labels[~is_base]),
                  knowledge, centers)

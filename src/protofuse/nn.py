@@ -7,9 +7,11 @@ through one autodiff node with a hand-written backward pass
 
 ``train_step`` is the one SGD step both trainings run (completion training
 and episodic meta-training): fresh leaves, the loss, backward, update. The
-registry keeps no gradient buffers. ``ParamStore.accumulate`` holds the
+registry keeps no gradient buffers. ``ParamStore.accumulate`` records the
 backward pass's leaf gradients as pending gradients, and ``sgd_step`` reads
-them in place, updating each tensor through one scratch array of its own.
+them in place, updating each tensor that has one through one scratch array
+of its own. As in PyTorch's SGD, a tensor the loss does not reach is not
+touched, so completion training leaves the classifier scale alone.
 
 Everything runs in double precision on purpose: the gradient-check contract
 (max relative error < 1e-4 against central differences) leaves no room for
@@ -81,22 +83,18 @@ class ParamStore:
         return {name: ad.Node(v) for name, v in self._values.items()}
 
     def accumulate(self, leaves: dict[str, ad.Node]) -> None:
-        """Hand a backward pass's leaf gradients to the next ``sgd_step``.
+        """Record a backward pass's leaf gradients as the next ``sgd_step``'s.
 
-        The store keeps a reference to each leaf's ``.grad``, not a copy. Only
-        a tensor that already has a pending gradient (``accumulate`` called
-        twice before one step) gets a new array, the sum of the two. Leaf
-        gradients may alias each other, so nothing here or in ``sgd_step``
-        writes into them. perfbench traces this method by name
-        (``nn.ParamStore.accumulate``).
+        The store keeps a reference to each leaf's ``.grad``, not a copy, and
+        replaces whatever an earlier call recorded. Leaf gradients may alias
+        each other, so nothing here or in ``sgd_step`` writes into them.
+        perfbench traces this method by name (``nn.ParamStore.accumulate``).
         """
-        for name, node in leaves.items():
-            if node.grad is None:
-                continue
-            if name not in self._values:
-                raise KeyError(name)
-            pending = self._pending.get(name)
-            self._pending[name] = node.grad if pending is None else pending + node.grad
+        unknown = [name for name in leaves if name not in self._values]
+        if unknown:
+            raise KeyError(unknown[0])
+        self._pending = {name: node.grad for name, node in leaves.items()
+                         if node.grad is not None}
 
 
 @dataclass
@@ -116,8 +114,8 @@ def sgd_step(store: ParamStore, config: SgdConfig) -> None:
     g <- g + wd*theta; v <- m*v + g; theta <- theta - lr*v, with
     m = ``MOMENTUM`` and wd = ``WEIGHT_DECAY``.
 
-    ``g`` is the tensor's pending gradient, or zero when it has none (so a
-    parameter off the loss's path still decays). Each tensor is updated
+    Exactly the tensors with a pending gradient ``g`` are updated, in store
+    order; any other tensor keeps its value and its velocity. Each is updated
     through its own scratch array, in this operation order: scratch = wd*theta,
     scratch = g + scratch, v *= m, v += scratch, scratch = lr*v,
     theta -= scratch. The pending gradients are only read, then released.
@@ -127,27 +125,25 @@ def sgd_step(store: ParamStore, config: SgdConfig) -> None:
     only a non-finite sum (which finite values can also overflow to) falls
     back to the per-element test.
     """
-    pending = store._pending
+    pending = [(name, theta, store._pending[name]) for name, theta in store._values.items()
+               if name in store._pending]
     with np.errstate(over="ignore", invalid="ignore"):
-        for name in store.names():
-            g = pending.get(name)
-            if g is not None and not np.isfinite(g.sum()) and not np.isfinite(g).all():
+        for name, _, g in pending:
+            if not np.isfinite(g.sum()) and not np.isfinite(g).all():
                 raise NonFiniteGradientError(name)
-    for name, theta in store._values.items():
+    for name, theta, g in pending:
         v = store._velocity.get(name)
         if v is None:
             v = store._velocity[name] = np.zeros_like(theta)
             store._scratch[name] = np.empty_like(theta)
         scratch = store._scratch[name]
         np.multiply(WEIGHT_DECAY, theta, out=scratch)
-        g = pending.get(name)
-        if g is not None:
-            np.add(g, scratch, out=scratch)
+        np.add(g, scratch, out=scratch)
         v *= MOMENTUM
         v += scratch
         np.multiply(config.learning_rate, v, out=scratch)
         theta -= scratch
-    pending.clear()
+    store._pending = {}
 
 
 def train_step(store: ParamStore, loss_fn, config: SgdConfig, failure: str) -> float:

@@ -11,7 +11,8 @@ on cannot change without failing here. The probe then installs
 perfbench's own tracer on those targets and runs a small ``gauss-fusion``
 evaluation and a one-episode ``meta_train``: each fusion step and the
 inference completion must record spans under their traced names, or the
-per-layer metrics built from them would read 0. Last it builds a
+per-layer metrics built from them would read 0; so must both steps of the
+training update, in meta-training and in completion training. Last it builds a
 ``workloads.Setup`` on the same small world as ``build_setup`` builds one,
 with tasks from ``compute_base_prototypes`` and ``sample_completion_tasks``,
 and runs one traced ``TrainPhase.step``, which must record no failure. The
@@ -85,6 +86,8 @@ print(json.dumps({"targets": len(targets), "missing": missing, "copied": copied,
 
 FUSION_STEPS = {"fusion.soft_assign", "fusion.weighted_gaussian_estimate",
                 "fusion.gaussian_product"}
+# The training update; perfbench's {train,meta}.nn.* per-layer metrics read them.
+UPDATE_STEPS = {"nn.ParamStore.accumulate", "nn.sgd_step"}
 
 
 def test_every_trace_target_is_defined_on_its_owner():
@@ -96,8 +99,8 @@ def test_every_trace_target_is_defined_on_its_owner():
     assert report["missing"] == []
     assert report["copied"]
     assert FUSION_STEPS | {"completion.complete_prototype"} <= set(report["spans"]["eval"])
-    assert FUSION_STEPS <= set(report["spans"]["meta"])
+    assert FUSION_STEPS | UPDATE_STEPS <= set(report["spans"]["meta"])
     assert {"knowledge.compute_base_prototypes", "completion.sample_completion_tasks",
-            "completion.train_completion", "completion.completion_loss",
-            "nn.sgd_step"} <= set(report["spans"]["setup+train"])
+            "completion.train_completion", "completion.completion_loss"} | UPDATE_STEPS \
+        <= set(report["spans"]["setup+train"])
     assert report["step"] == {"attempted": 1, "failed": 0, "problems": [], "finite": True}

@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 import protofuse
+from protofuse import completion as cp
+from protofuse import episodes as ep
+from protofuse import nn
 from protofuse.cli import main
 from protofuse.completion import sample_completion_tasks
 from protofuse.datagen import load_world
@@ -59,7 +62,8 @@ def test_train_produces_checkpoint_and_sidecar(workspace):
     _, _, model = workspace
     assert model.exists()
     sidecar = json.loads((model.parent / "model.pcn.json").read_text())
-    assert sidecar["input_dim"] == 12
+    assert set(sidecar) == {"scale_gamma", "metadata"}
+    assert sidecar["scale_gamma"] == pytest.approx(cp.SCALE_INIT, rel=1e-15)
     assert len(sidecar["metadata"]["losses"]) == 4
 
 
@@ -69,6 +73,36 @@ def test_train_refuses_overwrite_without_flag(workspace, capsys):
                  "--epochs", "1", "--episodes-per-epoch", "4", "--seed", "5"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", WORLD_FILES)
+def test_gen_refuses_any_existing_world_file(tmp_path, capsys, name):
+    (tmp_path / name).write_text("hand-written\n")
+    capsys.readouterr()
+    assert main(["gen", "--out", str(tmp_path)] + GEN_FLAGS) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / name} exists; "
+                                       f"pass --overwrite to replace it\n")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_text() == "hand-written\n"
+    assert main(["gen", "--out", str(tmp_path), "--overwrite"] + GEN_FLAGS) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == list(WORLD_FILES)
+
+
+@pytest.mark.parametrize("command", [["train-completion"],
+                                     ["meta-train", "--checkpoint", "model.pcn"]])
+def test_training_refuses_an_existing_sidecar(tmp_path, workspace, capsys, command):
+    _, world, model = workspace
+    out, sidecar = tmp_path / "out.pcn", tmp_path / "out.pcn.json"
+    sidecar.write_text("{}\n")
+    flags = [str(model) if a == "model.pcn" else a for a in command]
+    capsys.readouterr()
+    code = main(flags + ["--world", str(world), "--out", str(out), "--epochs", "1",
+                         "--episodes-per-epoch", "2", "--seed", "5"])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {sidecar} exists; "
+                                       f"pass --overwrite to replace it\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.pcn.json"]
+    assert sidecar.read_text() == "{}\n"
 
 
 def test_train_is_deterministic(tmp_path, workspace):
@@ -180,6 +214,42 @@ def test_world_without_its_worldspec_evaluates_the_same(tmp_path, workspace):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_files_with_the_keys_of_earlier_versions_evaluate_the_same(tmp_path, workspace):
+    # Earlier versions also wrote the network's dimensions into the sidecars,
+    # the file names and payload dtype into the manifest, and the shape into
+    # centers.json. Loading ignores those keys.
+    _, world, model = workspace
+    meta = tmp_path / "meta.pcn"
+    assert main(["meta-train", "--world", str(world), "--checkpoint", str(model),
+                 "--out", str(meta), "--epochs", "1", "--episodes-per-epoch", "4",
+                 "--n-way", "3", "--m-query", "4", "--seed", "7"]) == 0
+    legacy = tmp_path / "legacy"
+    shutil.copytree(world, legacy / "world")
+    _rewrite_json(legacy / "world" / "embeddings.manifest.json", lambda d: d.update(
+        labels_file="embeddings.labels.txt", payload_file="embeddings.f64le",
+        payload_dtype="f64le"))
+    _rewrite_json(legacy / "world" / "centers.json", lambda d: d.update(
+        d=len(d["centers"][0]), num_classes=len(d["centers"])))
+    for checkpoint in (model, meta):
+        shutil.copy(checkpoint, legacy / checkpoint.name)
+        shutil.copy(f"{checkpoint}.json", legacy / f"{checkpoint.name}.json")
+        _rewrite_json(legacy / f"{checkpoint.name}.json", lambda d: d.update(
+            input_dim=12, semantic_dim=6, encoder_dim=256, aggregator_hidden=300,
+            decoder_hidden=512))
+
+    def evaluate(world_dir, checkpoint, out):
+        assert main(["eval", "--world", str(world_dir), "--checkpoint", str(checkpoint),
+                     "--mode", "gauss-fusion", "--n-way", "3", "--m-query", "5",
+                     "--episodes", "6", "--seed", "13", "--out", f"{out}.json",
+                     "--dump-fusion", f"{out}.jsonl"]) == 0
+        return Path(f"{out}.json").read_bytes(), Path(f"{out}.jsonl").read_bytes()
+
+    for checkpoint in (model, meta):
+        assert (evaluate(world, checkpoint, tmp_path / f"{checkpoint.name}-eval")
+                == evaluate(legacy / "world", legacy / checkpoint.name,
+                            legacy / f"{checkpoint.name}-eval"))
+
+
 @pytest.mark.parametrize("k_shot", ["0", "-1"])
 def test_train_completion_k_shot_below_one_is_an_error(tmp_path, workspace, capsys, k_shot):
     _, world, _ = workspace
@@ -244,6 +314,27 @@ def test_report_outputs(tmp_path, workspace, capsys):
     curve = (tmp_path / "diag-rank-curve.csv").read_text().splitlines()
     assert curve[0] == "rank,mean_based,completed"
     assert len(curve) == 21
+
+
+def test_report_that_fails_writes_nothing(tmp_path, workspace, capsys, monkeypatch):
+    _, world, model = workspace
+    args = ["report", "--world", str(world), "--checkpoint", str(model),
+            "--out-prefix", str(tmp_path / "diag"), "--episodes", "4", "--n-way", "3",
+            "--m-query", "4", "--window", "10", "--seed", "29"]
+
+    def broken(*args, **kwargs):
+        raise ValueError("class 7: non-finite completed prototype")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ep, "rank_curve_report", broken)
+        capsys.readouterr()
+        assert main(args) == 1
+    assert capsys.readouterr().err == "error: class 7: non-finite completed prototype\n"
+    assert list(tmp_path.iterdir()) == []
+    # nothing is left behind, so a rerun needs no --overwrite
+    assert main(args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diag-rank-curve.csv",
+                                                           "diag-similarity.json"]
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
@@ -441,6 +532,12 @@ def _repeat_last_tensor(path):
     path.write_bytes(path.read_bytes() + record)
 
 
+def _rewrite_tensor(path, name, change):
+    tensors = nn.load_checkpoint(path)
+    tensors[name] = change(tensors[name])
+    nn.save_checkpoint(tensors, path)
+
+
 CORRUPTIONS = {
     "sidecar-json": ("model.pcn.json", "Expecting property name",
                      lambda p: p.write_text("{bad")),
@@ -455,6 +552,15 @@ CORRUPTIONS = {
                                                          + p.read_bytes()[9:])),
     "checkpoint-repeated-name": ("model.pcn", "tensor 'log_scale' appears more than once",
                                  _repeat_last_tensor),
+    # The tensors' shapes are the network's dimensions, so they must chain.
+    "checkpoint-encoder-weight-not-a-matrix": (
+        "model.pcn", "tensor 'encoder.weight' has shape (12,), not a matrix",
+        lambda p: _rewrite_tensor(p, "encoder.weight", lambda w: w[0, :12])),
+    "checkpoint-aggregator-width-odd": (
+        "model.pcn", "tensor 'aggregator.hidden.weight' takes 25 inputs, which do not split "
+                     "as d + 2s with s >= 1 for the d = 12 of 'encoder.weight'",
+        lambda p: _rewrite_tensor(p, "aggregator.hidden.weight",
+                                  lambda w: np.hstack([w, w[:, :1]]))),
     "knowledge-json": ("world/knowledge.json", "Expecting value",
                        lambda p: p.write_text("not json")),
     "knowledge-classes": ("world/knowledge.json", "classes: expected a list",
@@ -495,34 +601,6 @@ CORRUPTIONS = {
     "labels-past-int64": ("world/embeddings.labels.txt",
                           "holds an entry that is not a 64-bit integer: Python int too large",
                           lambda p: _replace_first_line(p, str(2**63))),
-    "manifest-labels-file-not-a-string": (
-        "world/embeddings.manifest.json",
-        "labels_file must name a file beside the manifest, got 5",
-        lambda p: _rewrite_json(p, lambda d: d.update(labels_file=5))),
-    # os.path.join drops the directory before an absolute name; both names
-    # below reach the world's own files, so only the check stops them.
-    "manifest-payload-file-absolute": (
-        "world/embeddings.manifest.json",
-        "payload_file must name a file beside the manifest, got '/",
-        lambda p: _rewrite_json(p, lambda d: d.update(
-            payload_file=str(p.with_name("embeddings.f64le"))))),
-    "manifest-labels-file-parent": (
-        "world/embeddings.manifest.json",
-        "labels_file must name a file beside the manifest, got '../world/",
-        lambda p: _rewrite_json(p, lambda d: d.update(
-            labels_file="../world/embeddings.labels.txt"))),
-    "sidecar-dimension-not-an-integer": (
-        "model.pcn.json", "dimensions must be integers",
-        lambda p: _rewrite_json(p, lambda d: d.update(input_dim=[12]))),
-    "sidecar-dimension-float": (
-        "model.pcn.json", "dimensions must be integers, got {'input_dim': 16.7}",
-        lambda p: _rewrite_json(p, lambda d: d.update(input_dim=16.7))),
-    "sidecar-dimension-string": (
-        "model.pcn.json", "dimensions must be integers, got {'input_dim': '16'}",
-        lambda p: _rewrite_json(p, lambda d: d.update(input_dim="16"))),
-    "sidecar-dimension-bool": (
-        "model.pcn.json", "dimensions must be integers, got {'input_dim': True}",
-        lambda p: _rewrite_json(p, lambda d: d.update(input_dim=True))),
     "centers": ("world/centers.json", "missing ['centers']",
                 lambda p: _rewrite_json(p, lambda d: d.pop("centers"))),
     "centers-not-numbers": ("world/centers.json", "centers must be a matrix",

@@ -2,6 +2,7 @@
 traced references (values and gradients), task sampling, training, and
 checkpoints."""
 
+import json
 import re
 
 import numpy as np
@@ -599,6 +600,22 @@ def test_train_completion_stops_on_a_non_finite_loss_before_any_update():
         assert params.store.value(name).tobytes() == value.tobytes(), name
 
 
+def test_train_completion_leaves_the_classifier_scale_alone():
+    # The completion loss does not read log_scale, so it gets no gradient and
+    # neither decay nor momentum moves it; every other tensor trains.
+    know, stats = small_world()
+    params = small_params(seed=2)
+    before = {name: params.store.value(name).copy() for name in params.store.names()}
+    rng = np.random.default_rng(0)
+    tasks = [cp.CompletionTask(int(rng.integers(3)), rng.standard_normal(4),
+                               rng.standard_normal(4)) for _ in range(20)]
+    cp.train_completion(params, know, stats, tasks, nn.SgdConfig(learning_rate=1e-2, epochs=2),
+                        np.random.default_rng(1))
+    assert params.store.value("log_scale").tobytes() == np.log(cp.SCALE_INIT).tobytes()
+    for name in cp.NETWORK_TENSORS:
+        assert params.store.value(name).tobytes() != before[name].tobytes(), name
+
+
 def test_train_completion_drives_identity_loss_down():
     # Targets equal the inputs on a 3-class toy world: the net only has to
     # learn a pass-through, so the loss must fall below 1e-3.
@@ -674,19 +691,53 @@ def test_trained_completion_beats_incomplete_prototype():
 
 
 def test_load_model_rejects_any_tensor_off_the_sidecar_dims(tmp_path):
-    params = small_params(seed=13)
+    # The dimensions come from encoder.weight (E, d), aggregator.hidden.weight
+    # (H, d + 2s) and decoder.hidden.weight (K, E); one case per tensor, each
+    # checked against the shapes the other tensors imply.
+    params = small_params(seed=13)  # d=4, s=3, E=6, H=5, K=7
     path = tmp_path / "model.pcn"
     cp.save_model(params, path)
     tensors = nn.load_checkpoint(path)
     expected = params.tensor_shapes()
     assert set(expected) == set(cp.TENSOR_NAMES)
+    defining = {
+        "encoder.weight": ((6,), "has shape (6,), not a matrix"),
+        "aggregator.hidden.weight": ((5, 11), "takes 11 inputs, which do not split as "
+                                              "d + 2s with s >= 1 for the d = 4 of "
+                                              "'encoder.weight'"),
+        "decoder.hidden.weight": ((7, 5), "has shape (7, 5), expected (7, 6) to chain "
+                                          "with the other tensors"),
+    }
     for name in cp.TENSOR_NAMES:
+        if name in defining:
+            shape, message = defining[name]
+        else:
+            shape = (expected[name] + (1,) if name == "log_scale"
+                     else expected[name][:-1] + (expected[name][-1] - 1,))
+            message = f"has shape {shape}, expected {expected[name]} to chain with the other"
         bad = dict(tensors)
-        bad[name] = np.zeros(expected[name] + (1,) if name == "log_scale"
-                             else expected[name][:-1] + (expected[name][-1] - 1,))
+        bad[name] = np.zeros(shape)
         nn.save_checkpoint(bad, path)
-        with pytest.raises(nn.CheckpointError, match=f"tensor '{name}' has shape"):
+        with pytest.raises(nn.CheckpointError,
+                           match=re.escape(f"{path}: tensor '{name}' {message}")):
             cp.load_model(path)
+
+
+def test_load_model_takes_its_dimensions_from_the_tensors(tmp_path):
+    # A width d + 2s with s = 1 is a network for 1-d semantics; no aggregator
+    # width below d + 2 splits.
+    params = cp.CompletionNetParams.initialize(4, 1, seed=0, encoder_dim=6,
+                                               aggregator_hidden=5, decoder_hidden=7)
+    path = tmp_path / "model.pcn"
+    cp.save_model(params, path)
+    loaded, _ = cp.load_model(path)
+    assert (loaded.input_dim, loaded.semantic_dim, loaded.encoder_dim,
+            loaded.aggregator_hidden, loaded.decoder_hidden) == (4, 1, 6, 5, 7)
+    tensors = nn.load_checkpoint(path)
+    tensors["aggregator.hidden.weight"] = np.zeros((5, 4))
+    nn.save_checkpoint(tensors, path)
+    with pytest.raises(nn.CheckpointError, match="takes 4 inputs, which do not split"):
+        cp.load_model(path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -704,6 +755,8 @@ def test_checkpoint_roundtrip_with_sidecar(tmp_path):
     params = small_params(seed=13)
     path = tmp_path / "model.pcn"
     cp.save_model(params, path, metadata={"note": "unit", "losses": [0.5, 0.25]})
+    assert json.loads((tmp_path / "model.pcn.json").read_text()) == {
+        "scale_gamma": params.scale_gamma, "metadata": {"note": "unit", "losses": [0.5, 0.25]}}
     loaded, meta = cp.load_model(path)
     assert meta["losses"] == [0.5, 0.25]
     assert loaded.input_dim == params.input_dim

@@ -306,7 +306,7 @@ def _rewrite_centers(directory, change):
     doc = json.loads(path.read_text())
     centers = np.array(doc["centers"])
     centers = change(centers)
-    doc.update(centers=centers.tolist(), num_classes=centers.shape[0], d=centers.shape[1])
+    doc.update(centers=centers.tolist())
     path.write_text(json.dumps(doc))  # json writes NaN as a bare NaN token
     return re.escape(str(path))
 
@@ -315,7 +315,11 @@ def test_centers_must_fit_the_world(tmp_path):
     world = datagen.generate_world(spec(seed=7))
     cases = {
         "wide": (lambda c: np.hstack([c, np.ones((c.shape[0], 1))]),
-                 "centers are 13-d, the embeddings 12-d"),
+                 re.escape("centers must be a matrix of 12-d rows like the embeddings, "
+                           "got (10, 13)")),
+        "vector": (lambda c: c[0],
+                   re.escape("centers must be a matrix of 12-d rows like the embeddings, "
+                             "got (12,)")),
         "short": (lambda c: c[:-1], "no center row for class id 9"),
         "nan": (lambda c: np.where(np.arange(c.shape[0])[:, None] == 4, np.nan, c),
                 "center row 4 is not finite"),

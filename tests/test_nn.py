@@ -135,11 +135,12 @@ def test_sgd_plain_step():
     nn.sgd_step(store, nn.SgdConfig(learning_rate=1.0))
     reference_sgd_step(expected, velocity, {"w": np.array([0.5, -0.5])}, 1.0)
     assert store.value("w").tobytes() == expected["w"].tobytes()
-    # the step took the gradient: a second one with nothing accumulated only
-    # carries the velocity and decays
+    # the step took the gradient: a second one with nothing accumulated
+    # leaves the tensor and its velocity as they are
+    after, v = store.value("w").copy(), store._velocity["w"].copy()
     nn.sgd_step(store, nn.SgdConfig(learning_rate=1.0))
-    reference_sgd_step(expected, velocity, {}, 1.0)
-    assert store.value("w").tobytes() == expected["w"].tobytes()
+    assert store.value("w").tobytes() == after.tobytes()
+    assert store._velocity["w"].tobytes() == v.tobytes()
 
 
 def test_sgd_momentum_doubles_second_displacement():
@@ -160,11 +161,30 @@ def test_sgd_momentum_doubles_second_displacement():
 
 
 def test_sgd_weight_decay_shrinks_with_zero_grad():
+    # Decay acts through the gradient: a zero gradient decays the tensor, and
+    # a tensor without a gradient (off the loss's path) is not touched.
     store = nn.ParamStore()
     store.register("w", [10.0])
+    store.register("idle", [10.0])
+    accumulate_grads(store, w=[0.0])
     nn.sgd_step(store, nn.SgdConfig(learning_rate=0.5))
     # the first step starts from zero velocity, so it is plain decay
     assert store.value("w")[0] == pytest.approx(10.0 * (1 - 0.5 * nn.WEIGHT_DECAY), rel=1e-12)
+    assert store.value("idle")[0] == 10.0
+    assert "idle" not in store._velocity
+
+
+def test_accumulate_records_the_latest_backward_pass_only():
+    store = nn.ParamStore()
+    store.register("a", [1.0])
+    store.register("b", [1.0])
+    accumulate_grads(store, a=[5.0], b=[5.0])
+    accumulate_grads(store, a=[2.0])  # replaces the first call, "b" included
+    nn.sgd_step(store, nn.SgdConfig(learning_rate=1.0))
+    np.testing.assert_allclose(store.value("a"), [1.0 - 2.0 - nn.WEIGHT_DECAY], rtol=1e-15)
+    np.testing.assert_array_equal(store.value("b"), [1.0])
+    with pytest.raises(KeyError, match="other"):
+        store.accumulate({"other": ad.Node(np.zeros(1))})
 
 
 def test_sgd_aborts_on_non_finite_gradient():
@@ -180,10 +200,11 @@ def test_sgd_aborts_on_non_finite_gradient():
 
 
 def reference_sgd_step(values, velocity, grads, lr):
-    """The update as one formula per tensor, a tensor without a gradient
-    counting as a zero gradient."""
-    for name, theta in values.items():
-        g = grads.get(name, np.zeros_like(theta)) + nn.WEIGHT_DECAY * theta
+    """The update as one formula per tensor that has a gradient; any other
+    tensor and its velocity stay as they are."""
+    for name, grad in grads.items():
+        theta = values[name]
+        g = grad + nn.WEIGHT_DECAY * theta
         velocity[name] = nn.MOMENTUM * velocity[name] + g
         theta -= lr * velocity[name]
 
@@ -205,17 +226,13 @@ def test_sgd_step_equals_reference_update_bitwise(data, shapes, lr, steps):
     velocity = {name: np.zeros_like(theta) for name, theta in expected.items()}
     config = nn.SgdConfig(learning_rate=lr)
     for _ in range(steps):
-        # one or two backward passes per step; "idle" never gets a gradient
-        summed = {}
-        for _ in range(data.draw(st.integers(1, 2))):
-            grads = {name: data.draw(hnp.arrays(np.float64, store.value(name).shape,
-                                                elements=values))
-                     for name in names}
-            accumulate_grads(store, **grads)
-            for name, grad in grads.items():
-                summed[name] = grad if name not in summed else summed[name] + grad
+        # a gradient for some of the tensors; "idle" never gets one
+        grads = {name: data.draw(hnp.arrays(np.float64, store.value(name).shape,
+                                            elements=values))
+                 for name in names if data.draw(st.booleans())}
+        accumulate_grads(store, **grads)
         nn.sgd_step(store, config)
-        reference_sgd_step(expected, velocity, summed, lr)
+        reference_sgd_step(expected, velocity, grads, lr)
     for name in store.names():
         assert store.value(name).tobytes() == expected[name].tobytes(), name
 
