@@ -3,28 +3,26 @@
 Each operation records its parent nodes together with a closure mapping the
 output gradient to parent gradients; ``backward`` replays those closures in
 reverse topological order. Arithmetic goes through these functions only
-(``Node`` defines no operators). ``matmul`` and ``transpose`` act on the last
-two axes, so they take one matrix or a stack of matrices along leading axes
-(``matmul`` broadcasts those axes); no other rank is accepted. Every helper
-also accepts plain ndarrays and falls back to numpy, so numerical code can be
-written once and executed either traced (when gradients are needed) or
-untraced (fast inference path).
+(``Node`` defines no operators).
 
-All values are float64. Stability-sensitive compositions (``softmax_rows``,
-``logsumexp_rows``) subtract a detached row maximum, which changes neither
-the value nor the derivative.
+The training losses are built from a few nodes with hand-written backward
+passes, each made directly with ``Node``: the completion network
+(``completion.complete``), the fusion (``fusion.fused_means``) and the
+episodic classifier head (``episodes`` module). The generic operations here
+are the four that the completion loss composes on top of its node:
+broadcasting ``sub`` and ``mul``, ``sum`` and ``mean``. Each also accepts
+plain ndarrays and then falls back to numpy, so a loss can be written once
+and executed either traced (when gradients are needed) or untraced (for
+finite differences).
+
+All values are float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Node", "is_node", "value_of", "backward",
-    "add", "sub", "mul", "div", "matmul", "transpose", "reshape",
-    "exp", "log", "sqrt", "maximum", "sum", "mean",
-    "softmax_rows", "logsumexp_rows",
-]
+__all__ = ["Node", "is_node", "value_of", "backward", "sub", "mul", "sum", "mean"]
 
 
 class Node:
@@ -102,75 +100,8 @@ def _elementwise(forward, d_first, d_second):
     return op
 
 
-add = _elementwise(np.add, lambda g, a, b: g, lambda g, a, b: g)
 sub = _elementwise(np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 mul = _elementwise(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
-div = _elementwise(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
-# At ties, maximum's gradient routes to the first argument.
-maximum = _elementwise(np.maximum, lambda g, a, b: g * (a >= b),
-                       lambda g, a, b: g * ~(a >= b))
-
-
-def _swap_last(x: np.ndarray) -> np.ndarray:
-    """View of ``x`` with its last two axes swapped (``x.T`` of a matrix)."""
-    return np.swapaxes(x, -1, -2)
-
-
-def matmul(a, b):
-    """Product of two matrices, or of two stacks of them over broadcast
-    leading axes. Each matrix product of a stack is the one numpy computes
-    for that pair alone."""
-    av, bv = value_of(a), value_of(b)
-    if av.ndim < 2 or bv.ndim < 2:
-        raise ValueError(f"matmul multiplies two matrices, got {av.ndim}-d @ {bv.ndim}-d")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-    if not (is_node(a) or is_node(b)):
-        return av @ bv
-    entries = []
-    if is_node(a):
-        entries.append((a, lambda g: _unbroadcast(g @ _swap_last(bv), av.shape)))
-    if is_node(b):
-        entries.append((b, lambda g: _unbroadcast(_swap_last(av) @ g, bv.shape)))
-    return _lift(av @ bv, entries)
-
-
-def transpose(x):
-    """Swap the last two axes: the transpose of a matrix or of each matrix
-    of a stack."""
-    xv = value_of(x)
-    if xv.ndim < 2:
-        raise ValueError(f"transpose expects a matrix or a stack of them, got {xv.ndim}-d")
-    if not is_node(x):
-        return _swap_last(xv)
-    return _lift(_swap_last(xv), [(x, _swap_last)])
-
-
-def reshape(x, shape):
-    if not is_node(x):
-        return np.asarray(x, np.float64).reshape(shape)
-    old = x.value.shape
-    return _lift(x.value.reshape(shape), [(x, lambda g: g.reshape(old))])
-
-
-def exp(x):
-    if not is_node(x):
-        return np.exp(np.asarray(x, np.float64))
-    out = np.exp(x.value)
-    return _lift(out, [(x, lambda g: g * out)])
-
-
-def log(x):
-    if not is_node(x):
-        return np.log(np.asarray(x, np.float64))
-    return _lift(np.log(x.value), [(x, lambda g: g / x.value)])
-
-
-def sqrt(x):
-    if not is_node(x):
-        return np.sqrt(np.asarray(x, np.float64))
-    out = np.sqrt(x.value)
-    return _lift(out, [(x, lambda g: g * (0.5 / out))])
 
 
 def sum(x, axis=None):
@@ -189,21 +120,6 @@ def mean(x, axis=None):
         return np.mean(np.asarray(x, np.float64), axis=axis)
     n = x.value.size if axis is None else x.value.shape[axis]
     return mul(sum(x, axis=axis), 1.0 / n)
-
-
-def softmax_rows(z):
-    """Softmax over the last axis with a detached max shift (value and
-    gradient exact)."""
-    shift = value_of(z).max(axis=-1, keepdims=True)
-    e = exp(sub(z, shift))
-    totals = sum(e, axis=-1)
-    return div(e, reshape(totals, shift.shape))
-
-
-def logsumexp_rows(z):
-    shift = value_of(z).max(axis=-1, keepdims=True)
-    inner = sum(exp(sub(z, shift)), axis=-1)
-    return add(log(inner), shift[..., 0])
 
 
 def _topological_order(root: Node):

@@ -3,8 +3,9 @@ evaluation, and the diagnostic reports.
 
 Every command takes an explicit --seed (no wall-clock seeding) and writes
 outputs atomically, so rerunning with identical flags produces byte-identical
-files. A command checks every file it writes before writing any, and refuses
-existing ones unless --overwrite is given. ``_command``
+files. A command checks every file it writes before writing any: it refuses
+an output whose directory does not exist (``gen`` makes its world
+directory), and existing ones unless --overwrite is given. ``_command``
 adds these two flags, the output flag and --world/--checkpoint where a command
 reads them, so each subparser declares only its own. Exit codes: 0 success,
 1 runtime error (single-line ``error: ...`` on stderr), 2 usage.
@@ -30,11 +31,18 @@ from .knowledge import average_cluster_variance, compute_attribute_stats, \
     compute_base_prototypes, inject_knowledge_noise
 
 
-def _require_new(overwrite: bool, *paths) -> None:
-    """Refuse, unless ``overwrite``, if any of a command's outputs exists;
-    None stands for an optional output this run does not write."""
+def _require_new(overwrite: bool, *paths, makes_directory: bool = False) -> None:
+    """Refuse if the directory of any of a command's outputs does not exist
+    (unless the command makes it, ``makes_directory``), and, unless
+    ``overwrite``, if any output exists; None stands for an optional output
+    this run does not write."""
     for path in paths:
-        if path is not None and os.path.exists(path) and not overwrite:
+        if path is None:
+            continue
+        directory = os.path.dirname(path)
+        if not (makes_directory or os.path.isdir(directory or ".")):
+            raise FileNotFoundError(f"{path}: no such directory {directory}")
+        if os.path.exists(path) and not overwrite:
             raise FileExistsError(f"{path} exists; pass --overwrite to replace it")
 
 
@@ -77,7 +85,8 @@ def _cmd_gen(args) -> int:
         novel_noise_std=args.novel_noise_std,
     )
     _require_new(args.overwrite,
-                 *(os.path.join(args.out, name) for name in WORLD_FILES + (WORLDSPEC,)))
+                 *(os.path.join(args.out, name) for name in WORLD_FILES + (WORLDSPEC,)),
+                 makes_directory=True)
     world = generate_world(spec)
     save_world(world, args.out)
     atomic_write_json(os.path.join(args.out, WORLDSPEC), asdict(spec))

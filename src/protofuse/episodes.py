@@ -42,9 +42,10 @@ faulted it in again, and larger blocks gained little speed.
 Embeddings are treated as a fixed feature space throughout: episodic
 fine-tuning updates only the completion network and the classifier scale.
 Gradients flow through the whole episode loss, including the fusion stage
-and its soft assignments. The traced loss runs each stage once per
-episode on (n_way, .) matrices: one completion pass over the roster, one
-fusion pass and one cosine classifier.
+and its soft assignments. The traced loss is three autodiff nodes with
+hand-written backward passes, each run once per episode on (n_way, .)
+matrices: the completion network over the roster (``completion.complete``),
+the fusion (``fusion.fused_means``) and the cosine classifier head.
 """
 
 from __future__ import annotations
@@ -318,23 +319,58 @@ def _fusion_dump_entry(index: int, result: fusion.FusionResult, b: int) -> dict:
     }
 
 
+def _query_cross_entropy(fused, log_scale, episode: Episode):
+    """Classifier head of the episodic loss: mean cross-entropy of the query
+    labels under the logits ``exp(log_scale) * cosine(query, fused)``, the
+    cosines computed by ``fusion.cosine_matrix``.
+
+    When ``fused`` or ``log_scale`` is a traced Node the result is one Node
+    whose hand-written backward pass returns their gradients; with plain
+    arrays it is the 0-d loss.
+    """
+    f = ad.value_of(fused)
+    scale = np.exp(ad.value_of(log_scale))
+    cosines = fusion.cosine_matrix(episode.query_x, f)
+    logits = cosines * scale
+    shift = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - shift)
+    totals = e.sum(axis=-1, keepdims=True)
+    rows = np.arange(logits.shape[0])
+    labels = class_positions(episode.n_way, episode.m_query)
+    loss = (np.log(totals[:, 0]) + shift[:, 0] - logits[rows, labels]).sum() * (1.0 / rows.size)
+    parents = [t for t in (fused, log_scale) if ad.is_node(t)]
+    if not parents:
+        return loss
+
+    def vjp(g):
+        g_logits = e / totals
+        g_logits[rows, labels] -= 1.0
+        g_logits *= g / rows.size
+        grads = []
+        if ad.is_node(fused):
+            grads.append(fusion.cosine_matrix_vjp(episode.query_x, f, g_logits * scale))
+        if ad.is_node(log_scale):
+            grads.append((g_logits * cosines).sum() * scale)
+        return grads
+
+    return ad.Node(loss, parents, vjp)
+
+
 def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode, features):
-    """Cross-entropy of query labels under the full fused pipeline.
+    """Cross-entropy of query labels under the full fused pipeline, as three
+    nodes: the completion network (``completion.complete``), the fusion
+    (``fusion.fused_means``) and the classifier head.
 
     ``features`` is the (pairs, d) attribute feature matrix of the episode's
     roster (``draw_attribute_features``), passed in so the same loss can be
-    re-evaluated with frozen sampling noise. Generic over traced and plain
-    tensors.
+    re-evaluated with frozen sampling noise. With leaf Nodes the result is
+    the traced loss; with plain tensors, its value.
     """
     means = mean_prototypes(episode)
     completed = cp.complete(tensors, knowledge, episode.roster, means, features)
     x, labels = _transductive_pool(episode)
     fused = fusion.fused_means(x, labels, means, completed)
-    sims = fusion.cosine_matrix(episode.query_x, fused)
-    logits = ad.mul(sims, ad.exp(tensors["log_scale"]))
-    mask = np.eye(episode.n_way)[class_positions(episode.n_way, episode.m_query)]
-    picked = ad.sum(ad.mul(logits, mask), axis=1)
-    return ad.mean(ad.sub(ad.logsumexp_rows(logits), picked))
+    return _query_cross_entropy(fused, tensors["log_scale"], episode)
 
 
 @dataclass

@@ -7,17 +7,25 @@ import tempfile
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temp file + rename in the same directory."""
+    """Write ``data`` to ``path`` via a temp file + rename in the same directory.
+
+    An ``OSError`` of the write is raised again as one line that starts with
+    ``path`` (the temporary file's name means nothing to the caller), and
+    the temporary file is removed.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(f"{path}: cannot write: {exc.strerror or exc}") from exc
         raise
 
 

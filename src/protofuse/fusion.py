@@ -10,13 +10,13 @@ three by their module names, so a wrapper installed on any of them sees
 every fusion. It takes one episode, a (samples, d) sample matrix with
 (classes, d) prototype families, or a block of episodes stacked along
 leading axes, (E, samples, d) with (E, classes, d); every step acts on the
-last two axes, so episode b of a block is computed as it would be alone. It
-is generic over plain ndarrays and autodiff Nodes: ``fuse_prototypes``
-(inference) runs it on arrays and wraps the result in validated
-``FusionResult`` stacks, and ``fused_means`` (the episodic training loss)
-runs it on one episode with the completed prototypes traced, so the loss
-differentiates through the soft assignment, the class moments and the
-product formula.
+last two axes, so episode b of a block is computed as it would be alone.
+Every step computes on plain arrays. ``fuse_prototypes`` (inference) wraps
+the result in validated ``FusionResult`` stacks; ``fused_means`` (the
+episodic training loss) runs the same pass and, when the completed
+prototypes are a traced Node, returns one autodiff node whose hand-written
+backward pass differentiates through the product formula, the class
+moments, the soft assignment and the cosines (``cosine_matrix_vjp``).
 
 The paper fixes the soft-assignment sharpness and the variance floor, and so
 does this module: ``DEFAULT_LAMBDA`` (the softmax sharpness) and
@@ -74,7 +74,6 @@ def cosine_matrix(embeddings, prototypes):
 
     Takes a (samples, d) and a (classes, d) matrix, or two stacks of them
     with the same leading axes; the result is (..., samples, classes).
-    ``prototypes`` may be a traced Node; embeddings are always constants.
     Raises on any zero-norm row, naming the offending sample or prototype by
     its row within its matrix, and on a prototype whose norm is not finite (a
     NaN or infinite entry, or a squared norm that overflows), naming its
@@ -83,129 +82,153 @@ def cosine_matrix(embeddings, prototypes):
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("embeddings must be a (samples x d) matrix")
-    pv = ad.value_of(prototypes)
-    if pv.shape[:-2] != x.shape[:-2] or pv.ndim != x.ndim or pv.shape[-1] != x.shape[-1]:
-        raise ValueError(f"prototype matrix shape {pv.shape} does not match "
+    p = np.asarray(prototypes, dtype=np.float64)
+    if p.shape[:-2] != x.shape[:-2] or p.ndim != x.ndim or p.shape[-1] != x.shape[-1]:
+        raise ValueError(f"prototype matrix shape {p.shape} does not match "
                          f"embeddings of shape {x.shape}")
-    x_norms = np.linalg.norm(x, axis=-1)
-    zero = _first_row(x_norms == 0.0)
-    if zero is not None:
-        raise ValueError(f"zero-norm embedding at row {zero}")
-    p_norms = ad.sqrt(ad.sum(ad.mul(prototypes, prototypes), axis=-1))
-    norms = ad.value_of(p_norms)
-    bad = _first_row(~np.isfinite(norms))
-    if bad is not None:
-        raise ValueError(f"non-finite prototype at position {bad}")
-    zero = _first_row(norms == 0.0)
-    if zero is not None:
-        raise ValueError(f"zero-norm prototype at position {zero}")
-    x_unit = x / x_norms[..., None]
-    raw = ad.matmul(x_unit, ad.transpose(prototypes))
-    return ad.div(raw, ad.reshape(p_norms, pv.shape[:-2] + (1, pv.shape[-2])))
+    x_norms = _row_norms(x)
+    if not x_norms.all():
+        raise ValueError(f"zero-norm embedding at row {_first_row(x_norms == 0.0)}")
+    norms = _row_norms(p)
+    if not (np.isfinite(norms).all() and norms.all()):
+        bad = _first_row(~np.isfinite(norms))
+        if bad is not None:
+            raise ValueError(f"non-finite prototype at position {bad}")
+        raise ValueError(f"zero-norm prototype at position {_first_row(norms == 0.0)}")
+    return (x / x_norms[..., None]) @ np.swapaxes(p, -1, -2) / norms[..., None, :]
+
+
+def cosine_matrix_vjp(embeddings, prototypes, g):
+    """Gradient with respect to ``prototypes`` of ``sum(g * cosine_matrix(
+    embeddings, prototypes))``, for inputs that ``cosine_matrix`` accepted.
+
+    With embedding norms m_q and prototype norms n_k, let a_k = sum_q
+    g_qk x_q / (m_q n_k); row k of the gradient is
+    ``a_k - (a_k . p_k) p_k / n_k**2``.
+    """
+    x = np.asarray(embeddings, dtype=np.float64)
+    norms = _row_norms(prototypes)[..., None]
+    a = np.swapaxes(g / _row_norms(x)[..., None], -1, -2) @ x / norms
+    return a - (a * prototypes).sum(axis=-1, keepdims=True) / (norms * norms) * prototypes
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row (the last axis), as ``np.linalg.norm(a,
+    axis=-1)`` computes it for real input."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the row maximum."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def soft_assign(embeddings, labels, prototypes):
     """Responsibilities P(class | sample) of every sample, ([E,] samples,
-    classes); traced when ``prototypes`` is a Node.
+    classes).
 
     ``labels`` (samples,) holds the class position (0..N-1) of each labeled
     sample and -1 for an unlabeled one; a block's episodes share it. Labeled
-    rows are exact one-hot vectors (``hard``); unlabeled rows are
-    softmax(DEFAULT_LAMBDA * cosine) over the prototype rows, and the
-    constant 0/1 ``place`` matrix puts softmax row j at unlabeled sample j.
-    The placement adds only exact zeros, so every row equals its direct
-    formula bit for bit. With no unlabeled sample the (0, d) block flows
-    through.
+    rows are exact one-hot vectors; unlabeled rows are
+    softmax(DEFAULT_LAMBDA * cosine) over the prototype rows. With no
+    unlabeled sample the (0, d) block flows through.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    num_classes = ad.value_of(prototypes).shape[-2]
+    p = np.asarray(prototypes, dtype=np.float64)
+    num_classes = p.shape[-2]
     if y.max(initial=-1) >= num_classes:
         raise ValueError("label refers to a class position beyond the prototype count")
-    unlabeled = np.flatnonzero(y < 0)
-    labeled = np.flatnonzero(y >= 0)
-    hard = np.zeros((y.size, num_classes))
-    hard[labeled, y[labeled]] = 1.0
-    place = np.zeros((y.size, unlabeled.size))
-    place[unlabeled, np.arange(unlabeled.size)] = 1.0
-    soft = ad.softmax_rows(ad.mul(cosine_matrix(x[..., unlabeled, :], prototypes),
-                                  DEFAULT_LAMBDA))
-    return ad.add(hard, ad.matmul(place, soft))
+    unlabeled, labeled = (y < 0).nonzero()[0], (y >= 0).nonzero()[0]
+    out = np.zeros(x.shape[:-2] + (y.size, num_classes))
+    out[..., labeled, y[labeled]] = 1.0
+    out[..., unlabeled, :] = _softmax_rows(
+        cosine_matrix(x[..., unlabeled, :], p) * DEFAULT_LAMBDA)
+    return out
 
 
 def weighted_gaussian_estimate(embeddings, responsibilities):
     """Responsibility-weighted diagonal Gaussian of every class: the means
     and the population variances floored at EPSILON_VARIANCE.
 
-    ``responsibilities`` is ([E,] samples, classes) and may be a traced
-    Node; returns the two ([E,] classes, d) stacks (mean, variance). Two
-    passes: the variance is taken around the finished mean.
+    ``responsibilities`` is ([E,] samples, classes); returns the two ([E,]
+    classes, d) stacks (mean, variance). Two passes: the variance is taken
+    around the finished mean.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    totals = ad.sum(responsibilities, axis=-2)
-    empty = _first_row(ad.value_of(totals) <= 0.0)
+    r = np.asarray(responsibilities, dtype=np.float64)
+    totals = r.sum(axis=-2)
+    empty = _first_row(totals <= 0.0)
     if empty is not None:
         raise ValueError(f"zero total responsibility for class position {empty}")
-    column = ad.reshape(totals, ad.value_of(totals).shape + (1,))
-    mean = ad.div(ad.matmul(ad.transpose(responsibilities), x), column)
-    variance = ad.div(_weighted_square_deviations(x, responsibilities, mean), column)
-    return mean, ad.maximum(variance, EPSILON_VARIANCE)
+    column = totals[..., None]
+    mean = np.swapaxes(r, -1, -2) @ x / column
+    variance = _weighted_square_deviations(x, r, mean) / column
+    return mean, np.maximum(variance, EPSILON_VARIANCE)
 
 
-def _weighted_square_deviations(x: np.ndarray, responsibilities, mean):
-    """``sum_s r[s, k] * (x[s] - mean[k])**2`` for every class k, ([E,] classes, d).
+def _deviation_blocks(x: np.ndarray, mean: np.ndarray):
+    """The squared deviations ``(x[s] - mean[k])**2`` as (class chunk,
+    (..., chunk, samples, d) block) pairs, each block squared in place.
 
-    The squared deviations, the largest temporaries of the fusion, are
-    formed in (..., classes, samples, d) blocks squared in place, as many
-    classes at a time as keep a block within one episode's all-class block
-    and never fewer than one: one block for a single episode, and class by
-    class for a block of at least as many episodes as classes. Each class's
-    sum is the same matrix product either way. Traced, it is one node whose
-    backward pass reuses the blocks and allocates nothing of their size.
+    The blocks are the largest temporaries of the fusion, so they are formed
+    as many classes at a time as keep a block within one episode's
+    all-class block and never fewer than one: one block for a single
+    episode, and class by class for a block of at least as many episodes as
+    classes.
     """
-    r, m = ad.value_of(responsibilities), ad.value_of(mean)
-    r_t = np.swapaxes(r, -1, -2)
-    classes, episodes = m.shape[-2], math.prod(x.shape[:-2])
+    classes, episodes = mean.shape[-2], math.prod(x.shape[:-2])
     step = max(1, classes // episodes)
-    chunks = [slice(k, k + step) for k in range(0, classes, step)]
-    parents = [p for p in (responsibilities, mean) if ad.is_node(p)]
-    out = np.empty(m.shape)
-    kept = []  # the blocks, for a traced backward pass
-    for chunk in chunks:
-        squares = x[..., None, :, :] - m[..., chunk, None, :]
+    for k in range(0, classes, step):
+        chunk = slice(k, k + step)
+        # Repeating the means first lets the subtraction run over whole
+        # (samples, d) blocks: half the time of a row-by-row broadcast.
+        squares = np.repeat(mean[..., chunk, None, :], x.shape[-2], axis=-2)
+        np.subtract(x[..., None, :, :], squares, out=squares)
         np.square(squares, out=squares)
+        yield chunk, squares
+
+
+def _weighted_square_deviations(x: np.ndarray, r: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``sum_s r[s, k] * (x[s] - mean[k])**2`` for every class k, ([E,]
+    classes, d): one matrix product per block of ``_deviation_blocks``."""
+    r_t = np.swapaxes(r, -1, -2)
+    out = np.empty(mean.shape)
+    for chunk, squares in _deviation_blocks(x, mean):
         out[..., chunk, :] = np.matmul(r_t[..., chunk, None, :], squares)[..., 0, :]
-        if parents:
-            kept.append(squares)
-    if not parents:
-        return out
+    return out
 
-    def vjp(g):
-        grads = []
-        if ad.is_node(responsibilities):
-            grads.append(np.concatenate(
-                [np.matmul(squares, g[..., chunk, :, None])[..., 0]
-                 for chunk, squares in zip(chunks, kept)], axis=-2).swapaxes(-1, -2))
-        if ad.is_node(mean):
-            grads.append(-2.0 * g * (r_t @ x - m * r.sum(axis=-2)[..., None]))
-        return grads
 
-    return ad.Node(out, parents, vjp)
+def _weighted_square_deviations_vjp(x: np.ndarray, mean: np.ndarray,
+                                    g: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum(g * _weighted_square_deviations(x, r, mean))`` with
+    respect to ``r``, for the rows ``x`` (all of the samples or some of
+    them), ([E,] rows, classes). The blocks are formed again, one at a time,
+    so nothing of their size is kept between the two passes.
+
+    The gradient with respect to ``mean``, ``-2 g sum_s r[s] (x[s] - mean)``,
+    is not formed: at the responsibility-weighted mean, where the fusion
+    takes the deviations, that sum is zero.
+    """
+    g_r = np.concatenate([np.matmul(squares, g[..., chunk, :, None])[..., 0]
+                          for chunk, squares in _deviation_blocks(x, mean)], axis=-2)
+    return np.swapaxes(g_r, -1, -2)
 
 
 def gaussian_product(prior, likelihood):
     """Closed-form product of two diagonal Gaussians, each a (mean,
-    variance) pair of arrays or traced Nodes: vectors, (n, d) matrices or
-    (E, n, d) stacks. Returns the posterior (mean, variance) pair; the
-    scalar normalizer is irrelevant downstream and intentionally skipped.
+    variance) pair of vectors, (n, d) matrices or (E, n, d) stacks. Returns
+    the posterior (mean, variance) pair; the scalar normalizer is irrelevant
+    downstream and intentionally skipped.
     """
-    (prior_mean, prior_var), (lik_mean, lik_var) = prior, likelihood
-    prior_shape, lik_shape = ad.value_of(prior_mean).shape, ad.value_of(lik_mean).shape
-    if prior_shape != lik_shape:
-        raise ValueError(f"shape mismatch: {prior_shape} vs {lik_shape}")
-    denom = ad.add(prior_var, lik_var)
-    mean = ad.div(ad.add(ad.mul(lik_var, prior_mean), ad.mul(prior_var, lik_mean)), denom)
-    var = ad.div(ad.mul(prior_var, lik_var), denom)
+    prior_mean, prior_var, lik_mean, lik_var = (
+        np.asarray(a, dtype=np.float64) for pair in (prior, likelihood) for a in pair)
+    if prior_mean.shape != lik_mean.shape:
+        raise ValueError(f"shape mismatch: {prior_mean.shape} vs {lik_mean.shape}")
+    denom = prior_var + lik_var
+    mean = (lik_var * prior_mean + prior_var * lik_mean) / denom
+    var = prior_var * lik_var / denom
     return mean, var
 
 
@@ -246,19 +269,17 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
     each assignment (``weighted_gaussian_estimate``), and multiplies them
     (``gaussian_product``) with the completed-prototype Gaussian as the
     prior and the mean-based Gaussian as the likelihood.
-    ``completed_prototypes`` may be a traced Node; the mean side involves
-    no trainable quantity and stays untraced.
     Returns the two responsibility matrices and the (mean, variance) pairs
     of the mean-based, completed and posterior stacks.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     means = np.asarray(mean_prototypes, dtype=np.float64)
-    completed_shape = ad.value_of(completed_prototypes).shape
-    if completed_shape != means.shape:
-        raise ValueError(f"completed prototypes of shape {completed_shape} do not match "
+    completed = np.asarray(completed_prototypes, dtype=np.float64)
+    if completed.shape != means.shape:
+        raise ValueError(f"completed prototypes of shape {completed.shape} do not match "
                          f"mean prototypes of shape {means.shape}")
     assign_mean = soft_assign(x, labels, means)
-    assign_comp = soft_assign(x, labels, completed_prototypes)
+    assign_comp = soft_assign(x, labels, completed)
     mean_side = weighted_gaussian_estimate(x, assign_mean)
     comp_side = weighted_gaussian_estimate(x, assign_comp)
     posterior = gaussian_product(comp_side, mean_side)
@@ -277,8 +298,40 @@ def fuse_prototypes(embeddings, labels, mean_prototypes,
 
 
 def fused_means(embeddings, labels, mean_prototypes, completed_prototypes):
-    """Fused prototypes of every class, (num_classes, d), for the episodic
-    training loss: the posterior mean of ``_fuse``, traced when
-    ``completed_prototypes`` is a Node."""
-    _, _, _, _, (mean, _) = _fuse(embeddings, labels, mean_prototypes, completed_prototypes)
-    return mean
+    """Fused prototypes of every class, ([E,] classes, d), for the episodic
+    training loss: the posterior mean of ``_fuse``.
+
+    When ``completed_prototypes`` is a traced Node the result is one Node,
+    whose backward pass runs the fusion's steps in reverse: the product
+    formula, the completed side's class moments (through
+    ``_weighted_square_deviations_vjp``), its soft assignment and the
+    cosines. A variance at the floor passes no gradient back. The mean side
+    involves no trainable quantity.
+    """
+    traced = isinstance(completed_prototypes, ad.Node)
+    completed = completed_prototypes.value if traced else completed_prototypes
+    x = np.asarray(embeddings, dtype=np.float64)
+    _, r, (mean_m, var_m), (mean_c, var_c), (fused, _) = _fuse(
+        x, labels, mean_prototypes, completed)
+    if not traced:
+        return fused
+    unlabeled = np.flatnonzero(np.asarray(labels) < 0)
+
+    def vjp(g):
+        # product: the completed side's mean and (floored) variance
+        denom = var_c + var_m
+        g_mean = g * var_m / denom
+        g_var = g * (mean_m - fused) / denom * (var_c > EPSILON_VARIANCE)
+        # class moments: mean = r^T x / totals, variance = deviations / totals
+        totals = r.sum(axis=-2)[..., None]
+        g_totals = -(g_var * var_c + g_mean * mean_c).sum(axis=-1) / totals[..., 0]
+        # responsibilities of the unlabeled samples (the labeled ones are constant)
+        x_u = x[..., unlabeled, :]
+        g_soft = (_weighted_square_deviations_vjp(x_u, mean_c, g_var / totals)
+                  + x_u @ np.swapaxes(g_mean / totals, -1, -2) + g_totals[..., None, :])
+        # softmax of DEFAULT_LAMBDA * cosine
+        soft = r[..., unlabeled, :]
+        g_z = soft * (g_soft - (g_soft * soft).sum(axis=-1, keepdims=True))
+        return (cosine_matrix_vjp(x_u, completed, DEFAULT_LAMBDA * g_z),)
+
+    return ad.Node(fused, (completed_prototypes,), vjp)

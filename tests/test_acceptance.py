@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from protofuse import autodiff as ad
+import tape
 from protofuse import completion as cp
 from protofuse import datagen
 from protofuse import episodes as ep
@@ -147,6 +147,17 @@ def test_criterion_02_gradient_fidelity():
     assert elapsed < 60.0, f"gradient fidelity took {elapsed:.1f}s"
     announce(2, f"gradient fidelity on {len(FD_CONFIG_SEEDS)} configs "
                 f"(worst {worst:.2e}, {elapsed:.1f}s)")
+
+
+def test_meta_loss_nodes_match_the_reference_tape_on_the_canonical_fixture(canonical):
+    # The first episode of meta-training at the CLI defaults (seed 0, 5-way
+    # 1-shot 15-query): the loss and all 11 leaf gradients of the three-node
+    # loss agree with the tape of generic operations within 1e-12.
+    world, stats, params = canonical
+    rng = np.random.default_rng(0)
+    episode = ep.sample_episode(world.base, 5, 1, 15, rng)
+    features = cp.draw_attribute_features(stats, world.knowledge, episode.roster, rng)
+    tape.assert_meta_loss_matches(params, world.knowledge, episode, features, 1e-12)
 
 
 # --- criterion 3: mean-only equals an independent nearest-centroid classifier -

@@ -12,7 +12,10 @@ perfbench's own tracer on those targets and runs a small ``gauss-fusion``
 evaluation and a one-episode ``meta_train``: each fusion step and the
 inference completion must record spans under their traced names, or the
 per-layer metrics built from them would read 0; so must both steps of the
-training update, in meta-training and in completion training. Last it builds a
+training update, in meta-training and in completion training, and the
+episodic loss's fusion node and cosine classifier. perfbench's
+``tracer.NodeCounter`` counts the autodiff nodes of that meta episode: at
+most the 11 parameter leaves and the loss's three nodes. Last it builds a
 ``workloads.Setup`` on the same small world as ``build_setup`` builds one,
 with tasks from ``compute_base_prototypes`` and ``sample_completion_tasks``,
 and runs one traced ``TrainPhase.step``, which must record no failure. The
@@ -47,7 +50,7 @@ copied = all(copy.store.value(name).tobytes() == params.store.value(name).tobyte
              for copy, _ in meta.copies for name in cp.TENSOR_NAMES)
 
 import tracer as tr
-from protofuse import datagen, episodes, knowledge, nn
+from protofuse import autodiff, datagen, episodes, knowledge, nn
 world = datagen.generate_world(datagen.WorldSpec(
     dim=8, semantic_dim=4, num_base_classes=6, num_novel_classes=4, num_attributes=6,
     attributes_per_class=(2, 4), samples_per_class=8, seed=0))
@@ -63,9 +66,10 @@ try:
                       k_shot=1, m_query=2, num_episodes=2, seed=0)
     spans["eval"] = sorted({span.name for span in tracer.spans})
     tracer.spans.clear()
-    episodes.meta_train(params, world.base, world.knowledge, stats, episodes.MetaTrainConfig(
-        nn.SgdConfig(learning_rate=1e-4, epochs=1), n_way=3, k_shot=1, m_query=2,
-        episodes_per_epoch=1))
+    meta_config = episodes.MetaTrainConfig(nn.SgdConfig(learning_rate=1e-4, epochs=1),
+                                           n_way=3, k_shot=1, m_query=2, episodes_per_epoch=1)
+    with tr.NodeCounter(autodiff.Node) as counter:
+        episodes.meta_train(params, world.base, world.knowledge, stats, meta_config)
     spans["meta"] = sorted({span.name for span in tracer.spans})
     tracer.spans.clear()
     prototypes = knowledge.compute_base_prototypes(world.base.embeddings, world.base.labels)
@@ -81,13 +85,19 @@ finally:
 step = {"attempted": tally.attempted, "failed": tally.failed, "problems": tally.problems,
         "finite": bool(np.isfinite(train.losses).all())}
 print(json.dumps({"targets": len(targets), "missing": missing, "copied": copied,
-                  "spans": spans, "step": step}))
+                  "spans": spans, "step": step, "meta_nodes": counter.count}))
 """
 
 FUSION_STEPS = {"fusion.soft_assign", "fusion.weighted_gaussian_estimate",
                 "fusion.gaussian_product"}
 # The training update; perfbench's {train,meta}.nn.* per-layer metrics read them.
 UPDATE_STEPS = {"nn.ParamStore.accumulate", "nn.sgd_step"}
+# The episodic loss's fusion node and classifier head; the meta.fusion.*
+# per-layer metrics read them.
+META_STEPS = {"fusion.fused_means", "fusion.cosine_matrix"}
+# One meta episode: a leaf per network tensor and the classifier scale (11),
+# then the completion, fusion and classifier-head nodes.
+MAX_META_NODES = 11 + 3
 
 
 def test_every_trace_target_is_defined_on_its_owner():
@@ -99,7 +109,8 @@ def test_every_trace_target_is_defined_on_its_owner():
     assert report["missing"] == []
     assert report["copied"]
     assert FUSION_STEPS | {"completion.complete_prototype"} <= set(report["spans"]["eval"])
-    assert FUSION_STEPS | UPDATE_STEPS <= set(report["spans"]["meta"])
+    assert FUSION_STEPS | UPDATE_STEPS | META_STEPS <= set(report["spans"]["meta"])
+    assert report["meta_nodes"] <= MAX_META_NODES
     assert {"knowledge.compute_base_prototypes", "completion.sample_completion_tasks",
             "completion.train_completion", "completion.completion_loss"} | UPDATE_STEPS \
         <= set(report["spans"]["setup+train"])

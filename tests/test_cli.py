@@ -629,3 +629,23 @@ def test_load_errors_name_their_file(tmp_path, workspace, capsys, case):
     assert err.startswith(f"error: {tmp_path / name}: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("missing", ["out", "dump"])
+def test_an_output_in_a_missing_directory_fails_before_anything_is_written(
+        tmp_path, workspace, capsys, missing):
+    _, world, model = workspace
+    (tmp_path / "ev").mkdir()
+    out, dump = tmp_path / "ev" / "r.json", tmp_path / "ev" / "d.jsonl"
+    if missing == "out":
+        out = tmp_path / "ev" / "missing" / "r.json"
+    else:
+        dump = tmp_path / "ev" / "missing" / "d.jsonl"
+    capsys.readouterr()
+    code = main(["eval", "--world", str(world), "--checkpoint", str(model),
+                 "--mode", "gauss-fusion", "--episodes", "2", "--seed", "1",
+                 "--out", str(out), "--dump-fusion", str(dump)])
+    bad = out if missing == "out" else dump
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: no such directory {bad.parent}\n"
+    assert list((tmp_path / "ev").iterdir()) == []

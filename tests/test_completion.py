@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tape
 from protofuse import autodiff as ad
 from protofuse import completion as cp
 from protofuse import datagen, nn
@@ -99,12 +100,13 @@ def test_sample_unknown_attribute():
 # The completion network as a composition of generic autodiff operations:
 # every pair's (prototype, class semantic, attribute semantic) row through one
 # dense aggregator layer, and a constant 0/1 matrix summing each row's
-# score-weighted latents. Its gradients come from autodiff's generic
-# operations, independently of the node's hand-written backward pass.
+# score-weighted latents. Its gradients come from the generic operations of
+# autodiff and of the reference tape (``tape.py``), independently of the
+# node's hand-written backward pass.
 
 def reference_dense(x, weight, bias, relu):
-    out = ad.add(ad.matmul(x, ad.transpose(weight)), bias)
-    return ad.maximum(0.0, out) if relu else out
+    out = tape.add(tape.matmul(x, tape.transpose(weight)), bias)
+    return tape.maximum(0.0, out) if relu else out
 
 
 def reference_scores(t, know, class_ids, prototypes, attrs):
@@ -128,7 +130,7 @@ def reference_complete(t, know, class_ids, incomplete, features):
         scores = reference_scores(t, know, ids[rows], x[rows], attrs)
         select = np.zeros((ids.size, rows.size))
         select[rows, np.arange(rows.size)] = 1.0
-        combined = ad.add(ad.matmul(select, ad.mul(latents, scores)), combined)
+        combined = tape.add(tape.matmul(select, ad.mul(latents, scores)), combined)
     hidden = reference_dense(combined, t["decoder.hidden.weight"], t["decoder.hidden.bias"],
                              True)
     return reference_dense(hidden, t["decoder.output.weight"], t["decoder.output.bias"], False)

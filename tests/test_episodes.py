@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tape
+from protofuse import autodiff as ad
 from protofuse import completion as cp
 from protofuse import datagen
 from protofuse import episodes as ep
@@ -366,6 +368,26 @@ def test_meta_loss_gradient_check():
         lambda t: ep.meta_episode_loss(t, world.knowledge, episode, features),
         samples_per_tensor=8, rng=np.random.default_rng(10))
     assert report.max_relative_error < 1e-4
+
+
+@pytest.mark.parametrize("k_shot", [1, 3])
+def test_meta_loss_nodes_match_the_reference_tape(k_shot):
+    world, stats, params = make_fixture(seed=6)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        episode = ep.sample_episode(world.base, 4, k_shot, 5, rng)
+        features = cp.draw_attribute_features(stats, world.knowledge, episode.roster, rng)
+        tape.assert_meta_loss_matches(params, world.knowledge, episode, features, 1e-12)
+
+
+def test_meta_loss_is_three_nodes_over_the_leaves():
+    world, stats, params = make_fixture(seed=6)
+    rng = np.random.default_rng(12)
+    episode = ep.sample_episode(world.base, 3, 1, 4, rng)
+    features = cp.draw_attribute_features(stats, world.knowledge, episode.roster, rng)
+    leaves = params.store.leaves()
+    loss = ep.meta_episode_loss(leaves, world.knowledge, episode, features)
+    assert len(ad._topological_order(loss)) == len(leaves) + 3
 
 
 def test_meta_train_deterministic_per_seed():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tape
 from protofuse import autodiff as ad
 from protofuse import fusion
 
@@ -165,8 +166,6 @@ def test_soft_assign_matches_per_row_reference(labels):
     prototypes = rng.standard_normal((3, 5))
     lam = fusion.DEFAULT_LAMBDA
     matrix = fusion.soft_assign(x, labels, prototypes)
-    traced = fusion.soft_assign(x, labels, ad.Node(prototypes))
-    np.testing.assert_array_equal(ad.value_of(traced), matrix)
     for i, label in enumerate(labels):
         if label >= 0:
             expected = np.eye(3)[label]
@@ -204,8 +203,6 @@ def test_cosine_matrix_rejects_non_finite_prototype_by_position(bad):
     x = np.array([[1.0, 0.5]])
     with pytest.raises(ValueError, match="^non-finite prototype at position 2$"):
         fusion.cosine_matrix(x, prototypes)
-    with pytest.raises(ValueError, match="^non-finite prototype at position 2$"):
-        fusion.cosine_matrix(x, ad.Node(prototypes))
 
 
 # --- weighted estimation ---------------------------------------------------
@@ -309,8 +306,8 @@ def test_fused_means_gradient_flows_through_responsibilities():
 
     def loss_at(vec):
         # row 0 is the probed vector, row 1 a constant
-        completed = ad.add(ad.matmul(np.array([[1.0], [0.0]]), ad.reshape(vec, (1, 3))),
-                           np.vstack([np.zeros(3), other]))
+        completed = tape.add(tape.matmul(np.array([[1.0], [0.0]]), tape.reshape(vec, (1, 3))),
+                             np.vstack([np.zeros(3), other]))
         fused = fusion.fused_means(x, labels, means, completed)
         return ad.sum(ad.mul(fused, np.array([np.arange(3.0), np.ones(3)])))
 
@@ -334,20 +331,25 @@ def test_weighted_square_deviations_gradients_match_finite_differences():
     mean = rng.standard_normal((2, 3))
     probe = rng.standard_normal((2, 3))
 
-    def loss(responsibilities, m):
-        return ad.sum(ad.mul(fusion._weighted_square_deviations(x, responsibilities, m), probe))
+    def loss(responsibilities):
+        return np.sum(fusion._weighted_square_deviations(x, responsibilities, mean) * probe)
 
-    r_node, mean_node = ad.Node(r), ad.Node(mean)
-    ad.backward(loss(r_node, mean_node))
+    grad = fusion._weighted_square_deviations_vjp(x, mean, probe)
+    assert grad.shape == r.shape
     h = 1e-6
-    for node, value, at in ((r_node, r, lambda v: loss(v, mean)),
-                            (mean_node, mean, lambda v: loss(r, v))):
-        for j in range(value.size):
-            up, down = value.copy(), value.copy()
-            up.flat[j] += h
-            down.flat[j] -= h
-            fd = (float(at(up)) - float(at(down))) / (2 * h)
-            assert node.grad.flat[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    for j in range(r.size):
+        up, down = r.copy(), r.copy()
+        up.flat[j] += h
+        down.flat[j] -= h
+        assert grad.flat[j] == pytest.approx((loss(up) - loss(down)) / (2 * h),
+                                             rel=1e-6, abs=1e-8)
+    # rows can be taken apart: the gradient of some rows is those rows' gradient
+    np.testing.assert_array_equal(fusion._weighted_square_deviations_vjp(x[2:5], mean, probe),
+                                  grad[2:5])
+    # the deviations are taken around the weighted mean in the fusion, where
+    # their gradient with respect to the mean, -2 g sum_s r (x - mean), is zero
+    weighted = r.T @ x / r.sum(axis=0)[:, None]
+    np.testing.assert_allclose(r.T @ x - weighted * r.sum(axis=0)[:, None], 0.0, atol=1e-14)
     expected = [[np.sum(r[:, k] * (x[:, j] - mean[k, j]) ** 2) for j in range(3)]
                 for k in range(2)]
     np.testing.assert_allclose(fusion._weighted_square_deviations(x, r, mean), expected,
@@ -361,16 +363,15 @@ def test_weighted_square_deviations_of_a_block_class_by_class():
     x, r = rng.standard_normal((3, 7, 3)), rng.random((3, 7, 2))
     mean = rng.standard_normal((3, 2, 3))
     probe = rng.standard_normal((3, 2, 3))
-    r_node, mean_node = ad.Node(r), ad.Node(mean)
-    out = fusion._weighted_square_deviations(x, r_node, mean_node)
-    ad.backward(ad.sum(ad.mul(out, probe)))
+    out = fusion._weighted_square_deviations(x, r, mean)
+    grad = fusion._weighted_square_deviations_vjp(x, mean, probe)
     for b in range(3):
-        rb, mb = ad.Node(r[b]), ad.Node(mean[b])
-        alone = fusion._weighted_square_deviations(x[b], rb, mb)
-        ad.backward(ad.sum(ad.mul(alone, probe[b])))
-        np.testing.assert_array_equal(out.value[b], alone.value)
-        np.testing.assert_allclose(r_node.grad[b], rb.grad, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(mean_node.grad[b], mb.grad, rtol=1e-14, atol=1e-14)
+        alone = fusion._weighted_square_deviations(x[b], r[b], mean[b])
+        np.testing.assert_array_equal(out[b], alone)
+        np.testing.assert_allclose(grad[b],
+                                   fusion._weighted_square_deviations_vjp(x[b], mean[b],
+                                                                          probe[b]),
+                                   rtol=1e-14, atol=1e-14)
 
 
 # --- batched fusion properties ---------------------------------------------
@@ -443,8 +444,7 @@ def test_soft_assignment_rows_sum_to_one_and_ignore_prototype_scale(scale, which
     labeled = labels >= 0
     one_hot = np.eye(n_way)[labels[labeled]]
     for assignment in (result.assignment_mean, result.assignment_completed,
-                       fusion.soft_assign(x, labels, completed),
-                       fusion.soft_assign(x, labels, ad.Node(completed)).value):
+                       fusion.soft_assign(x, labels, completed)):
         assert (assignment >= 0.0).all()
         np.testing.assert_allclose(assignment.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(assignment[labeled], one_hot)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import tape
 from protofuse import autodiff as ad
 from protofuse import nn
 
@@ -22,9 +23,9 @@ def linear_stack(x, layers):
     identity; ``layers`` holds (weight, bias, activation)."""
     h = x
     for weight, bias, activation in layers:
-        h = ad.add(ad.matmul(h, ad.transpose(weight)), bias)
+        h = tape.add(tape.matmul(h, tape.transpose(weight)), bias)
         if activation == "relu":
-            h = ad.maximum(0.0, h)
+            h = tape.maximum(0.0, h)
     return h
 
 
@@ -237,6 +238,57 @@ def test_sgd_step_equals_reference_update_bitwise(data, shapes, lr, steps):
         assert store.value(name).tobytes() == expected[name].tobytes(), name
 
 
+CHUNKS = 2.5  # a tensor this many update slices long ends in a partial slice
+
+
+@pytest.mark.parametrize("shape, transposed", [
+    pytest.param((int(CHUNKS * nn.UPDATE_CHUNK) // 8, 8), False, id="two-and-a-half-chunks"),
+    pytest.param((96, 80), True, id="transposed-gradient"),
+    pytest.param((), False, id="0-d"),
+])
+def test_sgd_step_across_update_chunks_equals_reference_bitwise(shape, transposed):
+    rng = np.random.default_rng(31)
+    store = nn.ParamStore()
+    store.register("w", rng.standard_normal(shape))
+    store.register("small", rng.standard_normal(3))
+    expected = {name: store.value(name).copy() for name in store.names()}
+    velocity = {name: np.zeros_like(theta) for name, theta in expected.items()}
+    for step in range(3):
+        w_grad = rng.standard_normal(shape[::-1]).T if transposed else rng.standard_normal(shape)
+        assert w_grad.flags.c_contiguous != transposed
+        grads = {"w": w_grad, "small": rng.standard_normal(3)}
+        leaves = store.leaves()
+        for name, grad in grads.items():
+            leaves[name].grad = grad
+        store.accumulate(leaves)
+        nn.sgd_step(store, nn.SgdConfig(learning_rate=0.05 * (step + 1)))
+        reference_sgd_step(expected, velocity, grads, 0.05 * (step + 1))
+    for name in store.names():
+        assert store.value(name).tobytes() == expected[name].tobytes(), name
+        assert store._velocity[name].tobytes() == velocity[name].tobytes(), name
+
+
+def test_sgd_aborts_on_nan_in_the_last_chunk_before_any_write():
+    rng = np.random.default_rng(32)
+    size = int(CHUNKS * nn.UPDATE_CHUNK)
+    store = nn.ParamStore()
+    store.register("first", rng.standard_normal(5))
+    store.register("large", rng.standard_normal(size))
+    config = nn.SgdConfig(learning_rate=0.1)
+    accumulate_grads(store, first=rng.standard_normal(5), large=rng.standard_normal(size))
+    nn.sgd_step(store, config)  # velocities are nonzero from here on
+    before = {name: (store.value(name).copy(), store._velocity[name].copy())
+              for name in store.names()}
+    broken = rng.standard_normal(size)
+    broken[-1] = np.nan
+    accumulate_grads(store, first=rng.standard_normal(5), large=broken)
+    with pytest.raises(nn.NonFiniteGradientError, match="'large'"):
+        nn.sgd_step(store, config)
+    for name, (value, velocity) in before.items():
+        assert store.value(name).tobytes() == value.tobytes(), name
+        assert store._velocity[name].tobytes() == velocity.tobytes(), name
+
+
 def test_sgd_steps_finite_gradients_whose_sum_overflows():
     store = nn.ParamStore()
     store.register("w", [0.0, 0.0])
@@ -258,7 +310,7 @@ def test_sgd_step_leaves_sharing_one_gradient_array():
     velocity = {name: np.zeros(2) for name in store.names()}
     for _ in range(2):
         leaves = store.leaves()
-        ad.backward(ad.sum(ad.mul(ad.add(leaves["a"], leaves["b"]), np.array([0.5, -0.25]))))
+        ad.backward(ad.sum(ad.mul(tape.add(leaves["a"], leaves["b"]), np.array([0.5, -0.25]))))
         shared = leaves["a"].grad
         assert leaves["b"].grad is shared  # add's gradient is the output's, for both
         snapshot = shared.copy()
@@ -291,8 +343,8 @@ def test_gradient_check_api():
     x = rng.standard_normal((4, 1))
 
     def loss_fn(t):
-        product = ad.reshape(ad.matmul(t["w"], x), (3,))
-        return ad.sum(ad.exp(ad.mul(ad.add(product, t["b"]), 0.1)))
+        product = tape.reshape(tape.matmul(t["w"], x), (3,))
+        return ad.sum(tape.exp(ad.mul(tape.add(product, t["b"]), 0.1)))
 
     report = nn.gradient_check(store, loss_fn, samples_per_tensor=12,
                                rng=np.random.default_rng(1))
