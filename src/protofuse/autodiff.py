@@ -1,19 +1,16 @@
-"""Reverse-mode automatic differentiation over numpy arrays.
+"""Reverse-mode automatic differentiation over numpy arrays: the tape.
 
-Each operation records its parent nodes together with a closure mapping the
+Each ``Node`` records its parent nodes together with a closure mapping the
 output gradient to parent gradients; ``backward`` replays those closures in
-reverse topological order. Arithmetic goes through these functions only
-(``Node`` defines no operators).
-
-The training losses are built from a few nodes with hand-written backward
-passes, each made directly with ``Node``: the completion network
-(``completion.complete``), the fusion (``fusion.fused_means``) and the
-episodic classifier head (``episodes`` module). The generic operations here
-are the four that the completion loss composes on top of its node:
-broadcasting ``sub`` and ``mul``, ``sum`` and ``mean``. Each also accepts
-plain ndarrays and then falls back to numpy, so a loss can be written once
-and executed either traced (when gradients are needed) or untraced (for
-finite differences).
+reverse topological order. ``Node`` defines no operators, and the module
+defines no operations: every node of a training loss is written by hand,
+with its own backward pass, over the leaf Nodes of ``nn.ParamStore.leaves``.
+The completion loss is the completion network (``completion.complete``) and
+its squared error; the episodic loss is that network, the fusion
+(``fusion.fused_means``) and the cosine classifier head (``episodes``
+module). A node takes Node parameters and always returns a Node, so a loss
+has one traced form; finite differences re-evaluate it on the same leaves
+(``nn.gradient_check``).
 
 All values are float64.
 """
@@ -22,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Node", "is_node", "value_of", "backward", "sub", "mul", "sum", "mean"]
+__all__ = ["Node", "is_node", "backward"]
 
 
 class Node:
@@ -54,72 +51,6 @@ class Node:
 
 def is_node(x) -> bool:
     return isinstance(x, Node)
-
-
-def value_of(x) -> np.ndarray:
-    """Underlying float64 array of a Node or array-like."""
-    return x.value if isinstance(x, Node) else np.asarray(x, dtype=np.float64)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (the reverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    squeezed = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if squeezed:
-        grad = grad.sum(axis=squeezed, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _lift(out_value, entries):
-    parents = tuple(node for node, _ in entries)
-    fns = tuple(fn for _, fn in entries)
-
-    def vjp(g):
-        return tuple(fn(g) for fn in fns)
-
-    return Node(out_value, parents, vjp)
-
-
-def _elementwise(forward, d_first, d_second):
-    """Broadcasting binary op from its numpy ``forward`` and the maps
-    (g, a, b) -> each operand's gradient, summed back to that operand's shape."""
-    def op(a, b):
-        av, bv = value_of(a), value_of(b)
-        if not (is_node(a) or is_node(b)):
-            return forward(av, bv)
-        entries = []
-        if is_node(a):
-            entries.append((a, lambda g: _unbroadcast(d_first(g, av, bv), av.shape)))
-        if is_node(b):
-            entries.append((b, lambda g: _unbroadcast(d_second(g, av, bv), bv.shape)))
-        return _lift(forward(av, bv), entries)
-    return op
-
-
-sub = _elementwise(np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
-mul = _elementwise(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
-
-
-def sum(x, axis=None):
-    if not is_node(x):
-        return np.sum(np.asarray(x, np.float64), axis=axis)
-    xv = x.value
-    if axis is None:
-        vjp_fn = lambda g: np.full(xv.shape, g, dtype=np.float64)
-    else:
-        vjp_fn = lambda g: np.broadcast_to(np.expand_dims(g, axis), xv.shape).copy()
-    return _lift(xv.sum(axis=axis), [(x, vjp_fn)])
-
-
-def mean(x, axis=None):
-    if not is_node(x):
-        return np.mean(np.asarray(x, np.float64), axis=axis)
-    n = x.value.size if axis is None else x.value.shape[axis]
-    return mul(sum(x, axis=axis), 1.0 / n)
 
 
 def _topological_order(root: Node):

@@ -243,7 +243,7 @@ def _cmd_report(args) -> int:
                                  stats, window=args.window)
     lines = ["rank,mean_based,completed"]
     for r in curve.ranks:
-        lines.append(f"{r},{curve.raw[r]!r},{curve.completed[r]!r}")
+        lines.append(f"{r},{float(curve.raw[r])!r},{float(curve.completed[r])!r}")
     atomic_write_json(similarity_path, similarity.to_json_dict())
     atomic_write_text(curve_path, "\n".join(lines) + "\n")
 

@@ -21,13 +21,15 @@ scores, as a (B, L) weight matrix, into an (L, E) matrix of latents. Two
 callers feed it:
 
 - ``complete``, the training path (``completion_loss`` and the episodic
-  loss): one autodiff node whose L latents are the encoded drawn features,
-  one per pair, and whose hand-written backward pass returns the gradients
-  of the ten network tensors;
+  loss): one autodiff node over the leaves of the ten network tensors,
+  whose L latents are the encoded drawn features, one per pair, and whose
+  hand-written backward pass returns the gradients of those tensors;
 - ``complete_prototype``, the inference path, with a ``CompletionPlan``:
   its L latents are the encoded attribute means, one per attribute, and the
   plan precomputes everything that depends only on the parameters and the
   knowledge.
+
+The completion loss is the ``complete`` node and one squared-error node.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class CompletionNetParams:
         return params
 
     def tensors(self) -> dict:
-        """Live parameter arrays by name (the untraced fast path)."""
+        """Live parameter arrays by name, as inference and checkpoints read them."""
         return {name: self.store.value(name) for name in self.store.names()}
 
     @property
@@ -139,15 +141,26 @@ def _encode(t, x):
     return np.maximum(x @ t["encoder.weight"].T + t["encoder.bias"], 0.0)
 
 
-def _input_dims(t, knowledge: PrimitiveKnowledge) -> tuple:
-    """(d, s): the prototype and semantic dimensions, checked against the
-    aggregator's input width."""
+def _input_dim(t, knowledge: PrimitiveKnowledge) -> int:
+    """The prototype dimension d, checked with the knowledge's semantic
+    dimension s against the aggregator's input width d + 2s."""
     d, s = t["encoder.weight"].shape[1], knowledge.semantic_dim
     width = t["aggregator.hidden.weight"].shape[1]
     if width != d + 2 * s:
         raise ValueError(f"aggregator takes {width} inputs, but {d}-d prototypes and "
                          f"{s}-d knowledge semantics make {d + 2 * s}")
-    return d, s
+    return d
+
+
+def _semantic_terms(t, class_semantics, attribute_semantics) -> tuple:
+    """The aggregator's first layer on the semantic rows a caller gathered
+    (the training node its block's, the plan all of them): (class terms
+    ``class_semantics @ W_class.T``, attribute terms ``attribute_semantics @
+    W_attribute.T`` plus the hidden bias)."""
+    w_hidden = t["aggregator.hidden.weight"]
+    d, s = t["encoder.weight"].shape[1], class_semantics.shape[1]
+    return (class_semantics @ w_hidden[:, d:d + s].T,
+            attribute_semantics @ w_hidden[:, d + s:].T + t["aggregator.hidden.bias"])
 
 
 def _block(class_ids, incomplete, d: int) -> tuple:
@@ -206,17 +219,17 @@ def complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete, feat
     ``draw_attribute_features`` returns it): the latent of pair p is the
     encoded feature p.
 
-    When any of the ten network tensors is a traced Node, the result is one
-    Node whose hand-written backward pass returns their gradients directly;
-    with plain arrays it is the (B, d) array and nothing is recorded. The
-    prototypes and the features are constants of both losses, so a Node for
-    either is rejected. A row with no associated attributes decodes its own
-    encoded prototype.
+    ``tensors`` maps each of the ten network tensors' names to its leaf
+    Node. The result is one (B, d) Node whose hand-written backward pass
+    returns the gradients of those ten leaves directly. The prototypes and
+    the features are constants of both losses, so a Node for either is
+    rejected. A row with no associated attributes decodes its own encoded
+    prototype.
     """
     if ad.is_node(incomplete) or ad.is_node(features):
         raise TypeError("completion takes constant prototypes and features, not Nodes")
-    t = {name: ad.value_of(tensors[name]) for name in NETWORK_TENSORS}
-    d, s = _input_dims(t, knowledge)
+    t = {name: tensors[name].value for name in NETWORK_TENSORS}
+    d = _input_dim(t, knowledge)
     x, ids = _block(class_ids, incomplete, d)
     rows, attrs = _pairs(knowledge.association, ids)
     pairs = np.arange(rows.size)
@@ -224,16 +237,11 @@ def complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete, feat
     if f.shape != (rows.size, d):
         raise ValueError(f"{rows.size} associated pairs of {d}-d prototypes need "
                          f"a ({rows.size}, {d}) feature block, got {f.shape}")
-    w_hidden = t["aggregator.hidden.weight"]
     class_semantics = knowledge.class_semantics[ids]
     attribute_semantics = knowledge.attribute_semantics[attrs]
     latents = _encode(t, f)
     out, (z_proto, hidden, weights, combined, decoded) = _forward(
-        t, x, rows, pairs, class_semantics @ w_hidden[:, d:d + s].T,
-        attribute_semantics @ w_hidden[:, d + s:].T + t["aggregator.hidden.bias"], latents)
-    names = [name for name in NETWORK_TENSORS if ad.is_node(tensors[name])]
-    if not names:
-        return out
+        t, x, rows, pairs, *_semantic_terms(t, class_semantics, attribute_semantics), latents)
 
     def vjp(g):
         d_decoded = (g @ t["decoder.output.weight"]) * (decoded > 0.0)
@@ -255,9 +263,9 @@ def complete(tensors, knowledge: PrimitiveKnowledge, class_ids, incomplete, feat
             "decoder.output.weight": _weight_grad(g, decoded),
             "decoder.output.bias": g.sum(axis=0),
         }
-        return tuple(grads[name] for name in names)
+        return tuple(grads[name] for name in NETWORK_TENSORS)
 
-    return ad.Node(out, [tensors[name] for name in names], vjp)
+    return ad.Node(out, [tensors[name] for name in NETWORK_TENSORS], vjp)
 
 
 @dataclass(frozen=True)
@@ -284,19 +292,15 @@ class CompletionPlan:
     def build(cls, params: CompletionNetParams, knowledge: PrimitiveKnowledge,
               stats: AttributeStats) -> "CompletionPlan":
         t = params.tensors()
-        d, s = _input_dims(t, knowledge)
+        d = _input_dim(t, knowledge)
         if stats.mean.shape != (knowledge.num_attributes, d):
             raise ValueError(f"attribute stats of shape {stats.mean.shape} do not match "
                              f"{knowledge.num_attributes} attributes of dimension {d}")
-        w_hidden = t["aggregator.hidden.weight"]
-        return cls(
-            tensors=t,
-            association=knowledge.association.astype(bool),
-            class_terms=knowledge.class_semantics @ w_hidden[:, d:d + s].T,
-            attribute_terms=(knowledge.attribute_semantics @ w_hidden[:, d + s:].T
-                             + t["aggregator.hidden.bias"]),
-            attribute_latents=_encode(t, stats.mean),
-        )
+        class_terms, attribute_terms = _semantic_terms(t, knowledge.class_semantics,
+                                                       knowledge.attribute_semantics)
+        return cls(tensors=t, association=knowledge.association.astype(bool),
+                   class_terms=class_terms, attribute_terms=attribute_terms,
+                   attribute_latents=_encode(t, stats.mean))
 
 
 def complete_prototype(plan: CompletionPlan, class_ids, incomplete) -> np.ndarray:
@@ -355,15 +359,29 @@ def sample_completion_tasks(embeddings, labels, prototypes, k_shot: int, count: 
     return tasks
 
 
+def _squared_error(predicted, target):
+    """Mean squared error of the (1, d) Node ``predicted`` against the (d,)
+    ``target``, as one node. Doubling is exact in floating point, so the
+    gradient ``2/n * diff`` is bit for bit the sum of the two ``1/n * diff``
+    terms that ``diff * diff`` composed from generic operations would pass."""
+    diff = predicted.value - target
+    n = diff.size
+    loss = (diff * diff).sum() * (1.0 / n)
+
+    def vjp(g):
+        return (g * (2.0 / n) * diff,)
+
+    return ad.Node(loss, (predicted,), vjp)
+
+
 def completion_loss(tensors, knowledge: PrimitiveKnowledge, task: CompletionTask,
                     features):
     """Mean-over-dimensions squared error of the completed prototype: one
     ``complete`` node for the task's one row and its class's (pairs, d)
-    features, then the squared error through autodiff."""
+    features, then one squared-error node."""
     predicted = complete(tensors, knowledge, [task.class_id], task.incomplete[None],
                           features)
-    diff = ad.sub(predicted, task.target)
-    return ad.mean(ad.mul(diff, diff))
+    return _squared_error(predicted, task.target)
 
 
 def train_completion(params: CompletionNetParams, knowledge: PrimitiveKnowledge,

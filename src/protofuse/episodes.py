@@ -324,12 +324,11 @@ def _query_cross_entropy(fused, log_scale, episode: Episode):
     labels under the logits ``exp(log_scale) * cosine(query, fused)``, the
     cosines computed by ``fusion.cosine_matrix``.
 
-    When ``fused`` or ``log_scale`` is a traced Node the result is one Node
-    whose hand-written backward pass returns their gradients; with plain
-    arrays it is the 0-d loss.
+    ``fused`` and ``log_scale`` are Nodes; the result is one Node whose
+    hand-written backward pass returns both their gradients.
     """
-    f = ad.value_of(fused)
-    scale = np.exp(ad.value_of(log_scale))
+    f = fused.value
+    scale = np.exp(log_scale.value)
     cosines = fusion.cosine_matrix(episode.query_x, f)
     logits = cosines * scale
     shift = logits.max(axis=-1, keepdims=True)
@@ -338,22 +337,15 @@ def _query_cross_entropy(fused, log_scale, episode: Episode):
     rows = np.arange(logits.shape[0])
     labels = class_positions(episode.n_way, episode.m_query)
     loss = (np.log(totals[:, 0]) + shift[:, 0] - logits[rows, labels]).sum() * (1.0 / rows.size)
-    parents = [t for t in (fused, log_scale) if ad.is_node(t)]
-    if not parents:
-        return loss
 
     def vjp(g):
         g_logits = e / totals
         g_logits[rows, labels] -= 1.0
         g_logits *= g / rows.size
-        grads = []
-        if ad.is_node(fused):
-            grads.append(fusion.cosine_matrix_vjp(episode.query_x, f, g_logits * scale))
-        if ad.is_node(log_scale):
-            grads.append((g_logits * cosines).sum() * scale)
-        return grads
+        return (fusion.cosine_matrix_vjp(episode.query_x, f, g_logits * scale),
+                (g_logits * cosines).sum() * scale)
 
-    return ad.Node(loss, parents, vjp)
+    return ad.Node(loss, (fused, log_scale), vjp)
 
 
 def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode, features):
@@ -363,8 +355,8 @@ def meta_episode_loss(tensors, knowledge: PrimitiveKnowledge, episode: Episode, 
 
     ``features`` is the (pairs, d) attribute feature matrix of the episode's
     roster (``draw_attribute_features``), passed in so the same loss can be
-    re-evaluated with frozen sampling noise. With leaf Nodes the result is
-    the traced loss; with plain tensors, its value.
+    re-evaluated with frozen sampling noise. ``tensors`` maps every tensor
+    name to its leaf Node.
     """
     means = mean_prototypes(episode)
     completed = cp.complete(tensors, knowledge, episode.roster, means, features)

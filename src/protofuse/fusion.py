@@ -13,10 +13,10 @@ leading axes, (E, samples, d) with (E, classes, d); every step acts on the
 last two axes, so episode b of a block is computed as it would be alone.
 Every step computes on plain arrays. ``fuse_prototypes`` (inference) wraps
 the result in validated ``FusionResult`` stacks; ``fused_means`` (the
-episodic training loss) runs the same pass and, when the completed
-prototypes are a traced Node, returns one autodiff node whose hand-written
-backward pass differentiates through the product formula, the class
-moments, the soft assignment and the cosines (``cosine_matrix_vjp``).
+episodic training loss) runs the same pass on the value of the completed
+prototypes' Node and returns one autodiff node whose hand-written backward
+pass differentiates through the product formula, the class moments, the
+soft assignment and the cosines (``cosine_matrix_vjp``).
 
 The paper fixes the soft-assignment sharpness and the variance floor, and so
 does this module: ``DEFAULT_LAMBDA`` (the softmax sharpness) and
@@ -299,22 +299,19 @@ def fuse_prototypes(embeddings, labels, mean_prototypes,
 
 def fused_means(embeddings, labels, mean_prototypes, completed_prototypes):
     """Fused prototypes of every class, ([E,] classes, d), for the episodic
-    training loss: the posterior mean of ``_fuse``.
+    training loss: the posterior mean of ``_fuse``, as one Node over the
+    Node ``completed_prototypes``.
 
-    When ``completed_prototypes`` is a traced Node the result is one Node,
-    whose backward pass runs the fusion's steps in reverse: the product
+    Its backward pass runs the fusion's steps in reverse: the product
     formula, the completed side's class moments (through
     ``_weighted_square_deviations_vjp``), its soft assignment and the
     cosines. A variance at the floor passes no gradient back. The mean side
     involves no trainable quantity.
     """
-    traced = isinstance(completed_prototypes, ad.Node)
-    completed = completed_prototypes.value if traced else completed_prototypes
+    completed = completed_prototypes.value
     x = np.asarray(embeddings, dtype=np.float64)
     _, r, (mean_m, var_m), (mean_c, var_c), (fused, _) = _fuse(
         x, labels, mean_prototypes, completed)
-    if not traced:
-        return fused
     unlabeled = np.flatnonzero(np.asarray(labels) < 0)
 
     def vjp(g):

@@ -1,9 +1,9 @@
 """Training substrate: a registry of named parameters, SGD with a fixed
 momentum (``MOMENTUM``) and L2 weight decay (``WEIGHT_DECAY``) folded into
 the gradient, finite-difference gradient checking, and a versioned binary
-parameter checkpoint. The completion network reads the registry's leaves
-through one autodiff node with a hand-written backward pass
-(``completion.complete``).
+parameter checkpoint. Every training loss reads the registry's leaves
+through autodiff nodes with hand-written backward passes, and gradient
+checking differentiates the same loss by re-evaluating it on those leaves.
 
 ``train_step`` is the one SGD step both trainings run (completion training
 and episodic meta-training): fresh leaves, the loss, backward, update. The
@@ -189,9 +189,11 @@ def gradient_check(store: ParamStore, loss_fn, step: float = 1e-4,
                    rng: np.random.Generator | None = None) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    ``loss_fn`` maps a dict name -> tensor (leaf Nodes when traced, plain
-    arrays when re-evaluated for differencing) to a scalar. For each
-    registered tensor, up to ``samples_per_tensor`` coordinates are probed.
+    ``loss_fn`` maps a dict of leaf Nodes by name to a scalar loss Node. Its
+    backward pass gives the analytic gradients; the differences are taken
+    from ``loss_fn`` evaluated again on the same leaves, which wrap the live
+    arrays that each probe perturbs in place. For each registered tensor, up
+    to ``samples_per_tensor`` coordinates are probed.
     """
     rng = rng or np.random.default_rng(0)
     leaves = store.leaves()
@@ -200,7 +202,6 @@ def gradient_check(store: ParamStore, loss_fn, step: float = 1e-4,
         raise ValueError("loss_fn must depend on the supplied parameters")
     ad.backward(out)
 
-    plain = {name: store.value(name) for name in store.names()}
     worst, worst_name = 0.0, None
     per_parameter = {}
     for name in store.names():
@@ -213,9 +214,9 @@ def gradient_check(store: ParamStore, loss_fn, step: float = 1e-4,
         for j in coords:
             original = theta.flat[j]
             theta.flat[j] = original + step
-            loss_plus = float(loss_fn(plain))
+            loss_plus = float(loss_fn(leaves).value)
             theta.flat[j] = original - step
-            loss_minus = float(loss_fn(plain))
+            loss_minus = float(loss_fn(leaves).value)
             theta.flat[j] = original
             fd = (loss_plus - loss_minus) / (2.0 * step)
             a = float(analytic.flat[j])
@@ -287,5 +288,5 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         need(8 * count, f"payload of '{name}'")
         flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
-        tensors[name] = flat.reshape(dims).astype(np.float64).copy()
+        tensors[name] = flat.reshape(dims).astype(np.float64)
     return tensors

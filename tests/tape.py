@@ -1,17 +1,18 @@
-"""The generic autodiff operations the library no longer needs, and the
-reference compositions the tests build from them.
+"""The reference tape: generic autodiff operations, and the reference
+compositions the tests build from them.
 
-The library's training losses are hand-written nodes (``completion.complete``,
-``fusion.fused_means`` and the episodic classifier head). Each is checked
-against the same computation composed here from generic operations, whose
-gradients come from their own small backward passes, each checked against
-finite differences in ``test_autodiff.py``. ``matmul`` and ``transpose`` act on
-the last two axes, so they take one matrix or a stack of matrices along
-leading axes (``matmul`` broadcasts those axes). Every operation also accepts
-plain ndarrays and falls back to numpy, so a reference loss can be
-re-evaluated untraced for finite differences. ``softmax_rows`` and
-``logsumexp_rows`` subtract a detached row maximum, which changes neither
-the value nor the derivative.
+The library's training losses are hand-written nodes (``completion.complete``
+and the completion loss's squared error, ``fusion.fused_means`` and the
+episodic classifier head) on ``autodiff``'s tape, which defines no
+operations. Each is checked against the same computation composed here from
+generic operations, whose gradients come from their own small backward
+passes, each checked against finite differences in ``test_autodiff.py``.
+``matmul`` and ``transpose`` act on the last two axes, so they take one
+matrix or a stack of matrices along leading axes (``matmul`` broadcasts
+those axes). Every operation also accepts plain ndarrays and falls back to
+numpy, so a reference can be evaluated untraced for finite differences.
+``softmax_rows`` and ``logsumexp_rows`` subtract a detached row maximum,
+which changes neither the value nor the derivative.
 """
 
 import numpy as np
@@ -19,11 +20,78 @@ import numpy as np
 from protofuse import completion as cp
 from protofuse import episodes as ep
 from protofuse import fusion
-from protofuse.autodiff import (_elementwise, _lift, _unbroadcast, backward, is_node, mean, mul,
-                                sub, sum, value_of)
+from protofuse.autodiff import Node, backward, is_node
 
-__all__ = ["add", "div", "maximum", "matmul", "transpose", "reshape", "exp", "log", "sqrt",
-           "softmax_rows", "logsumexp_rows", "meta_episode_loss", "assert_meta_loss_matches"]
+__all__ = ["value_of", "sub", "mul", "sum", "mean", "add", "div", "maximum", "matmul",
+           "transpose", "reshape", "exp", "log", "sqrt", "softmax_rows", "logsumexp_rows",
+           "meta_episode_loss", "assert_meta_loss_matches"]
+
+
+def value_of(x) -> np.ndarray:
+    """Underlying float64 array of a Node or array-like."""
+    return x.value if isinstance(x, Node) else np.asarray(x, dtype=np.float64)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` (the reverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    squeezed = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if squeezed:
+        grad = grad.sum(axis=squeezed, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _lift(out_value, entries):
+    parents = tuple(node for node, _ in entries)
+    fns = tuple(fn for _, fn in entries)
+
+    def vjp(g):
+        return tuple(fn(g) for fn in fns)
+
+    return Node(out_value, parents, vjp)
+
+
+def _elementwise(forward, d_first, d_second):
+    """Broadcasting binary op from its numpy ``forward`` and the maps
+    (g, a, b) -> each operand's gradient, summed back to that operand's shape."""
+    def op(a, b):
+        av, bv = value_of(a), value_of(b)
+        if not (is_node(a) or is_node(b)):
+            return forward(av, bv)
+        entries = []
+        if is_node(a):
+            entries.append((a, lambda g: _unbroadcast(d_first(g, av, bv), av.shape)))
+        if is_node(b):
+            entries.append((b, lambda g: _unbroadcast(d_second(g, av, bv), bv.shape)))
+        return _lift(forward(av, bv), entries)
+    return op
+
+
+sub = _elementwise(np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+mul = _elementwise(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+
+
+def sum(x, axis=None):
+    if not is_node(x):
+        return np.sum(np.asarray(x, np.float64), axis=axis)
+    xv = x.value
+    if axis is None:
+        vjp_fn = lambda g: np.full(xv.shape, g, dtype=np.float64)
+    else:
+        vjp_fn = lambda g: np.broadcast_to(np.expand_dims(g, axis), xv.shape).copy()
+    return _lift(xv.sum(axis=axis), [(x, vjp_fn)])
+
+
+def mean(x, axis=None):
+    if not is_node(x):
+        return np.mean(np.asarray(x, np.float64), axis=axis)
+    n = x.value.size if axis is None else x.value.shape[axis]
+    return mul(sum(x, axis=axis), 1.0 / n)
+
 
 add = _elementwise(np.add, lambda g, a, b: g, lambda g, a, b: g)
 div = _elementwise(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
@@ -172,8 +240,8 @@ def meta_episode_loss(tensors, knowledge, episode, features):
 
 def assert_meta_loss_matches(params, knowledge, episode, features, tolerance):
     """``episodes.meta_episode_loss`` against ``meta_episode_loss`` here: the
-    traced loss and every leaf gradient (relative to that tensor's largest
-    entry) within ``tolerance``, and the untraced loss equal to the traced."""
+    loss and every leaf gradient (relative to that tensor's largest entry)
+    within ``tolerance``."""
     nodes, reference = params.store.leaves(), params.store.leaves()
     loss = ep.meta_episode_loss(nodes, knowledge, episode, features)
     expected = meta_episode_loss(reference, knowledge, episode, features)
@@ -183,5 +251,3 @@ def assert_meta_loss_matches(params, knowledge, episode, features, tolerance):
     for name in params.store.names():
         scale = np.abs(reference[name].grad).max()
         assert np.abs(nodes[name].grad - reference[name].grad).max() <= tolerance * scale, name
-    assert float(ep.meta_episode_loss(params.tensors(), knowledge, episode, features)) \
-        == float(loss.value)

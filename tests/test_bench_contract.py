@@ -18,7 +18,8 @@ episodic loss's fusion node and cosine classifier. perfbench's
 most the 11 parameter leaves and the loss's three nodes. Last it builds a
 ``workloads.Setup`` on the same small world as ``build_setup`` builds one,
 with tasks from ``compute_base_prototypes`` and ``sample_completion_tasks``,
-and runs one traced ``TrainPhase.step``, which must record no failure. The
+and runs one traced ``TrainPhase.step``, which must record no failure and
+make at most the 11 leaves and the completion loss's two nodes. The
 check runs in a subprocess, because importing ``run.py`` sets the BLAS thread variables of
 the importing process.
 """
@@ -78,14 +79,16 @@ try:
     tally = workloads.Tally()
     train = workloads.TrainPhase(workloads.clone_params(params),
                                  workloads.Setup(world, stats, params, 0, tasks), tally, tracer)
-    train.step()
+    with tr.NodeCounter(autodiff.Node) as train_counter:
+        train.step()
     spans["setup+train"] = sorted({span.name for span in tracer.spans})
 finally:
     tracer.uninstall()
 step = {"attempted": tally.attempted, "failed": tally.failed, "problems": tally.problems,
         "finite": bool(np.isfinite(train.losses).all())}
 print(json.dumps({"targets": len(targets), "missing": missing, "copied": copied,
-                  "spans": spans, "step": step, "meta_nodes": counter.count}))
+                  "spans": spans, "step": step, "meta_nodes": counter.count,
+                  "train_nodes": train_counter.count}))
 """
 
 FUSION_STEPS = {"fusion.soft_assign", "fusion.weighted_gaussian_estimate",
@@ -98,6 +101,9 @@ META_STEPS = {"fusion.fused_means", "fusion.cosine_matrix"}
 # One meta episode: a leaf per network tensor and the classifier scale (11),
 # then the completion, fusion and classifier-head nodes.
 MAX_META_NODES = 11 + 3
+# One completion training step: the 11 leaves, then the completion and
+# squared-error nodes (perfbench's train.autodiff.nodes_per_step).
+MAX_TRAIN_NODES = 11 + 2
 
 
 def test_every_trace_target_is_defined_on_its_owner():
@@ -115,3 +121,4 @@ def test_every_trace_target_is_defined_on_its_owner():
             "completion.train_completion", "completion.completion_loss"} | UPDATE_STEPS \
         <= set(report["spans"]["setup+train"])
     assert report["step"] == {"attempted": 1, "failed": 0, "problems": [], "finite": True}
+    assert report["train_nodes"] <= MAX_TRAIN_NODES

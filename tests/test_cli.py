@@ -1,6 +1,7 @@
 """End-to-end command-line flows on a tiny world, including the determinism
 and overwrite contracts."""
 
+import csv
 import json
 import os
 import shutil
@@ -20,7 +21,7 @@ from protofuse import nn
 from protofuse.cli import main
 from protofuse.completion import sample_completion_tasks
 from protofuse.datagen import load_world
-from protofuse.knowledge import compute_base_prototypes
+from protofuse.knowledge import compute_attribute_stats, compute_base_prototypes
 
 GEN_FLAGS = ["--dim", "12", "--semantic-dim", "6", "--base-classes", "6",
              "--novel-classes", "4", "--attributes", "10", "--attrs-per-class", "3", "5",
@@ -311,9 +312,20 @@ def test_report_outputs(tmp_path, workspace, capsys):
     assert "averaged variance" in out
     similarity = json.loads((tmp_path / "diag-similarity.json").read_text())
     assert {"mean_based", "completed", "fused"} <= set(similarity)
-    curve = (tmp_path / "diag-rank-curve.csv").read_text().splitlines()
-    assert curve[0] == "rank,mean_based,completed"
-    assert len(curve) == 21
+    with open(prefix + "-rank-curve.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["rank", "mean_based", "completed"]
+    assert len(rows) == 20
+    # every cell parses as a float equal to the report's own number
+    loaded = load_world(world)
+    params, _ = cp.load_model(model)
+    stats = compute_attribute_stats(loaded.base.embeddings, loaded.base.labels,
+                                    loaded.knowledge)
+    curve = ep.rank_curve_report(params, loaded.novel, loaded.centers, loaded.knowledge,
+                                 stats, window=10)
+    assert [int(rank) for rank, _, _ in rows] == curve.ranks.tolist()
+    assert [float(cell) for _, cell, _ in rows] == curve.raw.tolist()
+    assert [float(cell) for _, _, cell in rows] == curve.completed.tolist()
 
 
 def test_report_that_fails_writes_nothing(tmp_path, workspace, capsys, monkeypatch):

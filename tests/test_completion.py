@@ -101,8 +101,8 @@ def test_sample_unknown_attribute():
 # every pair's (prototype, class semantic, attribute semantic) row through one
 # dense aggregator layer, and a constant 0/1 matrix summing each row's
 # score-weighted latents. Its gradients come from the generic operations of
-# autodiff and of the reference tape (``tape.py``), independently of the
-# node's hand-written backward pass.
+# the reference tape (``tape.py``), independently of the node's hand-written
+# backward pass.
 
 def reference_dense(x, weight, bias, relu):
     out = tape.add(tape.matmul(x, tape.transpose(weight)), bias)
@@ -130,7 +130,7 @@ def reference_complete(t, know, class_ids, incomplete, features):
         scores = reference_scores(t, know, ids[rows], x[rows], attrs)
         select = np.zeros((ids.size, rows.size))
         select[rows, np.arange(rows.size)] = 1.0
-        combined = tape.add(tape.matmul(select, ad.mul(latents, scores)), combined)
+        combined = tape.add(tape.matmul(select, tape.mul(latents, scores)), combined)
     hidden = reference_dense(combined, t["decoder.hidden.weight"], t["decoder.hidden.bias"],
                              True)
     return reference_dense(hidden, t["decoder.output.weight"], t["decoder.output.bias"], False)
@@ -165,15 +165,16 @@ def test_complete_test_mode_deterministic():
 
 
 def test_complete_traced_equals_plain_given_same_draws():
+    # the node's value against the reference composition run on plain arrays
     know, stats = small_world()
     params = small_params(seed=4)
     p = np.random.default_rng(2).standard_normal((1, 4))
     features = cp.draw_attribute_features(stats, know, [2], np.random.default_rng(3))
-    plain = cp.complete(params.tensors(), know, [2], p, features)
+    plain = reference_complete(params.tensors(), know, [2], p, features)
     traced = cp.complete(params.store.leaves(), know, [2], p, features)
     assert type(plain) is np.ndarray and plain.shape == (1, 4)
-    assert ad.is_node(traced)
-    np.testing.assert_array_equal(ad.value_of(traced), plain)
+    assert ad.is_node(traced) and traced.shape == (1, 4)
+    np.testing.assert_allclose(traced.value, plain, rtol=1e-12, atol=1e-12)
 
 
 def test_complete_validates_inputs():
@@ -191,31 +192,31 @@ def test_complete_validates_inputs():
     with pytest.raises(ValueError, match="unknown class id -1"):
         cp.complete_prototype(plan, [0, -1], np.ones((2, 4)))
     with pytest.raises(ValueError, match="1 class ids for 3 prototypes"):
-        cp.complete(params.tensors(), know, [0], np.ones((3, 4)), np.ones((2, 4)))
+        cp.complete(params.store.leaves(), know, [0], np.ones((3, 4)), np.ones((2, 4)))
     with pytest.raises(ValueError, match="aggregator takes 8 inputs"):
-        cp.complete(small_params(s=2).tensors(), know, [0], np.ones((1, 4)), np.ones((2, 4)))
+        cp.complete(small_params(s=2).store.leaves(), know, [0], np.ones((1, 4)),
+                    np.ones((2, 4)))
 
 
 def test_complete_rejects_a_feature_block_of_the_wrong_shape():
     know, stats = small_world()
     params = small_params()
     features = cp.draw_attribute_features(stats, know, [1, 0], np.random.default_rng(0))
-    for tensors in (params.tensors(), params.store.leaves()):
-        cp.complete(tensors, know, [1, 0], np.ones((2, 4)), features)
-        for bad in (features[:3], features[:, :3], features[None]):
-            with pytest.raises(ValueError) as err:
-                cp.complete(tensors, know, [1, 0], np.ones((2, 4)), bad)
-            assert "need a (4, 4) feature block" in str(err.value)
-            assert "\n" not in str(err.value)
+    leaves = params.store.leaves()
+    cp.complete(leaves, know, [1, 0], np.ones((2, 4)), features)
+    for bad in (features[:3], features[:, :3], features[None]):
+        with pytest.raises(ValueError) as err:
+            cp.complete(leaves, know, [1, 0], np.ones((2, 4)), bad)
+        assert "need a (4, 4) feature block" in str(err.value)
+        assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("bad_id", [-1, 3, 7])
 def test_complete_rejects_unknown_class_ids(bad_id):
     know, stats = small_world()
     params = small_params()
-    for tensors in (params.tensors(), params.store.leaves()):
-        with pytest.raises(ValueError, match=f"unknown class id {bad_id}"):
-            cp.complete(tensors, know, [0, bad_id], np.ones((2, 4)), np.ones((4, 4)))
+    with pytest.raises(ValueError, match=f"unknown class id {bad_id}"):
+        cp.complete(params.store.leaves(), know, [0, bad_id], np.ones((2, 4)), np.ones((4, 4)))
 
 
 def test_plan_rejects_knowledge_of_another_semantic_dim():
@@ -280,14 +281,12 @@ def test_batched_complete_matches_scalar_loop_on_train_draws():
     ids = [2, 1, 0, 0]
     features = cp.draw_attribute_features(stats, know, ids, np.random.default_rng(12))
     assert features.shape == (2 + 0 + 3 + 3, 4)
-    plain = cp.complete(params.tensors(), know, ids, x, features)
-    traced = cp.complete(params.store.leaves(), know, ids, x, features)
-    np.testing.assert_array_equal(ad.value_of(traced), plain)
+    completed = cp.complete(params.store.leaves(), know, ids, x, features).value
     rows, attrs = np.nonzero(know.association[ids])
     for row, cid in enumerate(ids):
         by_attribute = dict(zip(attrs[rows == row].tolist(), features[rows == row]))
         expected = naive_completion(params, know, stats, cid, x[row], by_attribute)
-        np.testing.assert_allclose(plain[row], expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(completed[row], expected, rtol=1e-12, atol=1e-12)
 
 
 def test_encode_matches_scalar_reference():
@@ -446,16 +445,38 @@ def test_node_matches_reference_on_one_train_step():
                                           np.random.default_rng(2))
 
     def loss(completed):
-        diff = ad.sub(completed, task.target)
-        return ad.mean(ad.mul(diff, diff))
+        diff = tape.sub(completed, task.target)
+        return tape.mean(tape.mul(diff, diff))
 
     assert_node_matches_reference(params, world.knowledge, [task.class_id],
                                   task.incomplete[None], features, loss)
-    # completion_loss is that loss on the node
-    value = cp.completion_loss(params.store.leaves(), world.knowledge, task, features)
-    plain = cp.complete(params.tensors(), world.knowledge, [task.class_id],
-                        task.incomplete[None], features)
-    assert float(value.value) == loss(plain)
+    # completion_loss is that loss on the node, bit for bit in value and gradients
+    composed = []
+    for loss_fn in (lambda t: loss(cp.complete(t, world.knowledge, [task.class_id],
+                                               task.incomplete[None], features)),
+                    lambda t: cp.completion_loss(t, world.knowledge, task, features)):
+        leaves = params.store.leaves()
+        value = loss_fn(leaves)
+        ad.backward(value)
+        composed.append((float(value.value), {name: leaves[name].grad
+                                              for name in cp.NETWORK_TENSORS}))
+    (tape_loss, tape_grads), (node_loss, node_grads) = composed
+    assert node_loss == tape_loss
+    for name in cp.NETWORK_TENSORS:
+        assert node_grads[name].tobytes() == tape_grads[name].tobytes(), name
+
+
+def test_completion_loss_is_two_nodes_over_the_network_leaves():
+    # the complete node and the squared error; the classifier scale's leaf is
+    # handed out but not read, as a meta episode's three nodes read all 11
+    know, stats = small_world()
+    params = small_params(seed=11)
+    task = cp.CompletionTask(class_id=0, incomplete=np.full(4, 0.7), target=np.zeros(4))
+    features = cp.draw_attribute_features(stats, know, [0], np.random.default_rng(6))
+    leaves = params.store.leaves()
+    loss = cp.completion_loss(leaves, know, task, features)
+    assert len(leaves) == 11
+    assert len(ad._topological_order(loss)) == len(cp.NETWORK_TENSORS) + 2
 
 
 def test_node_matches_reference_on_a_roster_with_an_empty_and_a_repeated_class():
@@ -469,7 +490,7 @@ def test_node_matches_reference_on_a_roster_with_an_empty_and_a_repeated_class()
     features = cp.draw_attribute_features(stats, know, ids, np.random.default_rng(12))
     probe = np.random.default_rng(13).standard_normal((5, 4))
     assert_node_matches_reference(params, know, ids, x, features,
-                                  lambda completed: ad.sum(ad.mul(completed, probe)))
+                                  lambda completed: tape.sum(tape.mul(completed, probe)))
 
 
 def test_node_matches_reference_and_plan_on_an_evaluation_block():
@@ -483,9 +504,10 @@ def test_node_matches_reference_and_plan_on_an_evaluation_block():
     means = stats.mean[np.nonzero(world.knowledge.association[ids])[1]]
     probe = rng.standard_normal(x.shape)
     assert_node_matches_reference(params, world.knowledge, ids, x, means,
-                                  lambda completed: ad.sum(ad.mul(completed, probe)))
+                                  lambda completed: tape.sum(tape.mul(completed, probe)))
     plan = cp.CompletionPlan.build(params, world.knowledge, stats)
-    np.testing.assert_allclose(cp.complete(params.tensors(), world.knowledge, ids, x, means),
+    np.testing.assert_allclose(cp.complete(params.store.leaves(), world.knowledge, ids, x,
+                                           means).value,
                                cp.complete_prototype(plan, ids, x), rtol=0, atol=1e-12)
 
 
@@ -497,7 +519,7 @@ def test_node_gradient_check_on_a_block():
     features = cp.draw_attribute_features(stats, know, ids, np.random.default_rng(15))
     probe = np.random.default_rng(16).standard_normal((4, 4))
     report = nn.gradient_check(
-        params.store, lambda t: ad.sum(ad.mul(cp.complete(t, know, ids, x, features), probe)),
+        params.store, lambda t: tape.sum(tape.mul(cp.complete(t, know, ids, x, features), probe)),
         samples_per_tensor=10, rng=np.random.default_rng(17))
     assert report.max_relative_error < 1e-4
     assert set(report.per_parameter) == set(cp.TENSOR_NAMES)

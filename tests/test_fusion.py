@@ -292,8 +292,6 @@ def test_fused_means_traced_equals_plain():
     traced = fusion.fused_means(x, labels, means, ad.Node(completed))
     assert ad.is_node(traced) and traced.shape == (3, 5)
     np.testing.assert_allclose(traced.value, plain, rtol=0, atol=1e-12)
-    untraced = fusion.fused_means(x, labels, means, completed)
-    np.testing.assert_allclose(untraced, plain, rtol=0, atol=1e-12)
 
 
 def test_fused_means_gradient_flows_through_responsibilities():
@@ -309,7 +307,7 @@ def test_fused_means_gradient_flows_through_responsibilities():
         completed = tape.add(tape.matmul(np.array([[1.0], [0.0]]), tape.reshape(vec, (1, 3))),
                              np.vstack([np.zeros(3), other]))
         fused = fusion.fused_means(x, labels, means, completed)
-        return ad.sum(ad.mul(fused, np.array([np.arange(3.0), np.ones(3)])))
+        return tape.sum(tape.mul(fused, np.array([np.arange(3.0), np.ones(3)])))
 
     node = ad.Node(completed_value)
     out = loss_at(node)
@@ -320,7 +318,7 @@ def test_fused_means_gradient_flows_through_responsibilities():
         up, down = completed_value.copy(), completed_value.copy()
         up[j] += h
         down[j] -= h
-        fd = (float(ad.value_of(loss_at(up))) - float(ad.value_of(loss_at(down)))) / (2 * h)
+        fd = (float(loss_at(ad.Node(up)).value) - float(loss_at(ad.Node(down)).value)) / (2 * h)
         assert node.grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
@@ -419,7 +417,7 @@ def test_fusion_posterior_is_tighter_and_between_per_dimension(seed, n_way, k_sh
         np.testing.assert_allclose(post.variance[k], single_var, rtol=1e-12)
     # the traced training-loss fusion computes the same posterior means
     traced = fusion.fused_means(x, labels, means, ad.Node(completed))
-    np.testing.assert_allclose(ad.value_of(traced), post.mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(traced.value, post.mean, rtol=1e-12, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=100)
@@ -460,7 +458,6 @@ def test_soft_assignment_rows_sum_to_one_and_ignore_prototype_scale(scale, which
 def test_inference_and_training_fusion_agree_bitwise(seed, n_way, k_shot, m_query, d):
     x, labels, means, completed = random_episode(seed, n_way, k_shot, m_query, d)
     fused = fusion.fuse_prototypes(x, labels, means, completed).fused
-    np.testing.assert_array_equal(fusion.fused_means(x, labels, means, completed), fused)
     traced = fusion.fused_means(x, labels, means, ad.Node(completed))
     np.testing.assert_array_equal(traced.value, fused)
 
@@ -470,7 +467,8 @@ def test_inference_and_training_fusion_agree_bitwise(seed, n_way, k_shot, m_quer
 def test_block_fusion_equals_each_episode_alone_bitwise(episodes, seed, n_way, k_shot,
                                                         m_query, d):
     # A block of episodes stacked on a leading axis is fused as each of its
-    # episodes would be alone, bit for bit, traced or not.
+    # episodes would be alone, bit for bit, by inference and by the training
+    # loss's fusion node.
     stacks = [random_episode(seed + b, n_way, k_shot, m_query, d) for b in range(episodes)]
     labels = stacks[0][1]
     x, means, completed = (np.stack([s[i] for s in stacks]) for i in (0, 2, 3))

@@ -84,7 +84,7 @@ def test_backward_linear_outer_product():
     # Identity activation, loss = sum(outputs): dW = outer(ones, x), db = ones.
     weight, bias = ad.Node(np.zeros((3, 2))), ad.Node(np.zeros(3))
     x = np.array([2.0, -1.0])
-    ad.backward(ad.sum(linear_stack(x[None], [(weight, bias, "identity")])))
+    ad.backward(tape.sum(linear_stack(x[None], [(weight, bias, "identity")])))
     np.testing.assert_allclose(weight.grad, np.outer(np.ones(3), x))
     np.testing.assert_allclose(bias.grad, np.ones(3))
 
@@ -112,7 +112,7 @@ def test_backward_against_finite_differences(shapes):
         return float(np.sum(weights * linear_stack(x, layers_)))
 
     leaves = [(ad.Node(w), ad.Node(b), act) for w, b, act in layers]
-    ad.backward(ad.sum(ad.mul(linear_stack(x, leaves), weights)))
+    ad.backward(tape.sum(tape.mul(linear_stack(x, leaves), weights)))
 
     coord_rng = np.random.default_rng(3)
     h_step = 1e-6
@@ -310,7 +310,8 @@ def test_sgd_step_leaves_sharing_one_gradient_array():
     velocity = {name: np.zeros(2) for name in store.names()}
     for _ in range(2):
         leaves = store.leaves()
-        ad.backward(ad.sum(ad.mul(tape.add(leaves["a"], leaves["b"]), np.array([0.5, -0.25]))))
+        ad.backward(tape.sum(tape.mul(tape.add(leaves["a"], leaves["b"]),
+                                      np.array([0.5, -0.25]))))
         shared = leaves["a"].grad
         assert leaves["b"].grad is shared  # add's gradient is the output's, for both
         snapshot = shared.copy()
@@ -344,7 +345,7 @@ def test_gradient_check_api():
 
     def loss_fn(t):
         product = tape.reshape(tape.matmul(t["w"], x), (3,))
-        return ad.sum(tape.exp(ad.mul(tape.add(product, t["b"]), 0.1)))
+        return tape.sum(tape.exp(tape.mul(tape.add(product, t["b"]), 0.1)))
 
     report = nn.gradient_check(store, loss_fn, samples_per_tensor=12,
                                rng=np.random.default_rng(1))
@@ -454,7 +455,7 @@ def test_param_store_register_and_leaves():
         store.register("w", [0.0])
     leaves = store.leaves()
     assert leaves["w"].value is arr  # leaves wrap the live array
-    out = ad.sum(ad.mul(leaves["w"], 3.0))
+    out = tape.sum(tape.mul(leaves["w"], 3.0))
     ad.backward(out)
     store.accumulate(leaves)
     # a first step at lr 1 (zero velocity) subtracts the accumulated gradient
