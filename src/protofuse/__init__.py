@@ -13,8 +13,8 @@ from .completion import (CompletionNetParams, CompletionPlan, CompletionTask,
 from .datagen import FewShotDataset, World, WorldSpec, generate_world, \
     load_embeddings, load_world, save_world
 from .episodes import (Episode, EvalReport, MetaTrainConfig, MODES, evaluate,
-                       meta_train, prototype_similarity_report, rank_curve_report,
-                       sample_episode)
+                       evaluate_modes, meta_train, prototype_similarity_report,
+                       rank_curve_report, sample_episode)
 from .nn import ParamStore, SgdConfig, gradient_check, sgd_step
 
 __version__ = "0.1.0"

@@ -67,12 +67,6 @@ def _load_world_and_model(args):
     return world, stats, params, metadata
 
 
-def _print_report(report: ep.EvalReport) -> None:
-    print(f"{'mode':<16}{'n-way':>6}{'k-shot':>8}{'episodes':>10}{'accuracy':>12}{'95% CI':>10}")
-    print(f"{report.mode:<16}{report.n_way:>6}{report.k_shot:>8}{report.episodes:>10}"
-          f"{report.mean_acc * 100:>11.2f}%{report.ci95 * 100:>9.2f}%")
-
-
 def _cmd_gen(args) -> int:
     spec = WorldSpec(
         dim=args.dim, semantic_dim=args.semantic_dim,
@@ -160,48 +154,40 @@ def _split_dataset(world: World, split: str):
     return world.base if split == "base" else world.novel
 
 
-def _evaluate(args, world: World, knowledge, stats, params, mode: str,
-              fusion_dump: list | None = None) -> ep.EvalReport:
-    """``ep.evaluate`` with the split, shape and seed flags of ``args``."""
-    return ep.evaluate(params, _split_dataset(world, args.split), knowledge, stats,
-                       mode=mode, n_way=args.n_way, k_shot=args.k_shot,
-                       m_query=args.m_query, num_episodes=args.episodes,
-                       seed=args.seed, fusion_dump=fusion_dump)
+def _evaluate(args, world: World, knowledge, stats, params, modes,
+              fusion_dump: list | None = None) -> dict:
+    """One ``ep.evaluate_modes`` pass with the split, shape and seed flags of ``args``."""
+    return ep.evaluate_modes(params, _split_dataset(world, args.split), knowledge, stats,
+                             modes, n_way=args.n_way, k_shot=args.k_shot,
+                             m_query=args.m_query, num_episodes=args.episodes,
+                             seed=args.seed, fusion_dump=fusion_dump)
 
 
 def _cmd_eval(args) -> int:
     _require_new(args.overwrite, args.out, args.dump_fusion)
     world, stats, params, _ = _load_world_and_model(args)
     dump = [] if args.dump_fusion else None
-    report = _evaluate(args, world, world.knowledge, stats, params, args.mode, dump)
+    report = _evaluate(args, world, world.knowledge, stats, params, (args.mode,), dump)[args.mode]
     atomic_write_json(args.out, report.to_json_dict())
     if args.dump_fusion:
         atomic_write_text(args.dump_fusion,
                           "\n".join(json.dumps(e, sort_keys=True, allow_nan=False)
                                     for e in dump) + "\n")
-    _print_report(report)
+    print(f"{'mode':<16}{'n-way':>6}{'k-shot':>8}{'episodes':>10}{'accuracy':>12}{'95% CI':>10}")
+    print(f"{report.mode:<16}{report.n_way:>6}{report.k_shot:>8}{report.episodes:>10}"
+          f"{report.mean_acc * 100:>11.2f}%{report.ci95 * 100:>9.2f}%")
     return 0
-
-
-ABLATION_ROWS = (
-    ("i", ep.MODE_MEAN_ONLY),
-    ("ii", ep.MODE_COMPLETED_ONLY),
-    ("iii", ep.MODE_MEAN_FUSION),
-    ("iv", ep.MODE_GAUSS_FUSION),
-)
 
 
 def _cmd_ablate(args) -> int:
     _require_new(args.overwrite, args.out)
     world, stats, params, _ = _load_world_and_model(args)
-    reports = {}
+    reports = _evaluate(args, world, world.knowledge, stats, params, ep.MODES)
     print(f"{'row':<6}{'mode':<18}{'accuracy':>12}{'95% CI':>10}")
-    for row, mode in ABLATION_ROWS:
-        report = _evaluate(args, world, world.knowledge, stats, params, mode)
-        reports[mode] = report.to_json_dict()
+    for row, (mode, report) in zip(("i", "ii", "iii", "iv"), reports.items()):
         print(f"({row})".ljust(6) + f"{mode:<18}{report.mean_acc * 100:>11.2f}%"
               f"{report.ci95 * 100:>9.2f}%")
-    atomic_write_json(args.out, reports)
+    atomic_write_json(args.out, {mode: report.to_json_dict() for mode, report in reports.items()})
     return 0
 
 
@@ -214,8 +200,7 @@ def _cmd_noise_sweep(args) -> int:
         # Noise corrupts the association matrix consumed at evaluation time;
         # attribute statistics stay those of the clean base knowledge.
         noisy = inject_knowledge_noise(world.knowledge, gamma, seed=(args.seed, i))
-        for mode in sweep_modes:
-            report = _evaluate(args, world, noisy, stats, params, mode)
+        for mode, report in _evaluate(args, world, noisy, stats, params, sweep_modes).items():
             results[mode][f"{gamma}"] = report.to_json_dict()
     print(f"{'mode':<18}" + "".join(f"{'noise=' + str(g):>14}" for g in args.gamma_noise))
     for mode in sweep_modes:

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .fileio import atomic_write_json, read_json_object
+from .fileio import atomic_write_text, json_text, read_json_object
 from .knowledge import AttributeStats, PrimitiveKnowledge
 
 ENCODER_DIM = 256
@@ -418,10 +418,12 @@ def sidecar_path(path) -> str:
 
 def save_model(params: CompletionNetParams, path, metadata: dict | None = None) -> None:
     """Binary checkpoint plus a JSON sidecar holding what the tensors cannot
-    say: the classifier scale as a number, and the training metadata."""
+    say: the classifier scale as a number, and the training metadata. Metadata
+    that JSON cannot hold (a NaN) writes neither file."""
+    sidecar = sidecar_path(path)
+    text = json_text({"scale_gamma": params.scale_gamma, "metadata": metadata or {}}, sidecar)
     nn.save_checkpoint(params.tensors(), path)
-    atomic_write_json(sidecar_path(path),
-                      {"scale_gamma": params.scale_gamma, "metadata": metadata or {}})
+    atomic_write_text(sidecar, text)
 
 
 def _dims(path, tensors) -> tuple:
@@ -444,8 +446,13 @@ def _dims(path, tensors) -> tuple:
 def load_model(path) -> tuple:
     """Load a checkpoint + sidecar pair; returns (params, metadata). The tensors'
     shapes give the dimensions, and every tensor must chain with them and be
-    finite. Sidecar keys other than ``metadata`` are ignored."""
+    finite. Sidecar keys other than ``metadata`` are ignored; a non-finite
+    number anywhere in it (Python's json parses a bare NaN) is rejected."""
     sidecar = read_json_object(sidecar_path(path))
+    try:
+        json_text(sidecar, sidecar_path(path))
+    except ValueError as exc:
+        raise nn.CheckpointError(str(exc)) from None
     tensors = nn.load_checkpoint(path)
     missing = [name for name in TENSOR_NAMES if name not in tensors]
     if missing:

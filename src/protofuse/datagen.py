@@ -25,6 +25,7 @@ the center matrix alone. Loaders ignore any other key.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import (atomic_write_bytes, atomic_write_json, atomic_write_text,
-                     is_json_int, read_json_object, sha256_file)
+                     is_json_int, is_json_number, read_json_object, sha256_file)
 from .knowledge import (PrimitiveKnowledge, load_knowledge, prune_unsupported_attributes,
                         save_knowledge)
 
@@ -277,17 +278,23 @@ def save_world(world: World, directory) -> None:
 
 def _load_centers(centers_path, dataset: FewShotDataset) -> np.ndarray:
     """The (num_classes, d) center matrix of ``centers.json``, checked against
-    ``dataset``: finite, d columns, and a row for every class id."""
+    ``dataset``: d columns of JSON numbers (numpy alone takes ``"1.5"`` and
+    ``true``), finite, and a row for every class id."""
     doc = read_json_object(centers_path)
     if "centers" not in doc:
         raise DatasetFormatError(f"{centers_path}: missing ['centers']")
+    rows = doc["centers"]
     try:
-        centers = np.asarray(doc["centers"], dtype=np.float64)
+        centers = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"{centers_path}: centers must be a matrix: {exc}") from exc
     if centers.ndim != 2 or centers.shape[1] != dataset.dim:
         raise DatasetFormatError(f"{centers_path}: centers must be a matrix of "
                                  f"{dataset.dim}-d rows like the embeddings, got {centers.shape}")
+    bad = next(((i, v) for i, row in enumerate(rows) for v in row if not is_json_number(v)), None)
+    if bad:
+        raise DatasetFormatError(
+            f"{centers_path}: center row {bad[0]} holds {json.dumps(bad[1])}, not a number")
     ids = dataset.class_ids()
     rowless = ids[ids >= centers.shape[0]]
     if rowless.size:

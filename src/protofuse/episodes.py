@@ -17,9 +17,11 @@ handles the episodes of a call in consecutive blocks of ``BLOCK_EPISODES``,
 the last one possibly shorter. A block's index matrices are drawn episode by
 episode in index order, each from its own stream, and stack into one
 ``(E, n_way, k_shot + m_query)`` array that one gather turns into the
-block's supports and queries. Each call that completes prototypes builds
-one ``completion.CompletionPlan`` and completes a block's E * n_way classes
-in one ``completion.complete_prototype`` call; soft assignment
+block's supports and queries. One pass (``evaluate_modes``; ``evaluate`` is
+its one-mode case) serves every mode of a command: it builds at most one
+``completion.CompletionPlan``, and ``episode_prototypes`` completes a
+block's E * n_way classes in one ``completion.complete_prototype`` call and
+fuses them once, whatever modes read them; soft assignment
 (``fusion.soft_assign``), class moments
 (``fusion.weighted_gaussian_estimate``), Gaussian product and the cosine
 classifier then run as batched (E, ., .) operations, which compute each
@@ -178,35 +180,29 @@ def _transductive_pool(episode: Episode):
     return x, labels
 
 
-def _completed_prototypes(plan, episode: Episode, means: np.ndarray) -> np.ndarray:
-    """Completed prototypes of every class of an episode or block, shaped
-    like ``means``: one ``complete_prototype`` call over all of its classes."""
-    d = means.shape[-1]
-    return cp.complete_prototype(plan, episode.roster.ravel(),
-                                 means.reshape(-1, d)).reshape(means.shape)
+def episode_prototypes(plan, episode: Episode, modes):
+    """``{mode: prototype matrix}`` of an episode or block for every mode in
+    ``modes``, plus the ``fusion.FusionResult`` when gauss-fusion is one of
+    them (else None). For a block both carry its leading episode axis.
 
-
-def episode_prototypes(plan, episode: Episode, mode: str):
-    """Prototype matrix for the requested ablation mode, plus the fusion
-    details when the mode runs the full fusion. For a block of episodes
-    both carry its leading episode axis.
-
-    ``plan`` is the caller's ``completion.CompletionPlan``; mean-only needs
-    none and takes ``None``.
+    Only what the modes need is computed: the support means always, the
+    completion (one ``complete_prototype`` call) for any other mode,
+    ``mean_fuse`` for mean-fusion and the fusion for gauss-fusion. ``plan``
+    is the caller's ``completion.CompletionPlan``; mean-only takes ``None``.
     """
     means = mean_prototypes(episode)
-    if mode == MODE_MEAN_ONLY:
-        return means, None
-    completed = _completed_prototypes(plan, episode, means)
-    if mode == MODE_COMPLETED_ONLY:
-        return completed, None
-    if mode == MODE_MEAN_FUSION:
-        return fusion.mean_fuse(means, completed), None
-    if mode == MODE_GAUSS_FUSION:
-        x, labels = _transductive_pool(episode)
-        result = fusion.fuse_prototypes(x, labels, means, completed)
-        return result.fused, result
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    prototypes, result = {MODE_MEAN_ONLY: means}, None
+    if set(modes) - {MODE_MEAN_ONLY}:
+        completed = cp.complete_prototype(plan, episode.roster.ravel(),
+                                          means.reshape(-1, means.shape[-1]))
+        completed = prototypes[MODE_COMPLETED_ONLY] = completed.reshape(means.shape)
+        if MODE_MEAN_FUSION in modes:
+            prototypes[MODE_MEAN_FUSION] = fusion.mean_fuse(means, completed)
+        if MODE_GAUSS_FUSION in modes:
+            x, labels = _transductive_pool(episode)
+            result = fusion.fuse_prototypes(x, labels, means, completed)
+            prototypes[MODE_GAUSS_FUSION] = result.fused
+    return {mode: prototypes[mode] for mode in modes}, result
 
 
 @dataclass
@@ -233,12 +229,15 @@ class EvalReport:
         return asdict(self)
 
 
-def _accuracies(plan, episode: Episode, mode: str):
-    """Query accuracy of every episode of a block, (E,), and the fusion details."""
-    prototypes, detail = episode_prototypes(plan, episode, mode)
-    sims = fusion.cosine_matrix(episode.query_x, prototypes)
-    predicted = np.take_along_axis(episode.roster, np.argmax(sims, axis=-1), axis=-1)
-    return np.mean(predicted == episode.query_y, axis=-1), detail
+def _accuracies(plan, episode: Episode, modes):
+    """Query accuracies of every episode of a block, (E,) per mode, and the fusion details."""
+    prototypes, detail = episode_prototypes(plan, episode, modes)
+    accuracies = {}
+    for mode, matrix in prototypes.items():
+        sims = fusion.cosine_matrix(episode.query_x, matrix)
+        predicted = np.take_along_axis(episode.roster, np.argmax(sims, axis=-1), axis=-1)
+        accuracies[mode] = np.mean(predicted == episode.query_y, axis=-1)
+    return accuracies, detail
 
 
 def _check_episode_shape(**counts) -> None:
@@ -275,48 +274,58 @@ def _episode_blocks(dataset: FewShotDataset, n_way: int, k_shot: int, m_query: i
         yield indices, block, result
 
 
+def evaluate_modes(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
+                   stats: AttributeStats, modes, n_way: int = 5, k_shot: int = 1,
+                   m_query: int = 15, num_episodes: int = 600, seed: int = 0,
+                   fusion_dump: list | None = None) -> dict:
+    """``{mode: EvalReport}`` of every mode in ``modes`` over the same freshly
+    sampled episodes, with 95% CIs. Each block is sampled, completed and
+    fused once, then classified per mode; mean-only alone builds no plan.
+
+    When ``fusion_dump`` is a list and gauss-fusion is one of the modes, one
+    diagnostic entry per episode is appended to it (in episode order).
+    Unusable prototypes raise a one-line ``ValueError("episode <index>: ...")``.
+    """
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_episode_shape(n_way=n_way, k_shot=k_shot, m_query=m_query,
+                         num_episodes=num_episodes)
+    plan = (None if set(modes) <= {MODE_MEAN_ONLY}
+            else cp.CompletionPlan.build(params, knowledge, stats))
+    accuracies = {mode: [] for mode in modes}
+    blocks = _episode_blocks(dataset, n_way, k_shot, m_query, num_episodes, seed,
+                             lambda block: _accuracies(plan, block, modes))
+    for indices, _, (block_accuracies, detail) in blocks:
+        for mode, values in block_accuracies.items():
+            accuracies[mode] += values.tolist()
+        if fusion_dump is not None and detail is not None:
+            fusion_dump.extend(_fusion_dump_entry(index, detail, b)
+                               for b, index in enumerate(indices))
+    return {mode: EvalReport(mode=mode, n_way=n_way, k_shot=k_shot, episodes=num_episodes,
+                             seed=seed, per_episode=values)
+            for mode, values in accuracies.items()}
+
+
 def evaluate(params, dataset: FewShotDataset, knowledge: PrimitiveKnowledge,
              stats: AttributeStats, mode: str, n_way: int = 5, k_shot: int = 1,
              m_query: int = 15, num_episodes: int = 600, seed: int = 0,
              fusion_dump: list | None = None) -> EvalReport:
-    """Accuracy over freshly sampled episodes, reported with a 95% CI.
-
-    When ``fusion_dump`` is a list and the mode runs the full fusion, one
-    diagnostic entry per episode is appended to it (in episode order).
-    Unusable prototypes raise a one-line ``ValueError("episode <index>: ...")``.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_episode_shape(n_way=n_way, k_shot=k_shot, m_query=m_query,
-                         num_episodes=num_episodes)
-    plan = None if mode == MODE_MEAN_ONLY else cp.CompletionPlan.build(params, knowledge, stats)
-    accuracies = []
-    blocks = _episode_blocks(dataset, n_way, k_shot, m_query, num_episodes, seed,
-                             lambda block: _accuracies(plan, block, mode))
-    for indices, _, (block_accuracies, detail) in blocks:
-        accuracies += block_accuracies.tolist()
-        if fusion_dump is not None and detail is not None:
-            fusion_dump.extend(_fusion_dump_entry(index, detail, b)
-                               for b, index in enumerate(indices))
-    return EvalReport(mode=mode, n_way=n_way, k_shot=k_shot, episodes=num_episodes,
-                      seed=seed, per_episode=accuracies)
-
-
-def _gaussian_rows(stack: fusion.DiagonalGaussian, b: int) -> list:
-    return [{"mean": mean, "variance": variance}
-            for mean, variance in zip(stack.mean[b].tolist(), stack.variance[b].tolist())]
+    """The one-mode ``evaluate_modes``: accuracy over freshly sampled episodes."""
+    return evaluate_modes(params, dataset, knowledge, stats, (mode,), n_way, k_shot, m_query,
+                          num_episodes, seed, fusion_dump)[mode]
 
 
 def _fusion_dump_entry(index: int, result: fusion.FusionResult, b: int) -> dict:
     """Diagnostics of episode ``index``, entry ``b`` of the block ``result``."""
-    return {
-        "episode": index,
-        "mean_based": _gaussian_rows(result.mean_based, b),
-        "completed": _gaussian_rows(result.completed, b),
-        "posterior": _gaussian_rows(result.posterior, b),
-        "responsibilities_mean": result.assignment_mean[b].tolist(),
-        "responsibilities_completed": result.assignment_completed[b].tolist(),
-    }
+    entry = {"episode": index,
+             "responsibilities_mean": result.assignment_mean[b].tolist(),
+             "responsibilities_completed": result.assignment_completed[b].tolist()}
+    for key in ("mean_based", "completed", "posterior"):
+        stack = getattr(result, key)
+        entry[key] = [{"mean": mean, "variance": variance} for mean, variance
+                      in zip(stack.mean[b].tolist(), stack.variance[b].tolist())]
+    return entry
 
 
 def _query_cross_entropy(fused, log_scale, episode: Episode):
@@ -436,19 +445,14 @@ def prototype_similarity_report(params, dataset: FewShotDataset, centers: np.nda
     _check_episode_shape(n_way=n_way, k_shot=k_shot, m_query=m_query,
                          num_episodes=num_episodes)
     plan = cp.CompletionPlan.build(params, knowledge, stats)
-
-    def prototypes(block):
-        means = mean_prototypes(block)
-        completed = _completed_prototypes(plan, block, means)
-        x, labels = _transductive_pool(block)
-        return means, completed, fusion.fuse_prototypes(x, labels, means, completed).fused
-
+    modes = (MODE_MEAN_ONLY, MODE_COMPLETED_ONLY, MODE_GAUSS_FUSION)
     sums = np.zeros(3)
-    blocks = _episode_blocks(dataset, n_way, k_shot, m_query, num_episodes, seed, prototypes)
+    blocks = _episode_blocks(dataset, n_way, k_shot, m_query, num_episodes, seed,
+                             lambda block: episode_prototypes(plan, block, modes)[0])
     for _, block, estimates in blocks:
         truth = centers[block.roster]
-        per_episode = np.stack([_row_cosines(p, truth).sum(axis=-1) for p in estimates],
-                               axis=-1)
+        per_episode = np.stack([_row_cosines(estimates[m], truth).sum(axis=-1)
+                                for m in modes], axis=-1)
         for episode_sums in per_episode:  # episode by episode, in index order
             sums += episode_sums
     sums /= num_episodes * n_way

@@ -33,9 +33,17 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def json_text(obj, path) -> str:
+    """``obj`` as the JSON text of the file ``path``. NaN and infinities are
+    not JSON: they raise a ValueError that names ``path``."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def atomic_write_json(path, obj) -> None:
-    """Write ``obj`` as JSON; NaN and infinities raise ValueError (they are not JSON)."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    atomic_write_text(path, json_text(obj, path))
 
 
 def read_json_object(path) -> dict:
@@ -55,6 +63,11 @@ def is_json_int(value) -> bool:
     """True for a JSON integer; JSON's true and false parse to bools, which
     Python counts as ints."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value) -> bool:
+    """True for a JSON integer or float; not for a bool or a numeric string."""
+    return is_json_int(value) or isinstance(value, float)
 
 
 def sha256_file(path) -> str:

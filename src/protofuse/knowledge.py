@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import atomic_write_json, is_json_int, read_json_object
+from .fileio import atomic_write_json, is_json_int, is_json_number, read_json_object
 
 SPLIT_BASE = "base"
 SPLIT_NOVEL = "novel"
@@ -214,35 +214,19 @@ def prune_unsupported_attributes(knowledge: PrimitiveKnowledge):
 
 
 def save_knowledge(knowledge: PrimitiveKnowledge, path) -> None:
-    doc = {
-        "classes": [
-            {
-                "id": i,
-                "semantic": knowledge.class_semantics[i].tolist(),
-                "split": SPLIT_BASE if i in knowledge.base_class_ids else SPLIT_NOVEL,
-            }
-            for i in range(knowledge.num_classes)
-        ],
-        "attributes": [
-            {
-                "id": a,
-                "semantic": knowledge.attribute_semantics[a].tolist(),
-            }
-            for a in range(knowledge.num_attributes)
-        ],
-        "associations": [
-            [int(c), int(a)]
-            for c, a in zip(*np.nonzero(knowledge.association))
-        ],
-    }
-    atomic_write_json(path, doc)
+    atomic_write_json(path, {
+        "classes": [{"id": i, "semantic": semantic.tolist(),
+                     "split": SPLIT_BASE if i in knowledge.base_class_ids else SPLIT_NOVEL}
+                    for i, semantic in enumerate(knowledge.class_semantics)],
+        "attributes": [{"id": a, "semantic": semantic.tolist()}
+                       for a, semantic in enumerate(knowledge.attribute_semantics)],
+        "associations": [[int(c), int(a)] for c, a in zip(*np.nonzero(knowledge.association))],
+    })
 
 
 def _semantic_vector(entry, context: str) -> np.ndarray:
     vec = entry.get("semantic")
-    if not isinstance(vec, list) or not vec or not all(
-        is_json_int(v) or isinstance(v, float) for v in vec
-    ):
+    if not isinstance(vec, list) or not vec or not all(is_json_number(v) for v in vec):
         raise KnowledgeFormatError(f"{context}.semantic: expected a nonempty list of numbers")
     try:
         vec = np.asarray(vec, dtype=np.float64)

@@ -184,8 +184,8 @@ def test_criterion_03_nearest_centroid_oracle(canonical):
                     best_cid, best_sim = int(cid), sim
             oracle_predictions.append(best_cid)
             oracle_correct += int(best_cid == truth)
-        prototypes, _ = ep.episode_prototypes(None, episode, ep.MODE_MEAN_ONLY)
-        sims = fusion.cosine_matrix(episode.query_x, prototypes)
+        prototypes, _ = ep.episode_prototypes(None, episode, (ep.MODE_MEAN_ONLY,))
+        sims = fusion.cosine_matrix(episode.query_x, prototypes[ep.MODE_MEAN_ONLY])
         pipeline_predictions = episode.roster[np.argmax(sims, axis=1)]
         assert pipeline_predictions.tolist() == oracle_predictions
         assert report.per_episode[index] == oracle_correct / 75

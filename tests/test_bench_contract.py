@@ -11,7 +11,9 @@ on cannot change without failing here. The probe then installs
 perfbench's own tracer on those targets and runs a small ``gauss-fusion``
 evaluation and a one-episode ``meta_train``: each fusion step and the
 inference completion must record spans under their traced names, or the
-per-layer metrics built from them would read 0; so must both steps of the
+per-layer metrics built from them would read 0. A one-mode evaluation times
+its mode alone: ``gauss-fusion`` records no ``mean_fuse`` span and a
+``mean-only`` evaluation no completion span. So must both steps of the
 training update, in meta-training and in completion training, and the
 episodic loss's fusion node and cosine classifier. perfbench's
 ``tracer.NodeCounter`` counts the autodiff nodes of that meta episode: at
@@ -67,6 +69,10 @@ try:
                       k_shot=1, m_query=2, num_episodes=2, seed=0)
     spans["eval"] = sorted({span.name for span in tracer.spans})
     tracer.spans.clear()
+    episodes.evaluate(params, world.novel, world.knowledge, stats, "mean-only", n_way=3,
+                      k_shot=1, m_query=2, num_episodes=2, seed=0)
+    spans["eval-mean-only"] = sorted({span.name for span in tracer.spans})
+    tracer.spans.clear()
     meta_config = episodes.MetaTrainConfig(nn.SgdConfig(learning_rate=1e-4, epochs=1),
                                            n_way=3, k_shot=1, m_query=2, episodes_per_epoch=1)
     with tr.NodeCounter(autodiff.Node) as counter:
@@ -115,6 +121,12 @@ def test_every_trace_target_is_defined_on_its_owner():
     assert report["missing"] == []
     assert report["copied"]
     assert FUSION_STEPS | {"completion.complete_prototype"} <= set(report["spans"]["eval"])
+    # each per-mode timing stays one-mode: no other mode's work in its spans
+    assert "fusion.mean_fuse" not in report["spans"]["eval"]
+    mean_only = set(report["spans"]["eval-mean-only"])
+    assert {"episodes.sample_episode", "episodes.mean_prototypes",
+            "fusion.cosine_matrix"} <= mean_only
+    assert "completion.complete_prototype" not in mean_only
     assert FUSION_STEPS | UPDATE_STEPS | META_STEPS <= set(report["spans"]["meta"])
     assert report["meta_nodes"] <= MAX_META_NODES
     assert {"knowledge.compute_base_prototypes", "completion.sample_completion_tasks",

@@ -275,17 +275,19 @@ def test_meta_train_runs(tmp_path, workspace):
 
 
 def test_ablate_first_row_matches_eval(tmp_path, workspace):
+    # ablate's one pass gives every row exactly as eval --mode <row> gives it
     _, world, model = workspace
     table = tmp_path / "ablate.json"
-    single = tmp_path / "single.json"
     shape = ["--n-way", "3", "--m-query", "5", "--episodes", "10", "--seed", "19"]
     assert main(["ablate", "--world", str(world), "--checkpoint", str(model),
                  "--out", str(table)] + shape) == 0
-    assert main(["eval", "--world", str(world), "--checkpoint", str(model),
-                 "--mode", "mean-only", "--out", str(single)] + shape) == 0
     rows = json.loads(table.read_text())
     assert set(rows) == {"mean-only", "completed-only", "mean-fusion", "gauss-fusion"}
-    assert rows["mean-only"] == json.loads(single.read_text())
+    for mode in rows:
+        single = tmp_path / f"{mode}.json"
+        assert main(["eval", "--world", str(world), "--checkpoint", str(model),
+                     "--mode", mode, "--out", str(single)] + shape) == 0
+        assert rows[mode] == json.loads(single.read_text())
 
 
 def test_noise_sweep_zero_level_matches_clean_eval(tmp_path, workspace):
@@ -295,11 +297,13 @@ def test_noise_sweep_zero_level_matches_clean_eval(tmp_path, workspace):
     shape = ["--n-way", "3", "--m-query", "5", "--episodes", "10", "--seed", "23"]
     assert main(["noise-sweep", "--world", str(world), "--checkpoint", str(model),
                  "--gamma-noise", "0.0", "0.3", "--out", str(out)] + shape) == 0
-    assert main(["eval", "--world", str(world), "--checkpoint", str(model),
-                 "--mode", "completed-only", "--out", str(clean)] + shape) == 0
     doc = json.loads(out.read_text())
-    assert doc["completed-only"]["0.0"] == json.loads(clean.read_text())
-    assert set(doc["completed-only"]) == {"0.0", "0.3"}
+    assert set(doc) == {"completed-only", "gauss-fusion"}
+    for mode in doc:
+        assert main(["eval", "--world", str(world), "--checkpoint", str(model),
+                     "--mode", mode, "--out", str(clean), "--overwrite"] + shape) == 0
+        assert doc[mode]["0.0"] == json.loads(clean.read_text())
+        assert set(doc[mode]) == {"0.0", "0.3"}
 
 
 def test_report_outputs(tmp_path, workspace, capsys):
@@ -555,6 +559,11 @@ CORRUPTIONS = {
                      lambda p: p.write_text("{bad")),
     "sidecar-not-an-object": ("model.pcn.json", "expected a JSON object, got int",
                               lambda p: p.write_text("5")),
+    # Python's json parses a bare NaN; meta-train would copy it into metadata
+    # it cannot write.
+    "sidecar-metadata-not-finite": (
+        "model.pcn.json", "Out of range float values are not JSON compliant",
+        lambda p: _rewrite_json(p, lambda d: d["metadata"].update(losses=[float("nan")]))),
     "checkpoint-magic": ("model.pcn", "bad magic bytes b'XXXX'",
                          lambda p: p.write_bytes(b"XXXX" + p.read_bytes()[4:])),
     "checkpoint-truncated": ("model.pcn", "truncated checkpoint while reading payload",
@@ -617,6 +626,13 @@ CORRUPTIONS = {
                 lambda p: _rewrite_json(p, lambda d: d.pop("centers"))),
     "centers-not-numbers": ("world/centers.json", "centers must be a matrix",
                             lambda p: _rewrite_json(p, lambda d: d.update(centers="abc"))),
+    # numpy's float conversion would read "1.5" as 1.5 and true as 1.0.
+    "centers-string": ("world/centers.json", 'center row 3 holds "1.5", not a number',
+                       lambda p: _rewrite_json(
+                           p, lambda d: d["centers"][3].__setitem__(0, "1.5"))),
+    "centers-bool": ("world/centers.json", "center row 0 holds true, not a number",
+                     lambda p: _rewrite_json(
+                         p, lambda d: d["centers"][0].__setitem__(2, True))),
     "centers-overflow": ("world/centers.json",
                          "centers must be a matrix: int too large to convert to float",
                          lambda p: _rewrite_json(

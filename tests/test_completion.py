@@ -775,6 +775,14 @@ def test_load_model_rejects_non_finite_tensors(tmp_path, value):
         cp.load_model(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_save_model_with_non_finite_metadata_writes_neither_file(tmp_path, value):
+    path = tmp_path / "model.pcn"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}.json: Out of range float"):
+        cp.save_model(small_params(seed=13), path, metadata={"losses": [0.5, value]})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_roundtrip_with_sidecar(tmp_path):
     params = small_params(seed=13)
     path = tmp_path / "model.pcn"

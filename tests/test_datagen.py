@@ -311,6 +311,12 @@ def _rewrite_centers(directory, change):
     return re.escape(str(path))
 
 
+def _with_entry(centers, row, column, value):
+    out = centers.astype(object)
+    out[row, column] = value
+    return out
+
+
 def test_centers_must_fit_the_world(tmp_path):
     world = datagen.generate_world(spec(seed=7))
     cases = {
@@ -325,6 +331,10 @@ def test_centers_must_fit_the_world(tmp_path):
                 "center row 4 is not finite"),
         "inf": (lambda c: np.where(np.arange(c.shape[0])[:, None] >= 2, np.inf, c),
                 "center row 2 is not finite"),
+        # JSON numbers only: numpy alone would read these as 1.5 and 1.0
+        "string": (lambda c: _with_entry(c, 5, 1, "1.5"),
+                   re.escape('center row 5 holds "1.5", not a number')),
+        "bool": (lambda c: _with_entry(c, 2, 0, True), "center row 2 holds true, not a number"),
     }
     for name, (change, message) in cases.items():
         directory = tmp_path / name

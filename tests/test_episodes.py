@@ -199,6 +199,50 @@ def test_evaluate_mean_only_matches_nearest_centroid_oracle():
         assert report.per_episode[index] == pytest.approx(correct / 24)
 
 
+@pytest.mark.parametrize("count", [1, 9, 19])
+@pytest.mark.parametrize("k_shot", [1, 5])
+def test_one_pass_over_every_mode_equals_one_mode_evaluate_calls(k_shot, count):
+    world, stats, params = make_fixture(seed=4)
+    kwargs = dict(n_way=3, k_shot=k_shot, m_query=4, num_episodes=count, seed=9)
+    dump = []
+    reports = ep.evaluate_modes(params, world.novel, world.knowledge, stats, ep.MODES,
+                                fusion_dump=dump, **kwargs)
+    assert list(reports) == list(ep.MODES)
+    for mode in ep.MODES:
+        single_dump = []
+        single = ep.evaluate(params, world.novel, world.knowledge, stats, mode,
+                             fusion_dump=single_dump, **kwargs)
+        assert reports[mode].to_json_dict() == single.to_json_dict()
+        assert len(single_dump) == (count if mode == ep.MODE_GAUSS_FUSION else 0)
+        if single_dump:
+            assert dump == single_dump
+
+
+def test_a_four_mode_pass_samples_and_completes_each_block_once(monkeypatch):
+    world, stats, params = make_fixture(seed=4)
+    calls = {}
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(ep, "sample_episode")
+    count_calls(cp, "complete_prototype")
+    kwargs = dict(n_way=3, k_shot=1, m_query=4, num_episodes=19, seed=9)
+    blocks = math.ceil(19 / ep.BLOCK_EPISODES)
+    assert blocks == 3
+    ep.evaluate_modes(params, world.novel, world.knowledge, stats, ep.MODES, **kwargs)
+    assert calls == {"sample_episode": blocks, "complete_prototype": blocks}
+    calls.clear()
+    for mode in ep.MODES:  # four one-mode calls: mean-only completes nothing
+        ep.evaluate(params, world.novel, world.knowledge, stats, mode, **kwargs)
+    assert calls == {"sample_episode": 4 * blocks, "complete_prototype": 3 * blocks}
+
+
 def test_evaluate_per_episode_results_independent_of_episode_count():
     world, stats, params = make_fixture(seed=4)
     for mode in ep.MODES:

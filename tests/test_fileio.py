@@ -1,8 +1,10 @@
 """Atomic writes: JSON artefacts never hold NaN or infinity, and a failed
-write names the path it was given and leaves no temporary file."""
+write, or a document JSON cannot hold, names the path it was given and
+leaves no temporary file."""
 
 import json
 import math
+import re
 
 import pytest
 
@@ -18,7 +20,7 @@ def test_atomic_write_json_round_trips(tmp_path):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_atomic_write_json_rejects_non_finite_and_leaves_no_file(tmp_path, value):
     path = tmp_path / "doc.json"
-    with pytest.raises(ValueError, match="not JSON compliant"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*not JSON compliant"):
         atomic_write_json(path, {"mean_acc": value})
     assert list(tmp_path.iterdir()) == []
 
