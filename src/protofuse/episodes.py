@@ -33,13 +33,14 @@ episodes or the block size. A check that fails for a block is run again
 episode by episode, so the error names the episode at fault.
 
 The block size is chosen by memory, not by any caller's episode count. A
-block's largest temporaries are the completion's (pairs, H) hidden matrix
-and the samples' squared deviations from one class mean, about 0.8 MB and
-0.3 MB for 8 5-way 1-shot 15-query episodes of the benchmark world. Up to 8
-episodes per block, repeated 20-episode evaluations page-fault as rarely
-as one episode per pass; from 12 on, each call took 550 to 1,100 minor
-page faults as the allocator handed the freed block back to the system and
-faulted it in again, and larger blocks gained little speed.
+block's largest temporary is the completion's (pairs, H) hidden matrix,
+about 0.8 MB for 8 5-way 1-shot 15-query episodes of the benchmark world;
+the fusion's largest are (E, samples, d) arrays the size of the block's
+samples, about 0.3 MB. Up to 8 episodes per block, repeated 20-episode
+evaluations page-fault as rarely as one episode per pass; from 12 on, each
+call took 650 to 1,050 minor page faults as the allocator handed the freed
+block back to the system and faulted it in again, and larger blocks gained
+little speed.
 
 Embeddings are treated as a fixed feature space throughout: episodic
 fine-tuning updates only the completion network and the classifier scale.

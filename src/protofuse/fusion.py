@@ -4,7 +4,8 @@ their Bayesian fusion via the closed-form product of Gaussians.
 One pass, ``_fuse``, does the paper's four steps for a whole episode: it
 soft-assigns every sample against each prototype family (``soft_assign``),
 estimates a floored diagonal Gaussian per class from each assignment
-(``weighted_gaussian_estimate``) and multiplies the two Gaussians
+(``weighted_gaussian_estimate``, two matrix products on the samples shifted
+by their episode mean) and multiplies the two Gaussians
 (``gaussian_product``). Each step is written once and ``_fuse`` calls all
 three by their module names, so a wrapper installed on any of them sees
 every fusion. It takes one episode, a (samples, d) sample matrix with
@@ -15,8 +16,8 @@ Every step computes on plain arrays. ``fuse_prototypes`` (inference) wraps
 the result in validated ``FusionResult`` stacks; ``fused_means`` (the
 episodic training loss) runs the same pass on the value of the completed
 prototypes' Node and returns one autodiff node whose hand-written backward
-pass differentiates through the product formula, the class moments, the
-soft assignment and the cosines (``cosine_matrix_vjp``).
+pass differentiates through the product formula, the class moments (two
+more matrix products), the soft assignment and the cosines.
 
 The paper fixes the soft-assignment sharpness and the variance floor, and so
 does this module: ``DEFAULT_LAMBDA`` (the softmax sharpness) and
@@ -31,7 +32,6 @@ consumed downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +153,11 @@ def weighted_gaussian_estimate(embeddings, responsibilities):
     and the population variances floored at EPSILON_VARIANCE.
 
     ``responsibilities`` is ([E,] samples, classes); returns the two ([E,]
-    classes, d) stacks (mean, variance). Two passes: the variance is taken
-    around the finished mean.
+    classes, d) stacks (mean, variance). With T the column totals of r and
+    c the episode's sample mean, the mean is ``r^T x / T`` and the variance
+    ``r^T (x - c)**2 / T - (mean - c)**2``: the shift by c keeps an offset
+    the samples share out of the subtraction, and one sample of
+    responsibility 1 still lands exactly on the floor.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     r = np.asarray(responsibilities, dtype=np.float64)
@@ -163,57 +166,12 @@ def weighted_gaussian_estimate(embeddings, responsibilities):
     if empty is not None:
         raise ValueError(f"zero total responsibility for class position {empty}")
     column = totals[..., None]
-    mean = np.swapaxes(r, -1, -2) @ x / column
-    variance = _weighted_square_deviations(x, r, mean) / column
-    return mean, np.maximum(variance, EPSILON_VARIANCE)
-
-
-def _deviation_blocks(x: np.ndarray, mean: np.ndarray):
-    """The squared deviations ``(x[s] - mean[k])**2`` as (class chunk,
-    (..., chunk, samples, d) block) pairs, each block squared in place.
-
-    The blocks are the largest temporaries of the fusion, so they are formed
-    as many classes at a time as keep a block within one episode's
-    all-class block and never fewer than one: one block for a single
-    episode, and class by class for a block of at least as many episodes as
-    classes.
-    """
-    classes, episodes = mean.shape[-2], math.prod(x.shape[:-2])
-    step = max(1, classes // episodes)
-    for k in range(0, classes, step):
-        chunk = slice(k, k + step)
-        # Repeating the means first lets the subtraction run over whole
-        # (samples, d) blocks: half the time of a row-by-row broadcast.
-        squares = np.repeat(mean[..., chunk, None, :], x.shape[-2], axis=-2)
-        np.subtract(x[..., None, :, :], squares, out=squares)
-        np.square(squares, out=squares)
-        yield chunk, squares
-
-
-def _weighted_square_deviations(x: np.ndarray, r: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``sum_s r[s, k] * (x[s] - mean[k])**2`` for every class k, ([E,]
-    classes, d): one matrix product per block of ``_deviation_blocks``."""
     r_t = np.swapaxes(r, -1, -2)
-    out = np.empty(mean.shape)
-    for chunk, squares in _deviation_blocks(x, mean):
-        out[..., chunk, :] = np.matmul(r_t[..., chunk, None, :], squares)[..., 0, :]
-    return out
-
-
-def _weighted_square_deviations_vjp(x: np.ndarray, mean: np.ndarray,
-                                    g: np.ndarray) -> np.ndarray:
-    """Gradient of ``sum(g * _weighted_square_deviations(x, r, mean))`` with
-    respect to ``r``, for the rows ``x`` (all of the samples or some of
-    them), ([E,] rows, classes). The blocks are formed again, one at a time,
-    so nothing of their size is kept between the two passes.
-
-    The gradient with respect to ``mean``, ``-2 g sum_s r[s] (x[s] - mean)``,
-    is not formed: at the responsibility-weighted mean, where the fusion
-    takes the deviations, that sum is zero.
-    """
-    g_r = np.concatenate([np.matmul(squares, g[..., chunk, :, None])[..., 0]
-                          for chunk, squares in _deviation_blocks(x, mean)], axis=-2)
-    return np.swapaxes(g_r, -1, -2)
+    mean = r_t @ x / column
+    center = x.mean(axis=-2, keepdims=True)
+    shifted, mean_shifted = x - center, mean - center
+    variance = r_t @ (shifted * shifted) / column - mean_shifted * mean_shifted
+    return mean, np.maximum(variance, EPSILON_VARIANCE)
 
 
 def gaussian_product(prior, likelihood):
@@ -303,10 +261,10 @@ def fused_means(embeddings, labels, mean_prototypes, completed_prototypes):
     Node ``completed_prototypes``.
 
     Its backward pass runs the fusion's steps in reverse: the product
-    formula, the completed side's class moments (through
-    ``_weighted_square_deviations_vjp``), its soft assignment and the
-    cosines. A variance at the floor passes no gradient back. The mean side
-    involves no trainable quantity.
+    formula, the completed side's class moments (the two matrix products of
+    ``weighted_gaussian_estimate``, differentiated on the same shifted
+    samples), its soft assignment and the cosines. A variance at the floor
+    passes no gradient back. The mean side involves no trainable quantity.
     """
     completed = completed_prototypes.value
     x = np.asarray(embeddings, dtype=np.float64)
@@ -315,17 +273,22 @@ def fused_means(embeddings, labels, mean_prototypes, completed_prototypes):
     unlabeled = np.flatnonzero(np.asarray(labels) < 0)
 
     def vjp(g):
-        # product: the completed side's mean and (floored) variance
-        denom = var_c + var_m
+        # product: the completed side's mean and (floored) variance, both
+        # gradients divided by the class totals T of the moments below
+        totals = r.sum(axis=-2)[..., None]
+        denom = (var_c + var_m) * totals
         g_mean = g * var_m / denom
         g_var = g * (mean_m - fused) / denom * (var_c > EPSILON_VARIANCE)
-        # class moments: mean = r^T x / totals, variance = deviations / totals
-        totals = r.sum(axis=-2)[..., None]
-        g_totals = -(g_var * var_c + g_mean * mean_c).sum(axis=-1) / totals[..., 0]
-        # responsibilities of the unlabeled samples (the labeled ones are constant)
+        # class moments, mean = r^T x / T and variance = r^T x'^2 / T - m'^2
+        # with x' = x - c and m' = mean - c, through the responsibilities of
+        # the unlabeled samples (the labeled ones are constant)
+        center = x.mean(axis=-2, keepdims=True)
         x_u = x[..., unlabeled, :]
-        g_soft = (_weighted_square_deviations_vjp(x_u, mean_c, g_var / totals)
-                  + x_u @ np.swapaxes(g_mean / totals, -1, -2) + g_totals[..., None, :])
+        shifted, mean_shifted = x_u - center, mean_c - center
+        g_soft = ((shifted * shifted) @ np.swapaxes(g_var, -1, -2)
+                  + shifted @ np.swapaxes(g_mean - 2 * g_var * mean_shifted, -1, -2)
+                  + (g_var * (mean_shifted * mean_shifted - var_c)
+                     - g_mean * mean_shifted).sum(axis=-1)[..., None, :])
         # softmax of DEFAULT_LAMBDA * cosine
         soft = r[..., unlabeled, :]
         g_z = soft * (g_soft - (g_soft * soft).sum(axis=-1, keepdims=True))

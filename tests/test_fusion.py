@@ -322,54 +322,84 @@ def test_fused_means_gradient_flows_through_responsibilities():
         assert node.grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
-def test_weighted_square_deviations_gradients_match_finite_differences():
+def offset_samples(rng, samples, d, offset):
+    """Standard-normal samples shifted by ``offset`` times their spread, along
+    a random sign in each dimension."""
+    return offset * rng.choice([-1.0, 1.0], size=d) + rng.standard_normal((samples, d))
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), samples=st.integers(1, 16), classes=st.integers(1, 5),
+       d=st.integers(1, 8), offset=st.floats(0.0, 100.0), scale=st.floats(1e-2, 1e2))
+def test_weighted_estimate_matches_two_pass_reference_at_any_offset(seed, samples, classes,
+                                                                    d, offset, scale):
+    # The closed form r^T (x - c)**2 / T - (mean - c)**2 against the two-pass
+    # reference, which squares the deviations from the finished mean. The
+    # offset enters the error only through the mean's rounding, eps |x| per
+    # entry, times |mean - c|; without the shift by c it would enter squared.
+    rng = np.random.default_rng(seed)
+    x = scale * offset_samples(rng, samples, d, offset)
+    r = rng.random((samples, classes))
+    mean, variance = fusion.weighted_gaussian_estimate(x, r)
+    ref_mean, ref_variance = tape._weighted_gaussian_estimate(x, r)
+    np.testing.assert_array_equal(mean, ref_mean)
+    center = x.mean(axis=0)
+    magnitude = (x - center) ** 2 + np.abs(x) * np.abs(mean - center)[:, None]
+    rounding = np.finfo(float).eps * magnitude.max(axis=1)
+    assert (np.abs(variance - ref_variance) <= 1e-12 * ref_variance + 16 * rounding).all()
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0, 1e6])
+def test_weighted_estimate_of_one_certain_sample_lands_on_the_floor(offset):
     rng = np.random.default_rng(15)
-    x = rng.standard_normal((7, 3))
-    r = rng.random((7, 2))
-    mean = rng.standard_normal((2, 3))
-    probe = rng.standard_normal((2, 3))
+    x = offset_samples(rng, 6, 4, offset)
+    r = rng.random((6, 3))
+    r[:, 1] = np.eye(6)[2]
+    mean, variance = fusion.weighted_gaussian_estimate(x, r)
+    np.testing.assert_array_equal(mean[1], x[2])
+    np.testing.assert_array_equal(variance[1], fusion.EPSILON_VARIANCE)
 
-    def loss(responsibilities):
-        return np.sum(fusion._weighted_square_deviations(x, responsibilities, mean) * probe)
 
-    grad = fusion._weighted_square_deviations_vjp(x, mean, probe)
-    assert grad.shape == r.shape
-    h = 1e-6
-    for j in range(r.size):
-        up, down = r.copy(), r.copy()
+def test_weighted_estimate_of_a_block_equals_each_episode_alone_bitwise():
+    # Three episodes of two classes; the moments equal those of each episode
+    # alone bit for bit, and so do the fusion node's gradients within 1e-14.
+    rng = np.random.default_rng(16)
+    x, r = offset_samples(rng, 21, 3, 5.0).reshape(3, 7, 3), rng.random((3, 7, 2))
+    block = fusion.weighted_gaussian_estimate(x, r)
+    labels = np.array([0, 1] + [-1] * 5)
+    means, completed = x[:, :2], x[:, :2] + rng.standard_normal((3, 2, 3))
+    probe = rng.standard_normal((3, 2, 3))
+    node = ad.Node(completed)
+    ad.backward(tape.sum(tape.mul(fusion.fused_means(x, labels, means, node), probe)))
+    for b in range(3):
+        for stack, alone in zip(block, fusion.weighted_gaussian_estimate(x[b], r[b])):
+            np.testing.assert_array_equal(stack[b], alone)
+        alone = ad.Node(completed[b])
+        ad.backward(tape.sum(tape.mul(fusion.fused_means(x[b], labels, means[b], alone),
+                                      probe[b])))
+        np.testing.assert_allclose(node.grad[b], alone.grad, rtol=1e-14, atol=1e-14)
+
+
+def test_fused_means_gradient_at_an_offset_matches_central_differences():
+    # Embeddings, mean and completed prototypes offset by 100 times the
+    # samples' spread, so the backward pass differentiates shifted moments
+    # that the centred episodes of the other gradient checks leave near zero.
+    x, labels, means, completed = random_episode(17, 3, 2, 9, 4)
+    offset = 100 * x.std(axis=0) * np.random.default_rng(17).choice([-1.0, 1.0], size=4)
+    x, means, completed = x + offset, means + offset, completed + offset
+    probe = np.random.default_rng(18).standard_normal(completed.shape)
+    node = ad.Node(completed)
+    ad.backward(tape.sum(tape.mul(fusion.fused_means(x, labels, means, node), probe)))
+    assert np.abs(node.grad).max() > 0
+    h = 1e-6 * np.abs(completed).max()
+    for j in range(completed.size):
+        up, down = completed.copy(), completed.copy()
         up.flat[j] += h
         down.flat[j] -= h
-        assert grad.flat[j] == pytest.approx((loss(up) - loss(down)) / (2 * h),
-                                             rel=1e-6, abs=1e-8)
-    # rows can be taken apart: the gradient of some rows is those rows' gradient
-    np.testing.assert_array_equal(fusion._weighted_square_deviations_vjp(x[2:5], mean, probe),
-                                  grad[2:5])
-    # the deviations are taken around the weighted mean in the fusion, where
-    # their gradient with respect to the mean, -2 g sum_s r (x - mean), is zero
-    weighted = r.T @ x / r.sum(axis=0)[:, None]
-    np.testing.assert_allclose(r.T @ x - weighted * r.sum(axis=0)[:, None], 0.0, atol=1e-14)
-    expected = [[np.sum(r[:, k] * (x[:, j] - mean[k, j]) ** 2) for j in range(3)]
-                for k in range(2)]
-    np.testing.assert_allclose(fusion._weighted_square_deviations(x, r, mean), expected,
-                               rtol=1e-12)
-
-
-def test_weighted_square_deviations_of_a_block_class_by_class():
-    # Three episodes of two classes are taken class by class; values and
-    # gradients equal those of each episode alone.
-    rng = np.random.default_rng(16)
-    x, r = rng.standard_normal((3, 7, 3)), rng.random((3, 7, 2))
-    mean = rng.standard_normal((3, 2, 3))
-    probe = rng.standard_normal((3, 2, 3))
-    out = fusion._weighted_square_deviations(x, r, mean)
-    grad = fusion._weighted_square_deviations_vjp(x, mean, probe)
-    for b in range(3):
-        alone = fusion._weighted_square_deviations(x[b], r[b], mean[b])
-        np.testing.assert_array_equal(out[b], alone)
-        np.testing.assert_allclose(grad[b],
-                                   fusion._weighted_square_deviations_vjp(x[b], mean[b],
-                                                                          probe[b]),
-                                   rtol=1e-14, atol=1e-14)
+        step = (fusion.fuse_prototypes(x, labels, means, up).fused
+                - fusion.fuse_prototypes(x, labels, means, down).fused)
+        assert node.grad.flat[j] == pytest.approx(np.sum(step * probe) / (2 * h),
+                                                  rel=1e-5, abs=1e-9)
 
 
 # --- batched fusion properties ---------------------------------------------
@@ -406,7 +436,10 @@ def test_fusion_posterior_is_tighter_and_between_per_dimension(seed, n_way, k_sh
     hi = np.maximum(prior.mean, likelihood.mean)
     slack = 1e-12 * (1.0 + np.abs(post.mean))
     assert ((lo - slack <= post.mean) & (post.mean <= hi + slack)).all()
-    # row k is the estimate from column k alone and the product of class position k
+    # row k is the estimate from column k alone and the product of class
+    # position k; a one-pass variance far below its class's squared distance
+    # from the episode mean c keeps only eps * max |x - c|**2 absolute precision
+    rounding = 16 * np.finfo(float).eps * np.max((x - x.mean(axis=0)) ** 2)
     for k in range(n_way):
         g_mean = [stack[0] for stack in fusion.weighted_gaussian_estimate(
             x, result.assignment_mean[:, [k]])]
@@ -414,7 +447,7 @@ def test_fusion_posterior_is_tighter_and_between_per_dimension(seed, n_way, k_sh
             x, result.assignment_completed[:, [k]])]
         single_mean, single_var = fusion.gaussian_product(g_comp, g_mean)
         np.testing.assert_allclose(post.mean[k], single_mean, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(post.variance[k], single_var, rtol=1e-12)
+        np.testing.assert_allclose(post.variance[k], single_var, rtol=1e-12, atol=rounding)
     # the traced training-loss fusion computes the same posterior means
     traced = fusion.fused_means(x, labels, means, ad.Node(completed))
     np.testing.assert_allclose(traced.value, post.mean, rtol=1e-12, atol=1e-12)
