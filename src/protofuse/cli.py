@@ -26,7 +26,7 @@ from . import episodes as ep
 from . import nn
 from .datagen import WORLD_FILES, WORLDSPEC, World, WorldSpec, generate_world, load_world, \
     save_world
-from .fileio import atomic_write_json, atomic_write_text
+from .fileio import atomic_write_json, atomic_write_text, json_text
 from .knowledge import average_cluster_variance, compute_attribute_stats, \
     compute_base_prototypes, inject_knowledge_noise
 
@@ -168,11 +168,17 @@ def _cmd_eval(args) -> int:
     world, stats, params, _ = _load_world_and_model(args)
     dump = [] if args.dump_fusion else None
     report = _evaluate(args, world, world.knowledge, stats, params, (args.mode,), dump)[args.mode]
-    atomic_write_json(args.out, report.to_json_dict())
+    # both texts are formed before either file is written, so a value JSON
+    # cannot hold leaves neither file behind
+    texts = {args.out: json_text(report.to_json_dict(), args.out)}
     if args.dump_fusion:
-        atomic_write_text(args.dump_fusion,
-                          "\n".join(json.dumps(e, sort_keys=True, allow_nan=False)
-                                    for e in dump) + "\n")
+        try:
+            texts[args.dump_fusion] = "\n".join(
+                json.dumps(e, sort_keys=True, allow_nan=False) for e in dump) + "\n"
+        except ValueError as exc:
+            raise ValueError(f"{args.dump_fusion}: {exc}") from None
+    for path, text in texts.items():
+        atomic_write_text(path, text)
     print(f"{'mode':<16}{'n-way':>6}{'k-shot':>8}{'episodes':>10}{'accuracy':>12}{'95% CI':>10}")
     print(f"{report.mode:<16}{report.n_way:>6}{report.k_shot:>8}{report.episodes:>10}"
           f"{report.mean_acc * 100:>11.2f}%{report.ci95 * 100:>9.2f}%")

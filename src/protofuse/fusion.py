@@ -1,23 +1,24 @@
 """Transductive estimation of diagonal-Gaussian prototype distributions and
 their Bayesian fusion via the closed-form product of Gaussians.
 
-One pass, ``_fuse``, does the paper's four steps for a whole episode: it
-soft-assigns every sample against each prototype family (``soft_assign``),
-estimates a floored diagonal Gaussian per class from each assignment
-(``weighted_gaussian_estimate``, two matrix products on the samples shifted
-by their episode mean) and multiplies the two Gaussians
-(``gaussian_product``). Each step is written once and ``_fuse`` calls all
+One pass, ``fuse_prototypes``, does the paper's four steps for a whole
+episode: it soft-assigns every sample against each prototype family
+(``soft_assign``), estimates a floored diagonal Gaussian per class from each
+assignment (``weighted_gaussian_estimate``, matrix products on the samples
+shifted by their episode mean) and multiplies the two Gaussians
+(``gaussian_product``). Each step is written once and the pass calls all
 three by their module names, so a wrapper installed on any of them sees
 every fusion. It takes one episode, a (samples, d) sample matrix with
 (classes, d) prototype families, or a block of episodes stacked along
 leading axes, (E, samples, d) with (E, classes, d); every step acts on the
 last two axes, so episode b of a block is computed as it would be alone.
-Every step computes on plain arrays. ``fuse_prototypes`` (inference) wraps
-the result in validated ``FusionResult`` stacks; ``fused_means`` (the
-episodic training loss) runs the same pass on the value of the completed
-prototypes' Node and returns one autodiff node whose hand-written backward
-pass differentiates through the product formula, the class moments (two
-more matrix products), the soft assignment and the cosines.
+Every step computes on plain arrays, and each Gaussian is a
+``DiagonalGaussian`` (mean, variance) pair. Inference reads the pass's
+``FusionResult``; ``fused_means`` (the episodic training loss) runs it on
+the value of the completed prototypes' Node and returns one autodiff node
+whose hand-written backward pass differentiates through the product
+formula, the class moments, the soft assignment and the cosines. A
+non-finite unlabeled sample or prototype fails in ``cosine_matrix``, by row.
 
 The paper fixes the soft-assignment sharpness and the variance floor, and so
 does this module: ``DEFAULT_LAMBDA`` (the softmax sharpness) and
@@ -32,7 +33,7 @@ consumed downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,23 +44,12 @@ EPSILON_VARIANCE = 1e-6  # floor of every estimated variance
 DEFAULT_LAMBDA = 10.0  # softmax sharpness of the soft assignment
 
 
-@dataclass
-class DiagonalGaussian:
+class DiagonalGaussian(NamedTuple):
     """Mean plus per-dimension variance of n Gaussians, one per row of two
     (n, d) matrices, or of (E, n, d) stacks of those."""
 
     mean: np.ndarray
     variance: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.variance = np.asarray(self.variance, dtype=np.float64)
-        if self.mean.ndim not in (2, 3) or self.mean.shape != self.variance.shape:
-            raise ValueError("mean and variance must be matching matrices or stacks of matrices")
-        if not (np.isfinite(self.mean).all() and np.isfinite(self.variance).all()):
-            raise ValueError("mean and variance must be finite")
-        if (self.variance <= 0).any():
-            raise ValueError("variance must be strictly positive (apply a floor first)")
 
 
 def _first_row(mask: np.ndarray):
@@ -74,10 +64,9 @@ def cosine_matrix(embeddings, prototypes):
 
     Takes a (samples, d) and a (classes, d) matrix, or two stacks of them
     with the same leading axes; the result is (..., samples, classes).
-    Raises on any zero-norm row, naming the offending sample or prototype by
-    its row within its matrix, and on a prototype whose norm is not finite (a
-    NaN or infinite entry, or a squared norm that overflows), naming its
-    position.
+    Raises on the first embedding, then the first prototype, whose norm is
+    not finite (a NaN or infinite entry, or a squared norm that overflows)
+    or is zero, naming it by its row within its matrix.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim < 2:
@@ -87,15 +76,21 @@ def cosine_matrix(embeddings, prototypes):
         raise ValueError(f"prototype matrix shape {p.shape} does not match "
                          f"embeddings of shape {x.shape}")
     x_norms = _row_norms(x)
-    if not x_norms.all():
-        raise ValueError(f"zero-norm embedding at row {_first_row(x_norms == 0.0)}")
+    _check_norms(x_norms, "embedding at row")
     norms = _row_norms(p)
-    if not (np.isfinite(norms).all() and norms.all()):
-        bad = _first_row(~np.isfinite(norms))
-        if bad is not None:
-            raise ValueError(f"non-finite prototype at position {bad}")
-        raise ValueError(f"zero-norm prototype at position {_first_row(norms == 0.0)}")
+    _check_norms(norms, "prototype at position")
     return (x / x_norms[..., None]) @ np.swapaxes(p, -1, -2) / norms[..., None, :]
+
+
+def _check_norms(norms: np.ndarray, what: str) -> None:
+    """Raise on the first row of ``norms`` that is not finite, else on the
+    first that is zero, naming it as ``what`` and its row."""
+    if np.isfinite(norms).all() and norms.all():
+        return
+    bad = _first_row(~np.isfinite(norms))
+    if bad is not None:
+        raise ValueError(f"non-finite {what} {bad}")
+    raise ValueError(f"zero-norm {what} {_first_row(norms == 0.0)}")
 
 
 def cosine_matrix_vjp(embeddings, prototypes, g):
@@ -152,12 +147,13 @@ def weighted_gaussian_estimate(embeddings, responsibilities):
     """Responsibility-weighted diagonal Gaussian of every class: the means
     and the population variances floored at EPSILON_VARIANCE.
 
-    ``responsibilities`` is ([E,] samples, classes); returns the two ([E,]
-    classes, d) stacks (mean, variance). With T the column totals of r and
-    c the episode's sample mean, the mean is ``r^T x / T`` and the variance
-    ``r^T (x - c)**2 / T - (mean - c)**2``: the shift by c keeps an offset
-    the samples share out of the subtraction, and one sample of
-    responsibility 1 still lands exactly on the floor.
+    ``responsibilities`` is ([E,] samples, classes); returns the
+    ``DiagonalGaussian`` of ([E,] classes, d) stacks. With T the column
+    totals of r and c the episode's sample mean, the mean is ``r^T x / T``
+    and the variance ``r^T (x - c)**2 / T - m'**2`` with the shifted mean
+    ``m' = r^T (x - c) / T``: no offset the samples share reaches the
+    subtraction, and one sample of responsibility 1 lands exactly on the
+    floor.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     r = np.asarray(responsibilities, dtype=np.float64)
@@ -169,15 +165,16 @@ def weighted_gaussian_estimate(embeddings, responsibilities):
     r_t = np.swapaxes(r, -1, -2)
     mean = r_t @ x / column
     center = x.mean(axis=-2, keepdims=True)
-    shifted, mean_shifted = x - center, mean - center
+    shifted = x - center
+    mean_shifted = r_t @ shifted / column
     variance = r_t @ (shifted * shifted) / column - mean_shifted * mean_shifted
-    return mean, np.maximum(variance, EPSILON_VARIANCE)
+    return DiagonalGaussian(mean, np.maximum(variance, EPSILON_VARIANCE))
 
 
 def gaussian_product(prior, likelihood):
     """Closed-form product of two diagonal Gaussians, each a (mean,
     variance) pair of vectors, (n, d) matrices or (E, n, d) stacks. Returns
-    the posterior (mean, variance) pair; the scalar normalizer is irrelevant
+    the posterior ``DiagonalGaussian``; the scalar normalizer is irrelevant
     downstream and intentionally skipped.
     """
     prior_mean, prior_var, lik_mean, lik_var = (
@@ -186,8 +183,7 @@ def gaussian_product(prior, likelihood):
         raise ValueError(f"shape mismatch: {prior_mean.shape} vs {lik_mean.shape}")
     denom = prior_var + lik_var
     mean = (lik_var * prior_mean + prior_var * lik_mean) / denom
-    var = prior_var * lik_var / denom
-    return mean, var
+    return DiagonalGaussian(mean, prior_var * lik_var / denom)
 
 
 def mean_fuse(prototype, completed):
@@ -199,8 +195,7 @@ def mean_fuse(prototype, completed):
     return (p + q) / 2.0
 
 
-@dataclass
-class FusionResult:
+class FusionResult(NamedTuple):
     """One episode's fusion, or a block's with a leading episode axis on
     every stack; row k of every Gaussian stack is class position k."""
 
@@ -216,9 +211,11 @@ class FusionResult:
         return self.posterior.mean
 
 
-def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
+def fuse_prototypes(embeddings, labels, mean_prototypes,
+                    completed_prototypes) -> FusionResult:
     """The one fusion pass over an episode's samples, all classes at once,
-    or over a block of episodes stacked along a leading axis.
+    or over a block of episodes stacked along a leading axis; inference and
+    ``fused_means`` both run it.
 
     ``embeddings`` is ([E,] samples, d), the prototype families are ([E,]
     classes, d), and ``labels`` (samples,) is the layout every episode of a
@@ -226,9 +223,9 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
     prototype family), estimates a floored diagonal Gaussian per class from
     each assignment (``weighted_gaussian_estimate``), and multiplies them
     (``gaussian_product``) with the completed-prototype Gaussian as the
-    prior and the mean-based Gaussian as the likelihood.
-    Returns the two responsibility matrices and the (mean, variance) pairs
-    of the mean-based, completed and posterior stacks.
+    prior and the mean-based Gaussian as the likelihood. The fused
+    prototype is the posterior mean. A non-finite or zero-norm unlabeled
+    sample or prototype is rejected by ``cosine_matrix``, named by its row.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     means = np.asarray(mean_prototypes, dtype=np.float64)
@@ -236,29 +233,19 @@ def _fuse(embeddings, labels, mean_prototypes, completed_prototypes):
     if completed.shape != means.shape:
         raise ValueError(f"completed prototypes of shape {completed.shape} do not match "
                          f"mean prototypes of shape {means.shape}")
-    assign_mean = soft_assign(x, labels, means)
-    assign_comp = soft_assign(x, labels, completed)
-    mean_side = weighted_gaussian_estimate(x, assign_mean)
-    comp_side = weighted_gaussian_estimate(x, assign_comp)
-    posterior = gaussian_product(comp_side, mean_side)
-    return assign_mean, assign_comp, mean_side, comp_side, posterior
-
-
-def fuse_prototypes(embeddings, labels, mean_prototypes,
-                    completed_prototypes) -> FusionResult:
-    """Full fusion pass over one episode's supports and queries, or a
-    block's (``_fuse``), with every Gaussian stack validated. The fused
-    prototype is the posterior mean."""
-    assign_mean, assign_comp, mean_side, comp_side, posterior = _fuse(
-        embeddings, labels, mean_prototypes, completed_prototypes)
-    return FusionResult(DiagonalGaussian(*mean_side), DiagonalGaussian(*comp_side),
-                        DiagonalGaussian(*posterior), assign_mean, assign_comp)
+    assignment_mean = soft_assign(x, labels, means)
+    assignment_completed = soft_assign(x, labels, completed)
+    mean_based = weighted_gaussian_estimate(x, assignment_mean)
+    completed_side = weighted_gaussian_estimate(x, assignment_completed)
+    return FusionResult(mean_based, completed_side,
+                        gaussian_product(completed_side, mean_based),
+                        assignment_mean, assignment_completed)
 
 
 def fused_means(embeddings, labels, mean_prototypes, completed_prototypes):
     """Fused prototypes of every class, ([E,] classes, d), for the episodic
-    training loss: the posterior mean of ``_fuse``, as one Node over the
-    Node ``completed_prototypes``.
+    training loss: the posterior mean of ``fuse_prototypes``, as one Node
+    over the Node ``completed_prototypes``.
 
     Its backward pass runs the fusion's steps in reverse: the product
     formula, the completed side's class moments (the two matrix products of
@@ -268,8 +255,9 @@ def fused_means(embeddings, labels, mean_prototypes, completed_prototypes):
     """
     completed = completed_prototypes.value
     x = np.asarray(embeddings, dtype=np.float64)
-    _, r, (mean_m, var_m), (mean_c, var_c), (fused, _) = _fuse(
-        x, labels, mean_prototypes, completed)
+    result = fuse_prototypes(x, labels, mean_prototypes, completed)
+    (mean_m, var_m), (mean_c, var_c) = result.mean_based, result.completed
+    r, fused = result.assignment_completed, result.fused
     unlabeled = np.flatnonzero(np.asarray(labels) < 0)
 
     def vjp(g):

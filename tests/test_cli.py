@@ -145,6 +145,28 @@ def test_eval_fusion_dump(tmp_path, workspace):
     assert {"mean_based", "completed", "posterior"} <= set(entry)
 
 
+def test_eval_whose_dump_holds_a_nan_writes_neither_file(tmp_path, workspace, capsys,
+                                                        monkeypatch):
+    _, world, model = workspace
+    entry = ep._fusion_dump_entry
+
+    def poisoned(index, result, b):
+        out = entry(index, result, b)
+        out["posterior"][0]["mean"][0] = float("nan")
+        return out
+
+    monkeypatch.setattr(ep, "_fusion_dump_entry", poisoned)
+    out, dump = tmp_path / "r.json", tmp_path / "fusion.jsonl"
+    capsys.readouterr()
+    assert main(["eval", "--world", str(world), "--checkpoint", str(model),
+                 "--mode", "gauss-fusion", "--n-way", "3", "--m-query", "4",
+                 "--episodes", "2", "--seed", "2", "--out", str(out),
+                 "--dump-fusion", str(dump)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dump}: ") and err.count("\n") == 1
+    assert not out.exists() and not dump.exists()
+
+
 @pytest.mark.parametrize("mode", ["mean-only", "completed-only", "mean-fusion"])
 def test_fusion_dump_without_fusion_is_a_usage_error(tmp_path, workspace, capsys, mode):
     _, world, model = workspace

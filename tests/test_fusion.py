@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tape
@@ -81,16 +81,6 @@ def test_product_symmetry_and_bounds(m1, m2, v1, v2):
 def test_product_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         fusion.gaussian_product(gauss([0.0], [1.0]), gauss([0.0, 1.0], [1.0, 1.0]))
-
-
-def test_diagonal_gaussian_flooring():
-    with pytest.raises(ValueError, match="strictly positive"):
-        fusion.DiagonalGaussian(np.zeros((1, 2)), np.array([[0.0, 1.0]]))
-
-
-def test_diagonal_gaussian_holds_only_matrices_and_stacks():
-    with pytest.raises(ValueError, match="matching matrices"):
-        fusion.DiagonalGaussian(np.zeros(2), np.ones(2))
 
 
 # --- soft assignment -------------------------------------------------------
@@ -203,6 +193,38 @@ def test_cosine_matrix_rejects_non_finite_prototype_by_position(bad):
     x = np.array([[1.0, 0.5]])
     with pytest.raises(ValueError, match="^non-finite prototype at position 2$"):
         fusion.cosine_matrix(x, prototypes)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_cosine_matrix_rejects_non_finite_embedding_by_row(bad):
+    # 1e200 squares to inf; numpy warns of the overflow first, so the warning
+    # is silenced to reach the check itself
+    x = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]])
+    x[1, 0] = bad
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^non-finite embedding at row 1$"):
+        fusion.cosine_matrix(x, np.eye(2))
+
+
+def test_fusion_names_the_row_of_a_non_finite_query():
+    # two labeled supports, then three queries; the soft assignment of the
+    # queries reaches the check, which names the query's row
+    x, labels, means, completed = random_episode(19, 2, 1, 3, 4)
+    x[3, 2] = np.nan
+    with pytest.raises(ValueError, match="^non-finite embedding at row 1$"):
+        fusion.fuse_prototypes(x, labels, means, completed)
+    with pytest.raises(ValueError, match="^non-finite embedding at row 1$"):
+        fusion.fused_means(x, labels, means, ad.Node(completed))
+
+
+def test_fused_means_runs_one_fusion_pass(monkeypatch):
+    calls = []
+    fuse = fusion.fuse_prototypes
+    monkeypatch.setattr(fusion, "fuse_prototypes", lambda *args: calls.append(1) or fuse(*args))
+    x, labels, means, completed = random_episode(20, 3, 1, 4, 5)
+    fused = fusion.fused_means(x, labels, means, ad.Node(completed))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(fused.value, fuse(x, labels, means, completed).fused)
 
 
 # --- weighted estimation ---------------------------------------------------
@@ -331,21 +353,21 @@ def offset_samples(rng, samples, d, offset):
 @settings(deadline=None, max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), samples=st.integers(1, 16), classes=st.integers(1, 5),
        d=st.integers(1, 8), offset=st.floats(0.0, 100.0), scale=st.floats(1e-2, 1e2))
+@example(seed=4826, samples=2, classes=2, d=2, offset=100.0, scale=1.0)
 def test_weighted_estimate_matches_two_pass_reference_at_any_offset(seed, samples, classes,
                                                                     d, offset, scale):
-    # The closed form r^T (x - c)**2 / T - (mean - c)**2 against the two-pass
-    # reference, which squares the deviations from the finished mean. The
-    # offset enters the error only through the mean's rounding, eps |x| per
-    # entry, times |mean - c|; without the shift by c it would enter squared.
+    # The closed form r^T (x - c)**2 / T - m'**2, m' = r^T (x - c) / T,
+    # against the two-pass reference, which squares the deviations from the
+    # finished mean. Every term is computed on the shifted samples, so the
+    # offset does not enter the error at all. On the pinned example, taking
+    # m' as (r^T x / T) - c instead exceeds the bound 62,000-fold.
     rng = np.random.default_rng(seed)
     x = scale * offset_samples(rng, samples, d, offset)
     r = rng.random((samples, classes))
     mean, variance = fusion.weighted_gaussian_estimate(x, r)
     ref_mean, ref_variance = tape._weighted_gaussian_estimate(x, r)
     np.testing.assert_array_equal(mean, ref_mean)
-    center = x.mean(axis=0)
-    magnitude = (x - center) ** 2 + np.abs(x) * np.abs(mean - center)[:, None]
-    rounding = np.finfo(float).eps * magnitude.max(axis=1)
+    rounding = np.finfo(float).eps * ((x - x.mean(axis=0)) ** 2).max(axis=0)
     assert (np.abs(variance - ref_variance) <= 1e-12 * ref_variance + 16 * rounding).all()
 
 
