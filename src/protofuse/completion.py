@@ -136,9 +136,16 @@ def draw_attribute_features(stats: AttributeStats, knowledge: PrimitiveKnowledge
     return stats.mean[attrs] + stats.std[attrs] * rng.standard_normal((attrs.size, stats.dim))
 
 
+def _relu(a: np.ndarray) -> np.ndarray:
+    """ReLU of ``a``, in place. The zeros are a row, not the scalar 0.0: numpy
+    takes a slow scalar-broadcast loop for the scalar, and the bits are the
+    same."""
+    return np.maximum(a, np.zeros(a.shape[-1]), out=a)
+
+
 def _encode(t, x):
     """Shared encoder on the rows of ``x``."""
-    return np.maximum(x @ t["encoder.weight"].T + t["encoder.bias"], 0.0)
+    return _relu(x @ t["encoder.weight"].T + t["encoder.bias"])
 
 
 def _input_dim(t, knowledge: PrimitiveKnowledge) -> int:
@@ -191,13 +198,12 @@ def _forward(t, x, rows, columns, class_terms, attribute_terms, latents):
     z_proto = _encode(t, x)
     hidden = (x @ t["aggregator.hidden.weight"][:, :x.shape[1]].T + class_terms)[rows]
     hidden += attribute_terms
-    np.maximum(hidden, 0.0, out=hidden)
+    _relu(hidden)
     weights = np.zeros((x.shape[0], latents.shape[0]))
     weights[rows, columns] = (hidden @ t["aggregator.output.weight"][0]
                               + t["aggregator.output.bias"])
     combined = weights @ latents + z_proto
-    decoded = np.maximum(combined @ t["decoder.hidden.weight"].T + t["decoder.hidden.bias"],
-                         0.0)
+    decoded = _relu(combined @ t["decoder.hidden.weight"].T + t["decoder.hidden.bias"])
     out = decoded @ t["decoder.output.weight"].T + t["decoder.output.bias"]
     return out, (z_proto, hidden, weights, combined, decoded)
 

@@ -2,23 +2,25 @@
 their Bayesian fusion via the closed-form product of Gaussians.
 
 One pass, ``fuse_prototypes``, does the paper's four steps for a whole
-episode: it soft-assigns every sample against each prototype family
-(``soft_assign``), estimates a floored diagonal Gaussian per class from each
-assignment (``weighted_gaussian_estimate``, matrix products on the samples
-shifted by their episode mean) and multiplies the two Gaussians
-(``gaussian_product``). Each step is written once and the pass calls all
-three by their module names, so a wrapper installed on any of them sees
-every fusion. It takes one episode, a (samples, d) sample matrix with
-(classes, d) prototype families, or a block of episodes stacked along
-leading axes, (E, samples, d) with (E, classes, d); every step acts on the
-last two axes, so episode b of a block is computed as it would be alone.
-Every step computes on plain arrays, and each Gaussian is a
-``DiagonalGaussian`` (mean, variance) pair. Inference reads the pass's
-``FusionResult``; ``fused_means`` (the episodic training loss) runs it on
-the value of the completed prototypes' Node and returns one autodiff node
-whose hand-written backward pass differentiates through the product
-formula, the class moments, the soft assignment and the cosines. A
-non-finite unlabeled sample or prototype fails in ``cosine_matrix``, by row.
+episode: it stacks the two prototype families on a leading family axis,
+soft-assigns every sample against both (``soft_assign``), estimates a
+floored diagonal Gaussian per class and family (``weighted_gaussian_estimate``,
+matrix products on the samples shifted by their episode mean) and multiplies
+the two families' Gaussians (``gaussian_product``). The pass calls each step
+once, by its module name, so a wrapper installed on any of them sees every
+fusion. It takes one episode, a (samples, d) sample matrix with (classes, d)
+prototype families, or a block of episodes stacked along leading axes,
+(E, samples, d) with (E, classes, d). Every step acts on the last two axes
+and broadcasts the samples, normalised, centred and squared once, over the
+family axis; every matrix product keeps the shape it has for one family of
+one episode, so each is computed bit for bit as it would be alone. Each
+Gaussian is a ``DiagonalGaussian`` (mean, variance) pair. Inference reads
+the pass's ``FusionResult``; ``fused_means`` (the episodic training loss)
+runs it on the value of the completed prototypes' Node and returns one
+autodiff node whose hand-written backward pass differentiates through the
+product formula, the class moments, the soft assignment and the cosines. A
+non-finite unlabeled sample or prototype fails in ``cosine_matrix``, a
+non-finite labeled sample in ``weighted_gaussian_estimate``, by row.
 
 The paper fixes the soft-assignment sharpness and the variance floor, and so
 does this module: ``DEFAULT_LAMBDA`` (the softmax sharpness) and
@@ -46,7 +48,7 @@ DEFAULT_LAMBDA = 10.0  # softmax sharpness of the soft assignment
 
 class DiagonalGaussian(NamedTuple):
     """Mean plus per-dimension variance of n Gaussians, one per row of two
-    (n, d) matrices, or of (E, n, d) stacks of those."""
+    (n, d) matrices, or of stacks of those along leading axes."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -63,16 +65,19 @@ def cosine_matrix(embeddings, prototypes):
     """Pairwise cosine similarities, rows = embeddings, columns = prototypes.
 
     Takes a (samples, d) and a (classes, d) matrix, or two stacks of them
-    with the same leading axes; the result is (..., samples, classes).
-    Raises on the first embedding, then the first prototype, whose norm is
-    not finite (a NaN or infinite entry, or a squared norm that overflows)
-    or is zero, naming it by its row within its matrix.
+    with the same leading axes; the prototypes may carry further leading
+    axes (a family axis), over which the normalised embeddings broadcast.
+    The result is (..., samples, classes). Raises on the first embedding,
+    then the first prototype, whose norm is not finite (a NaN or infinite
+    entry, or a squared norm that overflows) or is zero, naming it by its
+    row within its matrix.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("embeddings must be a (samples x d) matrix")
     p = np.asarray(prototypes, dtype=np.float64)
-    if p.shape[:-2] != x.shape[:-2] or p.ndim != x.ndim or p.shape[-1] != x.shape[-1]:
+    if (p.ndim < x.ndim or p.shape[p.ndim - x.ndim:-2] != x.shape[:-2]
+            or p.shape[-1] != x.shape[-1]):
         raise ValueError(f"prototype matrix shape {p.shape} does not match "
                          f"embeddings of shape {x.shape}")
     x_norms = _row_norms(x)
@@ -109,8 +114,10 @@ def cosine_matrix_vjp(embeddings, prototypes, g):
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row (the last axis), as ``np.linalg.norm(a,
-    axis=-1)`` computes it for real input."""
-    return np.sqrt(np.add.reduce(a * a, axis=-1))
+    axis=-1)`` computes it for real input. A squared norm that overflows is
+    inf without a warning: the callers reject it by row."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -120,8 +127,9 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def soft_assign(embeddings, labels, prototypes):
-    """Responsibilities P(class | sample) of every sample, ([E,] samples,
-    classes).
+    """Responsibilities P(class | sample) of every sample, ([F,] [E,]
+    samples, classes) for ([F,] [E,] classes, d) prototypes: a leading
+    family axis F of the prototypes gives one assignment per family.
 
     ``labels`` (samples,) holds the class position (0..N-1) of each labeled
     sample and -1 for an unlabeled one; a block's episodes share it. Labeled
@@ -136,7 +144,7 @@ def soft_assign(embeddings, labels, prototypes):
     if y.max(initial=-1) >= num_classes:
         raise ValueError("label refers to a class position beyond the prototype count")
     unlabeled, labeled = (y < 0).nonzero()[0], (y >= 0).nonzero()[0]
-    out = np.zeros(x.shape[:-2] + (y.size, num_classes))
+    out = np.zeros(p.shape[:-2] + (y.size, num_classes))
     out[..., labeled, y[labeled]] = 1.0
     out[..., unlabeled, :] = _softmax_rows(
         cosine_matrix(x[..., unlabeled, :], p) * DEFAULT_LAMBDA)
@@ -147,13 +155,16 @@ def weighted_gaussian_estimate(embeddings, responsibilities):
     """Responsibility-weighted diagonal Gaussian of every class: the means
     and the population variances floored at EPSILON_VARIANCE.
 
-    ``responsibilities`` is ([E,] samples, classes); returns the
-    ``DiagonalGaussian`` of ([E,] classes, d) stacks. With T the column
-    totals of r and c the episode's sample mean, the mean is ``r^T x / T``
-    and the variance ``r^T (x - c)**2 / T - m'**2`` with the shifted mean
-    ``m' = r^T (x - c) / T``: no offset the samples share reaches the
-    subtraction, and one sample of responsibility 1 lands exactly on the
-    floor.
+    ``embeddings`` is ([E,] samples, d) and ``responsibilities`` ([F,] [E,]
+    samples, classes), one assignment per family F; returns the
+    ``DiagonalGaussian`` of ([F,] [E,] classes, d) stacks. With T the
+    column totals of r and c the episode's sample mean, the mean is
+    ``r^T x / T`` and the variance ``r^T (x - c)**2 / T - m'**2`` with the
+    shifted mean ``m' = r^T (x - c) / T``: no offset the samples share
+    reaches the subtraction, and one sample of responsibility 1 lands
+    exactly on the floor. ``c``, ``x - c`` and ``(x - c)**2`` are formed
+    once for all families. A non-finite sample makes ``c`` non-finite and
+    is rejected, named by its row.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     r = np.asarray(responsibilities, dtype=np.float64)
@@ -161,14 +172,18 @@ def weighted_gaussian_estimate(embeddings, responsibilities):
     empty = _first_row(totals <= 0.0)
     if empty is not None:
         raise ValueError(f"zero total responsibility for class position {empty}")
+    center = x.mean(axis=-2, keepdims=True)
+    if not np.isfinite(center).all():
+        bad = _first_row(~np.isfinite(x).all(axis=-1))
+        raise ValueError("the samples' mean overflows" if bad is None
+                         else f"non-finite sample at row {bad}")
     column = totals[..., None]
     r_t = np.swapaxes(r, -1, -2)
     mean = r_t @ x / column
-    center = x.mean(axis=-2, keepdims=True)
     shifted = x - center
     mean_shifted = r_t @ shifted / column
     variance = r_t @ (shifted * shifted) / column - mean_shifted * mean_shifted
-    return DiagonalGaussian(mean, np.maximum(variance, EPSILON_VARIANCE))
+    return DiagonalGaussian(mean, np.maximum(variance, np.full(x.shape[-1], EPSILON_VARIANCE)))
 
 
 def gaussian_product(prior, likelihood):
@@ -219,13 +234,16 @@ def fuse_prototypes(embeddings, labels, mean_prototypes,
 
     ``embeddings`` is ([E,] samples, d), the prototype families are ([E,]
     classes, d), and ``labels`` (samples,) is the layout every episode of a
-    block shares. Soft-assigns all samples twice (``soft_assign``, once per
-    prototype family), estimates a floored diagonal Gaussian per class from
-    each assignment (``weighted_gaussian_estimate``), and multiplies them
-    (``gaussian_product``) with the completed-prototype Gaussian as the
-    prior and the mean-based Gaussian as the likelihood. The fused
-    prototype is the posterior mean. A non-finite or zero-norm unlabeled
-    sample or prototype is rejected by ``cosine_matrix``, named by its row.
+    block shares. Stacks the two families on a leading family axis, (2,
+    [E,] classes, d), soft-assigns all samples against both in one
+    ``soft_assign`` call, estimates a floored diagonal Gaussian per class
+    and family in one ``weighted_gaussian_estimate`` call, and multiplies
+    the two families' Gaussians (``gaussian_product``) with the
+    completed-prototype Gaussian as the prior and the mean-based Gaussian
+    as the likelihood. The fused prototype is the posterior mean. A
+    non-finite or zero-norm unlabeled sample or prototype is rejected by
+    ``cosine_matrix``, a non-finite labeled sample by
+    ``weighted_gaussian_estimate``, each named by its row.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     means = np.asarray(mean_prototypes, dtype=np.float64)
@@ -233,13 +251,11 @@ def fuse_prototypes(embeddings, labels, mean_prototypes,
     if completed.shape != means.shape:
         raise ValueError(f"completed prototypes of shape {completed.shape} do not match "
                          f"mean prototypes of shape {means.shape}")
-    assignment_mean = soft_assign(x, labels, means)
-    assignment_completed = soft_assign(x, labels, completed)
-    mean_based = weighted_gaussian_estimate(x, assignment_mean)
-    completed_side = weighted_gaussian_estimate(x, assignment_completed)
+    assignment = soft_assign(x, labels, np.stack([means, completed]))
+    mean_based, completed_side = (
+        DiagonalGaussian(*family) for family in zip(*weighted_gaussian_estimate(x, assignment)))
     return FusionResult(mean_based, completed_side,
-                        gaussian_product(completed_side, mean_based),
-                        assignment_mean, assignment_completed)
+                        gaussian_product(completed_side, mean_based), *assignment)
 
 
 def fused_means(embeddings, labels, mean_prototypes, completed_prototypes):

@@ -20,7 +20,7 @@ from protofuse import episodes as ep
 from protofuse import nn
 from protofuse.cli import main
 from protofuse.completion import sample_completion_tasks
-from protofuse.datagen import load_world
+from protofuse.datagen import FewShotDataset, World, load_world, save_world
 from protofuse.knowledge import compute_attribute_stats, compute_base_prototypes
 
 GEN_FLAGS = ["--dim", "12", "--semantic-dim", "6", "--base-classes", "6",
@@ -165,6 +165,25 @@ def test_eval_whose_dump_holds_a_nan_writes_neither_file(tmp_path, workspace, ca
     err = capsys.readouterr().err
     assert err.startswith(f"error: {dump}: ") and err.count("\n") == 1
     assert not out.exists() and not dump.exists()
+
+
+@pytest.mark.parametrize("mode", list(ep.MODES))
+def test_eval_on_novel_rows_whose_squared_norm_overflows_prints_one_line(
+        tmp_path, workspace, capsys, mode):
+    # finite rows load; their squared norms overflow, and the one error line
+    # comes without numpy's overflow warning (an error here under pytest)
+    _, world, model = workspace
+    loaded = load_world(world)
+    rows = loaded.novel.embeddings.copy()
+    rows[:, 0] = 1e200
+    save_world(World(loaded.base, FewShotDataset(rows, loaded.novel.labels),
+                     loaded.knowledge, loaded.centers), tmp_path / "world")
+    capsys.readouterr()
+    assert main(["eval", "--world", str(tmp_path / "world"), "--checkpoint", str(model),
+                 "--mode", mode, "--n-way", "3", "--m-query", "4", "--episodes", "2",
+                 "--seed", "2", "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: episode 0: non-finite embedding at row 0\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("mode", ["mean-only", "completed-only", "mean-fusion"])

@@ -300,6 +300,17 @@ def test_encode_matches_scalar_reference():
         np.testing.assert_allclose(plan.attribute_latents[a], expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 3, 7)])
+def test_relu_equals_the_scalar_form_bitwise(shape):
+    # the zeros are a row of constants, in place; np.maximum against the
+    # scalar 0.0 gives the same bits, signed zeros and NaN signs included
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, -1.5, 2.5]
+    a = np.random.default_rng(6).permutation(np.resize(special, shape).ravel()).reshape(shape)
+    expected = np.maximum(a, 0.0)
+    out = cp._relu(a)
+    assert out is a and out.tobytes() == expected.tobytes()
+
+
 def test_aggregate_matches_scalar_reference():
     know = small_knowledge([[1, 1, 1], [1, 0, 1]], num_base=2, seed=4)
     stats = constant_stats(np.zeros((3, 4)))

@@ -217,6 +217,30 @@ def test_fusion_names_the_row_of_a_non_finite_query():
         fusion.fused_means(x, labels, means, ad.Node(completed))
 
 
+def test_row_norm_overflow_fails_by_row_without_a_warning():
+    # no errstate here: pytest turns numpy's overflow warning into an error
+    x = np.array([[1.0, 0.5], [1e200, 2.0]])
+    with pytest.raises(ValueError, match="^non-finite embedding at row 1$"):
+        fusion.cosine_matrix(x, np.eye(2))
+    with pytest.raises(ValueError, match="^non-finite prototype at position 0$"):
+        fusion.cosine_matrix(np.eye(2), x[::-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fusion_names_the_row_of_a_non_finite_labeled_sample(bad):
+    # the labeled rows never reach the cosines; the class moments reject them
+    x, labels, means, completed = random_episode(19, 2, 1, 3, 4)
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="^non-finite sample at row 1$"):
+        fusion.fuse_prototypes(x, labels, means, completed)
+    with pytest.raises(ValueError, match="^non-finite sample at row 1$"):
+        fusion.fused_means(x, labels, means, ad.Node(completed))
+    block = np.stack([x, x])
+    block[0, 1, 2] = 0.0
+    with pytest.raises(ValueError, match="^non-finite sample at row 1$"):
+        fusion.fuse_prototypes(block, labels, np.stack([means] * 2), np.stack([completed] * 2))
+
+
 def test_fused_means_runs_one_fusion_pass(monkeypatch):
     calls = []
     fuse = fusion.fuse_prototypes
@@ -260,6 +284,31 @@ def test_weighted_estimate_matches_scalar_loops():
             assert means[k, dim] == pytest.approx(mean, abs=1e-12)
             assert variances[k, dim] == pytest.approx(max(var, fusion.EPSILON_VARIANCE),
                                                       abs=1e-9)
+
+
+def test_variance_floor_equals_the_scalar_form_bitwise(monkeypatch):
+    # the floor is a row of constants; np.maximum against the scalar gives
+    # the same bits, here on variances of 0.0, below and above the floor,
+    # inf and NaN (a 1e160 deviation squares to inf, times a zero weight NaN)
+    x = np.array([[0.0, 5.0, -1e160], [1e-4, 5.0, 0.0], [3.0, 5.0, 1e160]])
+    r = np.array([[1.0, 0.5], [0.0, 0.5], [1.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        floored = fusion.weighted_gaussian_estimate(x, r).variance
+        monkeypatch.setattr(fusion, "EPSILON_VARIANCE", -np.inf)
+        raw = fusion.weighted_gaussian_estimate(x, r).variance
+    assert (raw == 0.0).any() and np.isnan(raw).any() and np.isinf(raw).any()
+    assert ((raw > 0.0) & (raw < 1e-6)).any() and (raw > 1e-6).any()
+    assert floored.tobytes() == np.maximum(raw, 1e-6).tobytes()
+    special = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 1e-7, 2.0]] * 2)
+    assert (np.maximum(special, np.full(7, 1e-6)).tobytes()
+            == np.maximum(special, 1e-6).tobytes())
+
+
+def test_weighted_estimate_rejects_finite_samples_whose_mean_overflows():
+    x = np.array([[1.7e308, 0.0], [1.7e308, 1.0]])
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^the samples' mean overflows$"):
+        fusion.weighted_gaussian_estimate(x, np.eye(2))
 
 
 def test_weighted_estimate_zero_responsibility():
@@ -542,3 +591,61 @@ def test_block_fusion_equals_each_episode_alone_bitwise(episodes, seed, n_way, k
                                       alone.assignment_completed)
         np.testing.assert_array_equal(fusion.cosine_matrix(x, block.fused)[b],
                                       fusion.cosine_matrix(x[b], alone.fused))
+
+
+# --- family axis -----------------------------------------------------------
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), episodes=st.sampled_from([1, 3, 8]),
+       n_way=st.sampled_from([1, 2, 5, 8]), k_shot=st.sampled_from([1, 5]),
+       m_query=st.integers(0, 15), d=st.integers(1, 8))
+def test_fusion_equals_each_family_through_the_steps_alone_bitwise(seed, episodes, n_way,
+                                                                   k_shot, m_query, d):
+    # One pass over both families, stacked on a family axis, gives the bits
+    # of each family soft-assigned and estimated on its own; for a block of
+    # episodes and for its first episode alone.
+    stacks = [random_episode(seed + b, n_way, k_shot, m_query, d) for b in range(episodes)]
+    labels = stacks[0][1]
+    block = tuple(np.stack([s[i] for s in stacks]) for i in (0, 2, 3))
+    for x, means, completed in (block, tuple(a[0] for a in block)):
+        result = fusion.fuse_prototypes(x, labels, means, completed)
+        r_mean = fusion.soft_assign(x, labels, means)
+        r_completed = fusion.soft_assign(x, labels, completed)
+        mean_based = fusion.weighted_gaussian_estimate(x, r_mean)
+        completed_side = fusion.weighted_gaussian_estimate(x, r_completed)
+        posterior = fusion.gaussian_product(completed_side, mean_based)
+        expected = (*mean_based, *completed_side, *posterior, r_mean, r_completed)
+        actual = (*result.mean_based, *result.completed, *result.posterior,
+                  result.assignment_mean, result.assignment_completed)
+        for got, want in zip(actual, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fusion_makes_one_assignment_and_one_estimate(monkeypatch):
+    calls = {"soft_assign": 0, "weighted_gaussian_estimate": 0}
+    for name in calls:
+        step = getattr(fusion, name)
+
+        def counted(*args, name=name, step=step):
+            calls[name] += 1
+            return step(*args)
+
+        monkeypatch.setattr(fusion, name, counted)
+    x, labels, means, completed = random_episode(21, 3, 2, 5, 4)
+    fusion.fuse_prototypes(x, labels, means, completed)
+    assert calls == {"soft_assign": 1, "weighted_gaussian_estimate": 1}
+
+
+def test_cosine_matrix_broadcasts_embeddings_over_a_family_axis():
+    rng = np.random.default_rng(22)
+    for lead in ((), (3,)):
+        x = rng.standard_normal(lead + (7, 4))
+        families = rng.standard_normal((2,) + lead + (5, 4))
+        stacked = fusion.cosine_matrix(x, families)
+        assert stacked.shape == (2,) + lead + (7, 5)
+        for f in range(2):
+            assert stacked[f].tobytes() == fusion.cosine_matrix(x, families[f]).tobytes()
+    with pytest.raises(ValueError, match="does not match embeddings"):
+        fusion.cosine_matrix(rng.standard_normal((3, 7, 4)), rng.standard_normal((2, 4, 5, 4)))
+    with pytest.raises(ValueError, match="does not match embeddings"):
+        fusion.cosine_matrix(rng.standard_normal((3, 7, 4)), rng.standard_normal((5, 4)))
